@@ -103,13 +103,15 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
   }
 
   // Per-item effective run options: a problem supplies the legitimacy
-  // predicate unless the caller already set one.
+  // predicate and its local form unless the caller already set a
+  // predicate — an opaque caller predicate keeps the per-step full check.
   std::vector<RunOptions> runs;
   runs.reserve(items.size());
   for (const BatchItem& item : items) {
     RunOptions run = item.run;
     if (item.problem != nullptr && !run.legitimacy) {
       run.legitimacy = item.problem->predicate();
+      run.local_legitimacy = item.problem->local_form();
     }
     runs.push_back(std::move(run));
   }

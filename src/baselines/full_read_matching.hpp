@@ -69,10 +69,23 @@ class FullReadMatching final : public Protocol {
 /// not apply — the baseline has no cur.) Registered in the
 /// ProblemRegistry as "mutual-pr-matching", which is what pairs the
 /// baseline with a sound predicate in the registry-wide property harness.
-class MutualPrMatchingProblem final : public Problem {
+class MutualPrMatchingProblem final : public Problem, public CoverLegitimacy {
  public:
   const std::string& name() const override { return name_; }
   bool holds(const Graph& g, const Configuration& config) const override;
+
+  /// Local form, a cover form of radius 2: mutual pairs are always a
+  /// matching, so holds reduces to the mutually paired processes
+  /// (matching_mutual_pr) forming a vertex cover.
+  const LocalLegitimacy* local_form() const override { return this; }
+  int radius() const override { return 2; }
+  bool constants_ok(const Graph&, const Configuration&) const override {
+    return true;
+  }
+  bool covered_at(const Graph& g, const Configuration& config,
+                  ProcessId p) const override {
+    return matching_mutual_pr(g, config, p);
+  }
 
  private:
   std::string name_ = "mutual-pr-matching";

@@ -17,10 +17,20 @@ LegitimacyPredicate Problem::predicate() const {
 ColoringProblem::ColoringProblem(int color_var) : color_var_(color_var) {}
 
 bool ColoringProblem::holds(const Graph& g, const Configuration& config) const {
-  for (const auto& [a, b] : g.edges()) {
-    if (config.comm(a, color_var_) == config.comm(b, color_var_)) {
-      return false;
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    const Value color = config.comm(p, color_var_);
+    for (const ProcessId q : g.neighbors(p)) {
+      if (q > p && config.comm(q, color_var_) == color) return false;
     }
+  }
+  return true;
+}
+
+bool ColoringProblem::ok_at(const Graph& g, const Configuration& config,
+                            ProcessId p) const {
+  const Value color = config.comm(p, color_var_);
+  for (const ProcessId q : g.neighbors(p)) {
+    if (config.comm(q, color_var_) == color) return false;
   }
   return true;
 }
@@ -29,6 +39,17 @@ MisProblem::MisProblem(int state_var) : state_var_(state_var) {}
 
 bool MisProblem::holds(const Graph& g, const Configuration& config) const {
   return is_maximal_independent_set(g, extract_mis(g, config, state_var_));
+}
+
+bool MisProblem::ok_at(const Graph& g, const Configuration& config,
+                       ProcessId p) const {
+  const bool in_set = config.comm(p, state_var_) == MisProtocol::kDominator;
+  for (const ProcessId q : g.neighbors(p)) {
+    if (config.comm(q, state_var_) == MisProtocol::kDominator) {
+      return !in_set;  // dominated, which a Dominator must not be
+    }
+  }
+  return in_set;
 }
 
 MatchingProblem::MatchingProblem() = default;
@@ -56,14 +77,31 @@ std::vector<bool> extract_mis(const Graph& g, const Configuration& config,
   return in_set;
 }
 
+bool matching_mutual_pr(const Graph& g, const Configuration& config,
+                        ProcessId p) {
+  const Value pr = config.comm(p, MatchingProtocol::kPrVar);
+  if (pr == 0) return false;
+  const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(pr));
+  return config.comm(q, MatchingProtocol::kPrVar) ==
+         static_cast<Value>(g.mirror_index(p, static_cast<NbrIndex>(pr)));
+}
+
 bool matching_pr_married(const Graph& g, const Configuration& config,
                          ProcessId p) {
-  const Value pr = config.comm(p, MatchingProtocol::kPrVar);
-  const Value cur = config.internal_var(p, MatchingProtocol::kCurVar);
-  if (pr == 0 || pr != cur) return false;
-  const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(cur));
-  return config.comm(q, MatchingProtocol::kPrVar) ==
-         static_cast<Value>(g.local_index_of(q, p));
+  return matching_mutual_pr(g, config, p) &&
+         config.internal_var(p, MatchingProtocol::kCurVar) ==
+             config.comm(p, MatchingProtocol::kPrVar);
+}
+
+bool matching_covered(const Graph& g, const Configuration& config,
+                      ProcessId p) {
+  // Every matched edge at p is {p, PR.p} (both ends point at each other),
+  // so p is covered iff one end of its mutual pair is PRmarried.
+  if (!matching_mutual_pr(g, config, p)) return false;
+  const ProcessId q = g.neighbor(
+      p, static_cast<NbrIndex>(config.comm(p, MatchingProtocol::kPrVar)));
+  return matching_pr_married(g, config, p) ||
+         matching_pr_married(g, config, q);
 }
 
 std::vector<Edge> extract_matching(const Graph& g,
@@ -73,10 +111,10 @@ std::vector<Edge> extract_matching(const Graph& g,
     if (!matching_pr_married(g, config, p)) continue;
     const Value pr = config.comm(p, MatchingProtocol::kPrVar);
     const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(pr));
-    const Edge e{std::min(p, q), std::max(p, q)};
-    if (std::find(matched.begin(), matched.end(), e) == matched.end()) {
-      matched.push_back(e);
-    }
+    // A married pair points at each other, so {p, q} was already emitted
+    // iff its lower end q is married too.
+    if (q < p && matching_pr_married(g, config, q)) continue;
+    matched.emplace_back(std::min(p, q), std::max(p, q));
   }
   return matched;
 }
@@ -85,14 +123,10 @@ std::vector<Edge> extract_mutual_pr_edges(const Graph& g,
                                           const Configuration& config) {
   std::vector<Edge> matched;
   for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    const Value pr = config.comm(p, MatchingProtocol::kPrVar);
-    if (pr == 0) continue;
-    const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(pr));
-    if (q < p) continue;  // handle each pair once
-    if (config.comm(q, MatchingProtocol::kPrVar) ==
-        static_cast<Value>(g.local_index_of(q, p))) {
-      matched.emplace_back(p, q);
-    }
+    if (!matching_mutual_pr(g, config, p)) continue;
+    const ProcessId q = g.neighbor(
+        p, static_cast<NbrIndex>(config.comm(p, MatchingProtocol::kPrVar)));
+    if (q > p) matched.emplace_back(p, q);  // each pair once
   }
   return matched;
 }
@@ -100,10 +134,10 @@ std::vector<Edge> extract_mutual_pr_edges(const Graph& g,
 bool is_independent_set(const Graph& g, const std::vector<bool>& in_set) {
   SSS_REQUIRE(static_cast<int>(in_set.size()) == g.num_vertices(),
               "membership bitmap has the wrong size");
-  for (const auto& [a, b] : g.edges()) {
-    if (in_set[static_cast<std::size_t>(a)] &&
-        in_set[static_cast<std::size_t>(b)]) {
-      return false;
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    if (!in_set[static_cast<std::size_t>(p)]) continue;
+    for (const ProcessId q : g.neighbors(p)) {
+      if (q > p && in_set[static_cast<std::size_t>(q)]) return false;
     }
   }
   return true;
@@ -143,10 +177,10 @@ bool is_maximal_matching(const Graph& g, const std::vector<Edge>& edges) {
     covered[static_cast<std::size_t>(a)] = true;
     covered[static_cast<std::size_t>(b)] = true;
   }
-  for (const auto& [a, b] : g.edges()) {
-    if (!covered[static_cast<std::size_t>(a)] &&
-        !covered[static_cast<std::size_t>(b)]) {
-      return false;
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    if (covered[static_cast<std::size_t>(p)]) continue;
+    for (const ProcessId q : g.neighbors(p)) {
+      if (!covered[static_cast<std::size_t>(q)]) return false;
     }
   }
   return true;

@@ -1,6 +1,7 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "runtime/fault.hpp"
 #include "support/require.hpp"
@@ -816,9 +817,28 @@ RunStats Engine::run(const RunOptions& options) {
                                 : 0;
   };
 
-  auto check_legitimate = [&]() {
-    if (stats.reached_legitimate || !options.legitimacy) return;
-    if (options.legitimacy(graph_, config_)) {
+  // First-legitimacy bookkeeping (invariant 8): a local form is tracked
+  // incrementally over the steps' selections and its one positive answer
+  // re-confirmed by the full predicate; an opaque predicate alone is
+  // evaluated after every step.
+  std::optional<LegitimacyTracker> tracker;
+  if (options.local_legitimacy != nullptr) {
+    tracker.emplace(graph_, *options.local_legitimacy, config_);
+  }
+  auto check_legitimate = [&](bool stepped) {
+    if (stats.reached_legitimate) return;
+    bool legitimate = false;
+    if (tracker) {
+      if (stepped) tracker->recheck(config_, selection_);
+      legitimate = tracker->legitimate();
+      SSS_ASSERT(!legitimate || !options.legitimacy ||
+                     options.legitimacy(graph_, config_),
+                 "legitimacy tracker reported a configuration the full "
+                 "predicate rejects");
+    } else {
+      legitimate = options.legitimacy && options.legitimacy(graph_, config_);
+    }
+    if (legitimate) {
       stats.reached_legitimate = true;
       stats.steps_to_legitimate = steps_ - base_steps;
       stats.rounds_to_legitimate = rounds_inclusive() - base_rounds;
@@ -835,7 +855,7 @@ RunStats Engine::run(const RunOptions& options) {
     return true;
   };
 
-  check_legitimate();
+  check_legitimate(/*stepped=*/false);
   if (options.stop_on_silence && certified_silent()) {
     stats.silent = true;
     relative_silence_point(stats);
@@ -843,7 +863,7 @@ RunStats Engine::run(const RunOptions& options) {
     std::uint64_t next_quiescence_check = steps_ + patience;
     while (steps_ - base_steps < options.max_steps) {
       const StepInfo info = step();
-      check_legitimate();
+      check_legitimate(/*stepped=*/true);
       if (info.comm_changed) {
         next_quiescence_check = steps_ + patience;
       } else if (options.stop_on_silence && steps_ >= next_quiescence_check) {

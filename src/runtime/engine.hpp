@@ -18,7 +18,8 @@
 ///    never touch the main rng stream and are never counted as model reads.
 ///
 /// Hot-path design — the per-step cost is O(|selection| + perturbed
-/// neighborhoods), not O(n). Three incremental structures carry this, all
+/// neighborhoods), not O(n). Four incremental structures carry this —
+/// invariants 1-3 and the legitimacy tracker (invariant 8) — all
 /// exploiting the same locality fact: a process's behaviour depends only on
 /// its own state and its neighbors' communication variables, so an event at
 /// p can only affect p (it fired: own state changed) and N(p) (its
@@ -124,6 +125,25 @@
 ///     serial path (ReadLoggerMux fan-out is order-sensitive and not
 ///     thread-safe), and frozen-process exclusion pins the scalar serial
 ///     refresh exactly as it pins the scalar sweep.
+///
+///  8. Legitimacy tracker (`run` only, while the first legitimate
+///     configuration is pending). When RunOptions::local_legitimacy is
+///     set, a per-run LegitimacyTracker (runtime/legitimacy.hpp) counts
+///     local violations: processes failing ok_at (or, for a cover form,
+///     edges with both ends uncovered). Invariant after every step: the
+///     count equals that number in the current configuration. Every process that fired is in the step's
+///     selection, and ok_at reads nothing beyond its radius r, so
+///     re-checking the radius-r ball around the selection (each process
+///     once, by generation stamp) keeps the count exact; this covers
+///     internal-variable writes such as matching's cur too, and the
+///     parallel and bulk paths need nothing extra because the selection
+///     is the same on every path. The count reaching zero (with
+///     constants_ok) marks first legitimacy; that one moment is
+///     re-confirmed by the full `legitimacy` function under SSS_ASSERT,
+///     as certified silence re-confirms the quiescence cache. Fallback:
+///     without a local form (an opaque caller-supplied predicate) run
+///     evaluates `legitimacy` after every step, as the original engine
+///     did. Both report the same step and round.
 
 #include <cstdint>
 #include <functional>
@@ -136,6 +156,7 @@
 #include "runtime/configuration.hpp"
 #include "runtime/daemon.hpp"
 #include "runtime/enabled_set.hpp"
+#include "runtime/legitimacy.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/protocol.hpp"
@@ -173,6 +194,12 @@ struct RunOptions {
   std::uint64_t quiescence_patience = 0;
   /// Optional legitimacy predicate for first-legitimate bookkeeping.
   LegitimacyPredicate legitimacy;
+  /// Optional local form of the same predicate (not owned). When set, run
+  /// tracks violations incrementally instead of calling `legitimacy` after
+  /// every step, and `legitimacy` (if set) only confirms the first
+  /// legitimate configuration. See the legitimacy tracker in the file
+  /// comment.
+  const LocalLegitimacy* local_legitimacy = nullptr;
 };
 
 struct RunStats {

@@ -5,6 +5,7 @@
 
 #include "core/spanning_forest_protocol.hpp"
 #include "support/require.hpp"
+#include "verify/tree_predicates.hpp"
 
 namespace sss {
 
@@ -23,6 +24,22 @@ bool BfsForestProblem::holds(const Graph& g,
         config.comm(p, SpanningForestProtocol::kParentVar);
   }
   return is_bfs_forest(g, roots, dist, parent);
+}
+
+bool BfsForestProblem::ok_at(const Graph& g, const Configuration& config,
+                             ProcessId p) const {
+  return bfs_ok_at(g, config, p,
+                   config.comm(p, SpanningForestProtocol::kRootVar) == 1,
+                   SpanningForestProtocol::kDistVar,
+                   SpanningForestProtocol::kParentVar);
+}
+
+bool BfsForestProblem::constants_ok(const Graph& g,
+                                    const Configuration& config) const {
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    if (config.comm(p, SpanningForestProtocol::kRootVar) == 1) return true;
+  }
+  return false;
 }
 
 std::vector<ProcessId> extract_forest_roots(const Graph& g,

@@ -24,11 +24,21 @@ namespace sss {
 /// nearest root and a parent channel pointing at a distance-(D.p - 1)
 /// neighbor. With a single flagged root this coincides with
 /// BfsTreeProblem.
-class BfsForestProblem final : public Problem {
+///
+/// Local form (radius 1): constants_ok is "at least one root flag"; ok_at
+/// is bfs_ok_at over the flagged root set.
+class BfsForestProblem final : public Problem, public LocalLegitimacy {
  public:
   BfsForestProblem();
   const std::string& name() const override { return name_; }
   bool holds(const Graph& g, const Configuration& config) const override;
+
+  const LocalLegitimacy* local_form() const override { return this; }
+  int radius() const override { return 1; }
+  bool ok_at(const Graph& g, const Configuration& config,
+             ProcessId p) const override;
+  bool constants_ok(const Graph& g,
+                    const Configuration& config) const override;
 
  private:
   std::string name_ = "bfs-spanning-forest";

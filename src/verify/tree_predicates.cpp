@@ -1,5 +1,8 @@
 #include "verify/tree_predicates.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "core/bfs_tree_protocol.hpp"
 #include "core/leader_election_protocol.hpp"
 #include "graph/properties.hpp"
@@ -21,6 +24,18 @@ bool BfsTreeProblem::holds(const Graph& g, const Configuration& config) const {
         config.comm(p, BfsTreeProtocol::kParentVar);
   }
   return is_bfs_tree(g, root, dist, parent);
+}
+
+bool BfsTreeProblem::ok_at(const Graph& g, const Configuration& config,
+                           ProcessId p) const {
+  return bfs_ok_at(g, config, p,
+                   config.comm(p, BfsTreeProtocol::kRootVar) == 1,
+                   BfsTreeProtocol::kDistVar, BfsTreeProtocol::kParentVar);
+}
+
+bool BfsTreeProblem::constants_ok(const Graph& g,
+                                  const Configuration& config) const {
+  return extract_bfs_root(g, config) >= 0;
 }
 
 LeaderElectionProblem::LeaderElectionProblem() = default;
@@ -47,6 +62,36 @@ bool LeaderElectionProblem::holds(const Graph& g,
         config.comm(p, LeaderElectionProtocol::kParentVar);
   }
   return is_bfs_tree(g, owner, dist, parent);
+}
+
+bool LeaderElectionProblem::ok_at(const Graph& g, const Configuration& config,
+                                  ProcessId p) const {
+  const Value leader = config.comm(p, LeaderElectionProtocol::kLeaderVar);
+  for (const ProcessId q : g.neighbors(p)) {
+    if (config.comm(q, LeaderElectionProtocol::kLeaderVar) != leader) {
+      return false;
+    }
+  }
+  const Value id = config.comm(p, LeaderElectionProtocol::kIdVar);
+  if (id < leader) return false;
+  return bfs_ok_at(g, config, p, id == leader,
+                   LeaderElectionProtocol::kDistVar,
+                   LeaderElectionProtocol::kParentVar);
+}
+
+bool LeaderElectionProblem::constants_ok(const Graph& g,
+                                         const Configuration& config) const {
+  Value min_id = config.comm(0, LeaderElectionProtocol::kIdVar);
+  int owners = 0;
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    const Value id = config.comm(p, LeaderElectionProtocol::kIdVar);
+    if (id < min_id) {
+      min_id = id;
+      owners = 0;
+    }
+    if (id == min_id) ++owners;
+  }
+  return owners == 1 && is_connected(g);
 }
 
 ProcessId extract_bfs_root(const Graph& g, const Configuration& config) {
@@ -79,6 +124,21 @@ Value extract_agreed_leader(const Graph& g, const Configuration& config) {
     }
   }
   return claimed;
+}
+
+bool bfs_ok_at(const Graph& g, const Configuration& config, ProcessId p,
+               bool root, int dist_var, int parent_var) {
+  const Value dist = config.comm(p, dist_var);
+  const Value parent = config.comm(p, parent_var);
+  if (root) return dist == 0 && parent == 0;
+  if (parent < 1 || parent > g.degree(p)) return false;
+  Value nearest = std::numeric_limits<Value>::max();
+  for (const ProcessId q : g.neighbors(p)) {
+    nearest = std::min(nearest, config.comm(q, dist_var));
+  }
+  return dist == nearest + 1 &&
+         config.comm(g.neighbor(p, static_cast<NbrIndex>(parent)), dist_var) ==
+             dist - 1;
 }
 
 bool is_bfs_tree(const Graph& g, ProcessId root,

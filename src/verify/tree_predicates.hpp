@@ -23,11 +23,22 @@ namespace sss {
 /// parent; every other process claims its exact BFS distance from the
 /// root and a parent channel pointing at a distance-(D.p - 1) neighbor.
 /// Variable layout: BfsTreeProtocol::{kDistVar, kParentVar, kRootVar}.
-class BfsTreeProblem final : public Problem {
+///
+/// Local form (radius 1): constants_ok is "exactly one root flag"; ok_at
+/// is bfs_ok_at. Exact distances follow from the local Bellman-Ford
+/// fixpoint, so no global BFS is needed.
+class BfsTreeProblem final : public Problem, public LocalLegitimacy {
  public:
   BfsTreeProblem();
   const std::string& name() const override { return name_; }
   bool holds(const Graph& g, const Configuration& config) const override;
+
+  const LocalLegitimacy* local_form() const override { return this; }
+  int radius() const override { return 1; }
+  bool ok_at(const Graph& g, const Configuration& config,
+             ProcessId p) const override;
+  bool constants_ok(const Graph& g,
+                    const Configuration& config) const override;
 
  private:
   std::string name_ = "bfs-spanning-tree";
@@ -40,11 +51,26 @@ class BfsTreeProblem final : public Problem {
 /// from the owner — so the parent pointers form a BFS spanning tree
 /// rooted at the elected process. Variable layout:
 /// LeaderElectionProtocol::{kLeaderVar, kDistVar, kParentVar, kIdVar}.
-class LeaderElectionProblem final : public Problem {
+///
+/// Local form (radius 1): ok_at(p) is leader agreement with every
+/// neighbour, ID.p >= L.p, and bfs_ok_at with p as a root iff ID.p = L.p.
+/// On a connected graph agreement spreads to everyone, and a rootless
+/// Bellman-Ford fixpoint cannot exist, so some process owns L — the
+/// minimum id. constants_ok is "the graph is connected (holds is false on
+/// any other) and exactly one process owns the minimum id" (the protocols
+/// require distinct ids; a duplicated minimum is outside the contract).
+class LeaderElectionProblem final : public Problem, public LocalLegitimacy {
  public:
   LeaderElectionProblem();
   const std::string& name() const override { return name_; }
   bool holds(const Graph& g, const Configuration& config) const override;
+
+  const LocalLegitimacy* local_form() const override { return this; }
+  int radius() const override { return 1; }
+  bool ok_at(const Graph& g, const Configuration& config,
+             ProcessId p) const override;
+  bool constants_ok(const Graph& g,
+                    const Configuration& config) const override;
 
  private:
   std::string name_ = "leader-election";
@@ -63,6 +89,16 @@ std::vector<Edge> extract_parent_edges(const Graph& g,
 
 /// The leader id every process agrees on, or -1 on disagreement.
 Value extract_agreed_leader(const Graph& g, const Configuration& config);
+
+/// The local BFS check at p, shared by the tree, forest and leader forms:
+/// a root claims distance 0 and no parent; any other process claims one
+/// more than its nearest neighbour's distance and a parent channel naming
+/// a neighbour one level closer. Over a root set R, these checks hold
+/// everywhere iff the claims are the exact multi-source BFS distances and
+/// a BFS forest of R (the Bellman-Ford fixpoint is unique, and a
+/// component without a root has none).
+bool bfs_ok_at(const Graph& g, const Configuration& config, ProcessId p,
+               bool root, int dist_var, int parent_var);
 
 /// True iff `dist`/`parent` (claimed per-process distance and parent
 /// channel) encode the BFS tree rooted at `root`: dist equals the true
