@@ -30,7 +30,8 @@ void FullReadBfsTree::install_constants(const Graph& g,
   }
 }
 
-int FullReadBfsTree::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int FullReadBfsTree::guard(Ctx& ctx) const {
   const Value dist = ctx.self_comm(kDistVar);
   const Value parent = ctx.self_comm(kParentVar);
   if (ctx.self_comm(kRootVar) == 1) {
@@ -51,102 +52,8 @@ int FullReadBfsTree::first_enabled(GuardContext& ctx) const {
   return kDisabled;
 }
 
-void FullReadBfsTree::sweep_enabled_range(BulkGuardContext& ctx,
-                                          EnabledBitmap& out, ProcessId begin,
-                                          ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value dist = row[kDistVar];
-    const Value parent = row[kParentVar];
-    if (row[kRootVar] == 1) {
-      actions[p] = static_cast<std::int8_t>(
-          (dist != 0 || parent != 0) ? kFixRoot : kDisabled);
-      continue;
-    }
-    const std::int32_t begin = offsets[p];
-    const std::int32_t end = offsets[p + 1];
-    // Branch-free min over the contiguous neighborhood slice; the scalar
-    // guard reads every neighbor unconditionally.
-    Value best = max_distance_;
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      best = std::min(best,
-                      data[static_cast<std::size_t>(q) * stride + kDistVar]);
-    }
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      ctx.log(p, neighbors[static_cast<std::size_t>(slot)], kDistVar);
-    }
-    const Value target = std::min<Value>(best + 1, max_distance_);
-    if (dist != target) {
-      actions[p] = static_cast<std::int8_t>(kRecompute);
-      continue;
-    }
-    if (parent == 0) {
-      actions[p] = static_cast<std::int8_t>(kRecompute);
-      continue;
-    }
-    const ProcessId parent_nbr = neighbors[static_cast<std::size_t>(
-        begin + static_cast<std::int32_t>(parent) - 1)];
-    const Value parent_dist =
-        data[static_cast<std::size_t>(parent_nbr) * stride + kDistVar];
-    ctx.log(p, parent_nbr, kDistVar);
-    if (parent_dist != best) {
-      actions[p] = static_cast<std::int8_t>(kRecompute);
-    }
-  }
-}
-
-void FullReadBfsTree::execute_selected(BulkExecContext& ctx,
-                                       const EnabledBitmap& enabled,
-                                       std::span<const ProcessId> selection,
-                                       std::size_t begin,
-                                       std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    Value* out = ctx.stage(i, p);
-    if (action == kFixRoot) {
-      out[kDistVar] = 0;
-      out[kParentVar] = 0;
-      continue;
-    }
-    // kRecompute re-reads the whole neighborhood at execute time (every
-    // read logged, channel order), keeping the first channel achieving
-    // the minimum — the scalar strict-< update rule.
-    const std::int32_t nbr_begin = offsets[p];
-    const std::int32_t nbr_end = offsets[p + 1];
-    Value best = max_distance_;
-    Value best_channel = 1;
-    for (std::int32_t slot = nbr_begin; slot < nbr_end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      const Value d = data[static_cast<std::size_t>(q) * stride + kDistVar];
-      ctx.log(p, q, kDistVar);
-      if (d < best) {
-        best = d;
-        best_channel = static_cast<Value>(slot - nbr_begin + 1);
-      }
-    }
-    out[kDistVar] = std::min<Value>(best + 1, max_distance_);
-    out[kParentVar] = best_channel;
-  }
-}
-
-void FullReadBfsTree::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void FullReadBfsTree::act(int action, Ctx& ctx) const {
   if (action == kFixRoot) {
     ctx.set_comm(kDistVar, 0);
     ctx.set_comm(kParentVar, 0);
@@ -165,5 +72,7 @@ void FullReadBfsTree::execute(int action, ActionContext& ctx) const {
   ctx.set_comm(kDistVar, std::min<Value>(best + 1, max_distance_));
   ctx.set_comm(kParentVar, static_cast<Value>(best_channel));
 }
+
+template class RuleProtocol<FullReadBfsTree>;
 
 }  // namespace sss

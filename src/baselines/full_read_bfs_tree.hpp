@@ -10,11 +10,11 @@
 
 #include <string>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class FullReadBfsTree final : public Protocol {
+class FullReadBfsTree final : public RuleProtocol<FullReadBfsTree> {
  public:
   /// Same communication layout as BfsTreeProtocol (minus cur): predicates
   /// apply to both.
@@ -28,27 +28,24 @@ class FullReadBfsTree final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 2; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   ProcessId root() const { return root_; }
   Value max_distance() const { return max_distance_; }
 
  private:
+  friend RuleProtocol<FullReadBfsTree>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "FULL-READ-BFS-TREE";
   ProcessId root_;
   Value max_distance_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<FullReadBfsTree>;
 
 }  // namespace sss

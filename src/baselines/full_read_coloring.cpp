@@ -1,6 +1,6 @@
 #include "baselines/full_read_coloring.hpp"
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "support/require.hpp"
@@ -16,7 +16,8 @@ FullReadColoring::FullReadColoring(const Graph& g, int palette_size)
   spec_.comm.emplace_back("C", VarDomain{1, static_cast<Value>(palette_size_)});
 }
 
-int FullReadColoring::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int FullReadColoring::guard(Ctx& ctx) const {
   const Value own = ctx.self_comm(kColorVar);
   // Local checking: scan the entire neighborhood for a conflict.
   bool conflict = false;
@@ -26,94 +27,30 @@ int FullReadColoring::first_enabled(GuardContext& ctx) const {
   return conflict ? 0 : kDisabled;
 }
 
-void FullReadColoring::sweep_enabled_range(BulkGuardContext& ctx,
-                                           EnabledBitmap& out, ProcessId begin,
-                                           ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value own = data[static_cast<std::size_t>(p) * stride + kColorVar];
-    const std::int32_t begin = offsets[p];
-    const std::int32_t end = offsets[p + 1];
-    // The whole-neighborhood conflict scan of the scalar guard, as a
-    // branch-free OR over the contiguous CSR slice (the guard never
-    // short-circuits, so every read is logged either way).
-    bool conflict = false;
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      conflict |=
-          data[static_cast<std::size_t>(q) * stride + kColorVar] == own;
-    }
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      ctx.log(p, neighbors[static_cast<std::size_t>(slot)], kColorVar);
-    }
-    actions[p] = static_cast<std::int8_t>(conflict ? 0 : kDisabled);
-  }
-}
-
-void FullReadColoring::execute_selected(BulkExecContext& ctx,
-                                        const EnabledBitmap& enabled,
-                                        std::span<const ProcessId> selection,
-                                        std::size_t begin,
-                                        std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  // Scratch hoisted out of the loop (the scalar action allocates both per
-  // call); refilled per process, so the free-color order — and with it
-  // the picked index — matches the scalar action exactly.
-  std::vector<bool> used(static_cast<std::size_t>(palette_size_) + 1, false);
-  std::vector<Value> free_colors;
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    if (enabled.action(p) == kDisabled) continue;
-    const std::int32_t nbr_begin = offsets[p];
-    const std::int32_t nbr_end = offsets[p + 1];
-    std::fill(used.begin(), used.end(), false);
-    for (std::int32_t slot = nbr_begin; slot < nbr_end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      const Value c = data[static_cast<std::size_t>(q) * stride + kColorVar];
-      used[static_cast<std::size_t>(c)] = true;
-      ctx.log(p, q, kColorVar);
-    }
-    free_colors.clear();
-    for (Value c = 1; c <= static_cast<Value>(palette_size_); ++c) {
-      if (!used[static_cast<std::size_t>(c)]) free_colors.push_back(c);
-    }
-    SSS_ASSERT(!free_colors.empty(),
-               "a Delta+1 palette always leaves a free color");
-    const auto pick = static_cast<std::size_t>(ctx.random_range(
-        0, static_cast<Value>(free_colors.size()) - 1));
-    Value* out = ctx.stage(i, p);
-    out[kColorVar] = free_colors[pick];
-  }
-}
-
-void FullReadColoring::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void FullReadColoring::act(int action, Ctx& ctx) const {
   SSS_ASSERT(action == 0, "FULL-READ-COLORING has one action");
-  std::vector<bool> used(static_cast<std::size_t>(palette_size_) + 1, false);
+  // Per-thread scratch, refilled per call: the action runs once per fired
+  // process on every engine path, so it must not allocate.
+  thread_local std::vector<std::uint8_t> used;
+  used.assign(static_cast<std::size_t>(palette_size_) + 1, 0);
+  Value taken = 0;
   for (NbrIndex ch = 1; ch <= ctx.degree(); ++ch) {
-    const Value c = ctx.nbr_comm(ch, kColorVar);
-    used[static_cast<std::size_t>(c)] = true;
+    const auto c = static_cast<std::size_t>(ctx.nbr_comm(ch, kColorVar));
+    if (used[c] == 0) ++taken;
+    used[c] = 1;
   }
-  std::vector<Value> free_colors;
-  for (Value c = 1; c <= static_cast<Value>(palette_size_); ++c) {
-    if (!used[static_cast<std::size_t>(c)]) free_colors.push_back(c);
+  const Value num_free = static_cast<Value>(palette_size_) - taken;
+  SSS_ASSERT(num_free > 0, "a Delta+1 palette always leaves a free color");
+  // The pick-th free color in ascending order.
+  Value pick = ctx.random_range(0, num_free - 1);
+  Value c = 1;
+  for (;; ++c) {
+    if (!used[static_cast<std::size_t>(c)] && pick-- == 0) break;
   }
-  SSS_ASSERT(!free_colors.empty(),
-             "a Delta+1 palette always leaves a free color");
-  const auto pick = static_cast<std::size_t>(ctx.random_range(
-      0, static_cast<Value>(free_colors.size()) - 1));
-  ctx.set_comm(kColorVar, free_colors[pick]);
+  ctx.set_comm(kColorVar, c);
 }
+
+template class RuleProtocol<FullReadColoring>;
 
 }  // namespace sss

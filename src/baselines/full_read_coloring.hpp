@@ -10,11 +10,11 @@
 
 #include <string>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class FullReadColoring final : public Protocol {
+class FullReadColoring final : public RuleProtocol<FullReadColoring> {
  public:
   static constexpr int kColorVar = 0;  ///< comm
 
@@ -25,24 +25,20 @@ class FullReadColoring final : public Protocol {
   int num_actions() const override { return 1; }
   bool is_probabilistic() const override { return true; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
-
   int palette_size() const { return palette_size_; }
 
  private:
+  friend RuleProtocol<FullReadColoring>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "FULL-READ-COLORING";
   int palette_size_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<FullReadColoring>;
 
 }  // namespace sss

@@ -19,8 +19,8 @@ struct Offer {
   NbrIndex channel = 0;
 };
 
-Offer best_offer(const GuardContext& ctx, int leader_var, int dist_var,
-                 Value dmax) {
+template <class Ctx>
+SSS_RULE Offer best_offer(Ctx& ctx, int leader_var, int dist_var, Value dmax) {
   Offer best;
   for (NbrIndex ch = 1; ch <= ctx.degree(); ++ch) {
     const Value leader = ctx.nbr_comm(ch, leader_var);
@@ -66,7 +66,8 @@ void FullReadLeaderElection::install_constants(const Graph& g,
   }
 }
 
-int FullReadLeaderElection::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int FullReadLeaderElection::guard(Ctx& ctx) const {
   const Value id = ctx.self_comm(kIdVar);
   const Value leader = ctx.self_comm(kLeaderVar);
   const Value dist = ctx.self_comm(kDistVar);
@@ -101,157 +102,8 @@ int FullReadLeaderElection::first_enabled(GuardContext& ctx) const {
   return kDisabled;
 }
 
-void FullReadLeaderElection::sweep_enabled_range(BulkGuardContext& ctx,
-                                                 EnabledBitmap& out, ProcessId begin,
-                                                 ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value id = row[kIdVar];
-    const Value leader = row[kLeaderVar];
-    const Value dist = row[kDistVar];
-    const Value parent = row[kParentVar];
-    const std::int32_t begin = offsets[p];
-    const std::int32_t end = offsets[p + 1];
-    const auto parent_row_of = [&](Value pr) {
-      return data + static_cast<std::size_t>(neighbors[static_cast<std::size_t>(
-                        begin + static_cast<std::int32_t>(pr) - 1)]) *
-                        stride;
-    };
-    const auto parent_id_of = [&](Value pr) {
-      return neighbors[static_cast<std::size_t>(
-          begin + static_cast<std::int32_t>(pr) - 1)];
-    };
-
-    if (leader > id) {
-      actions[p] = static_cast<std::int8_t>(kReset);
-      continue;
-    }
-    if (leader == id) {
-      if (dist != 0 || parent != 0) {
-        actions[p] = static_cast<std::int8_t>(kReset);
-        continue;
-      }
-    } else {
-      if (parent == 0 || dist == 0) {
-        actions[p] = static_cast<std::int8_t>(kReset);
-        continue;
-      }
-      // Lazy disjunction: the parent's depth is read only when its
-      // leader claim does not already force the reset.
-      const Value* pr_row = parent_row_of(parent);
-      const ProcessId pr_id = parent_id_of(parent);
-      ctx.log(p, pr_id, kLeaderVar);
-      if (pr_row[kLeaderVar] > leader) {
-        actions[p] = static_cast<std::int8_t>(kReset);
-        continue;
-      }
-      ctx.log(p, pr_id, kDistVar);
-      if (pr_row[kDistVar] == max_distance_) {
-        actions[p] = static_cast<std::int8_t>(kReset);
-        continue;
-      }
-    }
-
-    // best_offer: (leader, depth) of every neighbor, both always read.
-    Value best_leader = 0;
-    Value best_depth = 0;
-    NbrIndex best_channel = 0;
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-      const Value nbr_leader = nbr_row[kLeaderVar];
-      ctx.log(p, q, kLeaderVar);
-      const Value nbr_depth = nbr_row[kDistVar];
-      ctx.log(p, q, kDistVar);
-      if (nbr_depth + 1 > max_distance_) continue;
-      if (best_channel == 0 || nbr_leader < best_leader ||
-          (nbr_leader == best_leader && nbr_depth < best_depth)) {
-        best_leader = nbr_leader;
-        best_depth = nbr_depth;
-        best_channel = static_cast<NbrIndex>(slot - begin + 1);
-      }
-    }
-    if (best_channel != 0) {
-      if (best_leader < leader) {
-        actions[p] = static_cast<std::int8_t>(kElect);
-        continue;
-      }
-      if (leader < id && best_leader == leader && best_depth + 1 < dist) {
-        actions[p] = static_cast<std::int8_t>(kElect);
-        continue;
-      }
-    }
-    if (leader < id) {
-      // Depth re-sync check: one more logged read of the parent's depth.
-      const Value parent_dist = parent_row_of(parent)[kDistVar];
-      ctx.log(p, parent_id_of(parent), kDistVar);
-      if (dist != parent_dist + 1) {
-        actions[p] = static_cast<std::int8_t>(kElect);
-      }
-    }
-  }
-}
-
-void FullReadLeaderElection::execute_selected(
-    BulkExecContext& ctx, const EnabledBitmap& enabled,
-    std::span<const ProcessId> selection, std::size_t begin,
-    std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    Value* out = ctx.stage(i, p);
-    if (action == kReset) {
-      out[kLeaderVar] = row[kIdVar];
-      out[kDistVar] = 0;
-      out[kParentVar] = 0;
-      continue;
-    }
-    // kElect re-runs best_offer at execute time: (leader, depth) of every
-    // neighbor, both always read and logged in that order.
-    const std::int32_t nbr_begin = offsets[p];
-    const std::int32_t nbr_end = offsets[p + 1];
-    Value best_leader = 0;
-    Value best_depth = 0;
-    Value best_channel = 0;
-    for (std::int32_t slot = nbr_begin; slot < nbr_end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-      const Value nbr_leader = nbr_row[kLeaderVar];
-      ctx.log(p, q, kLeaderVar);
-      const Value nbr_depth = nbr_row[kDistVar];
-      ctx.log(p, q, kDistVar);
-      if (nbr_depth + 1 > max_distance_) continue;
-      if (best_channel == 0 || nbr_leader < best_leader ||
-          (nbr_leader == best_leader && nbr_depth < best_depth)) {
-        best_leader = nbr_leader;
-        best_depth = nbr_depth;
-        best_channel = static_cast<Value>(slot - nbr_begin + 1);
-      }
-    }
-    SSS_ASSERT(best_channel != 0, "elect fired without a candidate offer");
-    out[kLeaderVar] = best_leader;
-    out[kDistVar] = best_depth + 1;
-    out[kParentVar] = best_channel;
-  }
-}
-
-void FullReadLeaderElection::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void FullReadLeaderElection::act(int action, Ctx& ctx) const {
   if (action == kReset) {
     ctx.set_comm(kLeaderVar, ctx.self_comm(kIdVar));
     ctx.set_comm(kDistVar, 0);
@@ -265,5 +117,7 @@ void FullReadLeaderElection::execute(int action, ActionContext& ctx) const {
   ctx.set_comm(kDistVar, best.depth + 1);
   ctx.set_comm(kParentVar, static_cast<Value>(best.channel));
 }
+
+template class RuleProtocol<FullReadLeaderElection>;
 
 }  // namespace sss

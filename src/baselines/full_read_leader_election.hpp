@@ -11,11 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class FullReadLeaderElection final : public Protocol {
+class FullReadLeaderElection final : public RuleProtocol<FullReadLeaderElection> {
  public:
   /// Same communication layout as LeaderElectionProtocol (minus cur):
   /// predicates apply to both.
@@ -30,24 +30,19 @@ class FullReadLeaderElection final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 2; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   const std::vector<Value>& ids() const { return ids_; }
   Value min_id() const { return min_id_; }
   Value max_distance() const { return max_distance_; }
 
  private:
+  friend RuleProtocol<FullReadLeaderElection>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "FULL-READ-LEADER-ELECTION";
   std::vector<Value> ids_;
   Value min_id_;
@@ -55,5 +50,7 @@ class FullReadLeaderElection final : public Protocol {
   Value max_distance_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<FullReadLeaderElection>;
 
 }  // namespace sss

@@ -36,7 +36,8 @@ void FullReadMatching::install_constants(const Graph& g,
   }
 }
 
-bool FullReadMatching::married(const GuardContext& ctx) const {
+template <class Ctx>
+bool FullReadMatching::married(Ctx& ctx) {
   const Value pr = ctx.self_comm(kPrVar);
   if (pr == 0) return false;
   const auto ch = static_cast<NbrIndex>(pr);
@@ -44,7 +45,8 @@ bool FullReadMatching::married(const GuardContext& ctx) const {
          static_cast<Value>(ctx.self_index_at(ch));
 }
 
-NbrIndex FullReadMatching::first_proposer(const GuardContext& ctx) const {
+template <class Ctx>
+NbrIndex FullReadMatching::first_proposer(Ctx& ctx) {
   for (NbrIndex ch = 1; ch <= ctx.degree(); ++ch) {
     if (ctx.nbr_comm(ch, kPrVar) ==
         static_cast<Value>(ctx.self_index_at(ch))) {
@@ -54,7 +56,8 @@ NbrIndex FullReadMatching::first_proposer(const GuardContext& ctx) const {
   return 0;
 }
 
-NbrIndex FullReadMatching::first_candidate(const GuardContext& ctx) const {
+template <class Ctx>
+NbrIndex FullReadMatching::first_candidate(Ctx& ctx) {
   const Value own_color = ctx.self_comm(kColorVar);
   for (NbrIndex ch = 1; ch <= ctx.degree(); ++ch) {
     if (ctx.nbr_comm(ch, kPrVar) == 0 &&
@@ -66,7 +69,8 @@ NbrIndex FullReadMatching::first_candidate(const GuardContext& ctx) const {
   return 0;
 }
 
-int FullReadMatching::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int FullReadMatching::guard(Ctx& ctx) const {
   const Value pr = ctx.self_comm(kPrVar);
   const Value announced = ctx.self_comm(kMarriedVar);
   const Value own_color = ctx.self_comm(kColorVar);
@@ -91,174 +95,8 @@ int FullReadMatching::first_enabled(GuardContext& ctx) const {
   return kDisabled;
 }
 
-void FullReadMatching::sweep_enabled_range(BulkGuardContext& ctx,
-                                           EnabledBitmap& out, ProcessId begin,
-                                           ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const NbrIndex* mirrors = g.csr_mirrors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  std::int8_t* actions = out.actions();
-  // Scalar transcription; the early-exit proposer/candidate scans keep
-  // their exact stopping points so the logged read prefixes match.
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value pr = row[kPrVar];
-    const Value announced = row[kMarriedVar];
-    const Value own_color = row[kColorVar];
-    const std::int32_t begin = offsets[p];
-    const std::int32_t end = offsets[p + 1];
-
-    // married(ctx): one PR read of the pointed-at neighbor when pr != 0.
-    bool is_married = false;
-    if (pr != 0) {
-      const std::size_t slot =
-          static_cast<std::size_t>(begin + static_cast<std::int32_t>(pr) - 1);
-      const ProcessId q = neighbors[slot];
-      const Value nbr_pr = data[static_cast<std::size_t>(q) * stride + kPrVar];
-      ctx.log(p, q, kPrVar);
-      is_married = nbr_pr == static_cast<Value>(mirrors[slot]);
-    }
-    if ((announced == kTrue) != is_married) {
-      actions[p] = static_cast<std::int8_t>(kUpdate);
-      continue;
-    }
-
-    if (pr != 0) {
-      // The scalar guard re-reads PR.(pr) here; the repeat is logged too.
-      const std::size_t slot =
-          static_cast<std::size_t>(begin + static_cast<std::int32_t>(pr) - 1);
-      const ProcessId q = neighbors[slot];
-      const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-      ctx.log(p, q, kPrVar);
-      if (nbr_row[kPrVar] != static_cast<Value>(mirrors[slot])) {
-        ctx.log(p, q, kMarriedVar);
-        if (nbr_row[kMarriedVar] == kTrue) {
-          actions[p] = static_cast<std::int8_t>(kAbandon);
-          continue;
-        }
-        ctx.log(p, q, kColorVar);
-        if (nbr_row[kColorVar] < own_color) {
-          actions[p] = static_cast<std::int8_t>(kAbandon);
-          continue;
-        }
-      }
-      continue;  // pr != 0 and no abandon: disabled
-    }
-
-    // pr == 0: accept the first proposer, else propose to the first
-    // free, unmarried, higher-colored neighbor.
-    bool found = false;
-    for (std::int32_t slot = begin; slot < end && !found; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      ctx.log(p, q, kPrVar);
-      found = data[static_cast<std::size_t>(q) * stride + kPrVar] ==
-              static_cast<Value>(mirrors[static_cast<std::size_t>(slot)]);
-    }
-    if (found) {
-      actions[p] = static_cast<std::int8_t>(kAccept);
-      continue;
-    }
-    for (std::int32_t slot = begin; slot < end && !found; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-      ctx.log(p, q, kPrVar);
-      if (nbr_row[kPrVar] != 0) continue;
-      ctx.log(p, q, kMarriedVar);
-      if (nbr_row[kMarriedVar] != kFalse) continue;
-      ctx.log(p, q, kColorVar);
-      found = own_color < nbr_row[kColorVar];
-    }
-    if (found) actions[p] = static_cast<std::int8_t>(kPropose);
-  }
-}
-
-void FullReadMatching::execute_selected(BulkExecContext& ctx,
-                                        const EnabledBitmap& enabled,
-                                        std::span<const ProcessId> selection,
-                                        std::size_t begin,
-                                        std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const NbrIndex* mirrors = g.csr_mirrors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  // The execute-time helpers (married / first_proposer / first_candidate)
-  // re-read neighbors with the scalar actions' exact stopping points, so
-  // the logged prefixes match.
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const std::int32_t nbr_begin = offsets[p];
-    const std::int32_t nbr_end = offsets[p + 1];
-    Value* out = ctx.stage(i, p);
-    switch (action) {
-      case kUpdate: {
-        const Value pr = row[kPrVar];
-        bool is_married = false;
-        if (pr != 0) {
-          const std::size_t slot = static_cast<std::size_t>(
-              nbr_begin + static_cast<std::int32_t>(pr) - 1);
-          const ProcessId q = neighbors[slot];
-          const Value nbr_pr =
-              data[static_cast<std::size_t>(q) * stride + kPrVar];
-          ctx.log(p, q, kPrVar);
-          is_married = nbr_pr == static_cast<Value>(mirrors[slot]);
-        }
-        out[kMarriedVar] = is_married ? kTrue : kFalse;
-        break;
-      }
-      case kAbandon:
-        out[kPrVar] = 0;
-        break;
-      case kAccept: {
-        Value proposer = 0;
-        for (std::int32_t slot = nbr_begin; slot < nbr_end; ++slot) {
-          const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-          const Value nbr_pr =
-              data[static_cast<std::size_t>(q) * stride + kPrVar];
-          ctx.log(p, q, kPrVar);
-          if (nbr_pr ==
-              static_cast<Value>(mirrors[static_cast<std::size_t>(slot)])) {
-            proposer = static_cast<Value>(slot - nbr_begin + 1);
-            break;
-          }
-        }
-        out[kPrVar] = proposer;
-        break;
-      }
-      default: {  // kPropose
-        const Value own_color = row[kColorVar];
-        Value candidate = 0;
-        for (std::int32_t slot = nbr_begin; slot < nbr_end; ++slot) {
-          const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-          const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-          ctx.log(p, q, kPrVar);
-          if (nbr_row[kPrVar] != 0) continue;
-          ctx.log(p, q, kMarriedVar);
-          if (nbr_row[kMarriedVar] != kFalse) continue;
-          ctx.log(p, q, kColorVar);
-          if (own_color < nbr_row[kColorVar]) {
-            candidate = static_cast<Value>(slot - nbr_begin + 1);
-            break;
-          }
-        }
-        out[kPrVar] = candidate;
-        break;
-      }
-    }
-  }
-}
-
-void FullReadMatching::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void FullReadMatching::act(int action, Ctx& ctx) const {
   switch (action) {
     case kUpdate:
       ctx.set_comm(kMarriedVar, married(ctx) ? kTrue : kFalse);
@@ -281,5 +119,7 @@ bool MutualPrMatchingProblem::holds(const Graph& g,
                                     const Configuration& config) const {
   return is_maximal_matching(g, extract_mutual_pr_edges(g, config));
 }
+
+template class RuleProtocol<FullReadMatching>;
 
 }  // namespace sss

@@ -21,11 +21,11 @@
 
 #include "core/problems.hpp"
 #include "graph/coloring.hpp"
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class FullReadMatching final : public Protocol {
+class FullReadMatching final : public RuleProtocol<FullReadMatching> {
  public:
   static constexpr int kMarriedVar = 0;  ///< comm: M
   static constexpr int kPrVar = 1;       ///< comm: PR
@@ -37,32 +37,32 @@ class FullReadMatching final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 4; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
 
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
-
  private:
+  friend RuleProtocol<FullReadMatching>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   /// married(p): PR.p points at a neighbor whose PR points back.
-  bool married(const GuardContext& ctx) const;
+  template <class Ctx>
+  SSS_RULE static bool married(Ctx& ctx);
   /// Lowest channel whose neighbor proposes to p (PR.q = p), or 0.
-  NbrIndex first_proposer(const GuardContext& ctx) const;
+  template <class Ctx>
+  SSS_RULE static NbrIndex first_proposer(Ctx& ctx);
   /// Lowest channel holding a free, unmarried, higher-colored neighbor,
   /// or 0.
-  NbrIndex first_candidate(const GuardContext& ctx) const;
+  template <class Ctx>
+  SSS_RULE static NbrIndex first_candidate(Ctx& ctx);
 
   std::string name_ = "FULL-READ-MATCHING";
   Coloring colors_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<FullReadMatching>;
 
 /// Legitimacy for the baseline's layout: the mutually-pointing PR pairs
 /// form a maximal matching. (The cur-based predicate of Section 5.3 does

@@ -30,7 +30,8 @@ void FullReadMis::install_constants(const Graph& g,
   }
 }
 
-int FullReadMis::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int FullReadMis::guard(Ctx& ctx) const {
   const Value own_state = ctx.self_comm(kStateVar);
   const Value own_color = ctx.self_comm(kColorVar);
   bool lower_in = false;
@@ -44,72 +45,13 @@ int FullReadMis::first_enabled(GuardContext& ctx) const {
   return kDisabled;
 }
 
-void FullReadMis::sweep_enabled_range(BulkGuardContext& ctx,
-                                      EnabledBitmap& out, ProcessId begin,
-                                      ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value own_state = row[kStateVar];
-    const Value own_color = row[kColorVar];
-    const std::int32_t begin = offsets[p];
-    const std::int32_t end = offsets[p + 1];
-    // The scalar guard reads (state, color) of every neighbor with no
-    // short-circuit, so the scan is branch-free and the log is the full
-    // interleaved sequence.
-    bool lower_in = false;
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-      lower_in |=
-          nbr_row[kColorVar] < own_color && nbr_row[kStateVar] == kIn;
-    }
-    for (std::int32_t slot = begin; slot < end; ++slot) {
-      const ProcessId q = neighbors[static_cast<std::size_t>(slot)];
-      ctx.log(p, q, kStateVar);
-      ctx.log(p, q, kColorVar);
-    }
-    if (own_state == kIn && lower_in) {
-      actions[p] = static_cast<std::int8_t>(kRetreat);
-    } else if (own_state == kOut && !lower_in) {
-      actions[p] = static_cast<std::int8_t>(kJoin);
-    }
-  }
+template <class Ctx>
+void FullReadMis::act(int action, Ctx& ctx) const {
+  SSS_ASSERT(action == kRetreat || action == kJoin,
+             "FULL-READ-MIS has exactly two actions");
+  ctx.set_comm(kStateVar, action == kRetreat ? kOut : kIn);
 }
 
-void FullReadMis::execute_selected(BulkExecContext& ctx,
-                                   const EnabledBitmap& enabled,
-                                   std::span<const ProcessId> selection,
-                                   std::size_t begin, std::size_t end) const {
-  // Both actions write only the own state bit — the kernel is pure memo
-  // replay plus a one-slot overwrite.
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    Value* out = ctx.stage(i, p);
-    out[kStateVar] = action == kRetreat ? kOut : kIn;
-  }
-}
-
-void FullReadMis::execute(int action, ActionContext& ctx) const {
-  switch (action) {
-    case kRetreat:
-      ctx.set_comm(kStateVar, kOut);
-      break;
-    case kJoin:
-      ctx.set_comm(kStateVar, kIn);
-      break;
-    default:
-      SSS_ASSERT(false, "FULL-READ-MIS has exactly two actions");
-  }
-}
+template class RuleProtocol<FullReadMis>;
 
 }  // namespace sss

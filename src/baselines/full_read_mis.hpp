@@ -13,11 +13,11 @@
 #include <string>
 
 #include "graph/coloring.hpp"
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class FullReadMis final : public Protocol {
+class FullReadMis final : public RuleProtocol<FullReadMis> {
  public:
   static constexpr Value kOut = 0;
   static constexpr Value kIn = 1;
@@ -32,23 +32,20 @@ class FullReadMis final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 2; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
 
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
-
  private:
+  friend RuleProtocol<FullReadMis>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "FULL-READ-MIS";
   Coloring colors_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<FullReadMis>;
 
 }  // namespace sss

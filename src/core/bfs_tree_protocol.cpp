@@ -34,7 +34,8 @@ void BfsTreeProtocol::install_constants(const Graph& g,
   }
 }
 
-int BfsTreeProtocol::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int BfsTreeProtocol::guard(Ctx& ctx) const {
   const Value dist = ctx.self_comm(kDistVar);
   const Value parent = ctx.self_comm(kParentVar);
   if (ctx.self_comm(kRootVar) == 1) {
@@ -53,114 +54,8 @@ int BfsTreeProtocol::first_enabled(GuardContext& ctx) const {
   return kScan;
 }
 
-void BfsTreeProtocol::sweep_enabled_range(BulkGuardContext& ctx,
-                                          EnabledBitmap& out, ProcessId begin,
-                                          ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot =
-      static_cast<std::size_t>(cfg.num_comm() + kCurVar);  // internal cur
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value dist = row[kDistVar];
-    const Value parent = row[kParentVar];
-    if (row[kRootVar] == 1) {
-      actions[p] = static_cast<std::int8_t>(
-          (dist != 0 || parent != 0) ? kFixRoot : kDisabled);
-      continue;
-    }
-    if (parent == 0) {
-      actions[p] = static_cast<std::int8_t>(kAdopt);
-      continue;
-    }
-    // The parent read settles A2 before the cur neighbor is fetched for
-    // A4 — the k = 2 lazy pattern of the scalar guard.
-    const std::int32_t base = offsets[p];
-    const ProcessId parent_nbr = neighbors[static_cast<std::size_t>(
-        base + static_cast<std::int32_t>(parent) - 1)];
-    const Value parent_dist =
-        data[static_cast<std::size_t>(parent_nbr) * stride + kDistVar];
-    ctx.log(p, parent_nbr, kDistVar);
-    const Value via_parent = std::min<Value>(parent_dist + 1, max_distance_);
-    if (dist != via_parent) {
-      actions[p] = static_cast<std::int8_t>(kFollow);
-      continue;
-    }
-    const ProcessId cur_nbr = neighbors[static_cast<std::size_t>(
-        base + static_cast<std::int32_t>(row[cur_slot]) - 1)];
-    const Value cur_dist =
-        data[static_cast<std::size_t>(cur_nbr) * stride + kDistVar];
-    ctx.log(p, cur_nbr, kDistVar);
-    actions[p] =
-        static_cast<std::int8_t>(cur_dist + 1 < dist ? kImprove : kScan);
-  }
-}
-
-void BfsTreeProtocol::execute_selected(BulkExecContext& ctx,
-                                       const EnabledBitmap& enabled,
-                                       std::span<const ProcessId> selection,
-                                       std::size_t begin,
-                                       std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot = static_cast<std::size_t>(cfg.num_comm() + kCurVar);
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const std::int32_t base = offsets[p];
-    const Value cur = row[cur_slot];
-    const auto degree = static_cast<Value>(offsets[p + 1] - base);
-    const Value next = (cur % degree) + 1;
-    Value* out = ctx.stage(i, p);
-    switch (action) {
-      case kFixRoot:
-        out[kDistVar] = 0;
-        out[kParentVar] = 0;
-        break;
-      case kFollow: {
-        // Re-reads the parent's distance at execute time, like the scalar
-        // nbr_comm (logged).
-        const ProcessId q = neighbors[static_cast<std::size_t>(
-            base + static_cast<std::int32_t>(row[kParentVar]) - 1)];
-        const Value d = data[static_cast<std::size_t>(q) * stride + kDistVar];
-        ctx.log(p, q, kDistVar);
-        out[kDistVar] = std::min<Value>(d + 1, max_distance_);
-        break;
-      }
-      case kAdopt:
-      case kImprove: {
-        const ProcessId q = neighbors[static_cast<std::size_t>(
-            base + static_cast<std::int32_t>(cur) - 1)];
-        const Value d = data[static_cast<std::size_t>(q) * stride + kDistVar];
-        ctx.log(p, q, kDistVar);
-        out[kParentVar] = cur;
-        // A3 clamps the adopted distance; A4 fires only when the improved
-        // value is already in range, so the scalar action leaves it raw.
-        out[kDistVar] =
-            action == kAdopt ? std::min<Value>(d + 1, max_distance_) : d + 1;
-        out[cur_slot] = next;
-        break;
-      }
-      default:  // kScan
-        out[cur_slot] = next;
-        break;
-    }
-  }
-}
-
-void BfsTreeProtocol::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void BfsTreeProtocol::act(int action, Ctx& ctx) const {
   const auto cur = static_cast<Value>(ctx.self_internal(kCurVar));
   const Value next = (cur % static_cast<Value>(ctx.degree())) + 1;
   switch (action) {
@@ -198,5 +93,7 @@ void BfsTreeProtocol::execute(int action, ActionContext& ctx) const {
       SSS_ASSERT(false, "BFS-TREE has exactly five actions");
   }
 }
+
+template class RuleProtocol<BfsTreeProtocol>;
 
 }  // namespace sss

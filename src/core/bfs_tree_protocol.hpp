@@ -39,11 +39,11 @@
 
 #include <string>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class BfsTreeProtocol final : public Protocol {
+class BfsTreeProtocol final : public RuleProtocol<BfsTreeProtocol> {
  public:
   /// Variable indices, public for predicates/tests.
   static constexpr int kDistVar = 0;    ///< comm: D
@@ -58,18 +58,7 @@ class BfsTreeProtocol final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 5; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   ProcessId root() const { return root_; }
   /// The distance cap n-1 (the largest BFS distance a connected network
@@ -77,10 +66,18 @@ class BfsTreeProtocol final : public Protocol {
   Value max_distance() const { return max_distance_; }
 
  private:
+  friend RuleProtocol<BfsTreeProtocol>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "BFS-TREE";
   ProcessId root_;
   Value max_distance_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<BfsTreeProtocol>;
 
 }  // namespace sss

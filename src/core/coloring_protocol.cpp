@@ -20,7 +20,8 @@ ColoringProtocol::ColoringProtocol(const Graph& g, int palette_size)
   spec_.internal.emplace_back("cur", domain_channel());
 }
 
-int ColoringProtocol::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int ColoringProtocol::guard(Ctx& ctx) const {
   const Value own = ctx.self_comm(kColorVar);
   const auto cur = static_cast<NbrIndex>(ctx.self_internal(kCurVar));
   const Value checked = ctx.nbr_comm(cur, kColorVar);
@@ -28,64 +29,8 @@ int ColoringProtocol::first_enabled(GuardContext& ctx) const {
   return own == checked ? kConflict : kAdvance;
 }
 
-void ColoringProtocol::sweep_enabled_range(BulkGuardContext& ctx,
-                                           EnabledBitmap& out, ProcessId begin,
-                                           ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot =
-      static_cast<std::size_t>(cfg.num_comm() + kCurVar);  // internal cur
-  std::int8_t* actions = out.actions();
-  // One gather per process (the cur neighbor's color), one compare: the
-  // whole guard is a select between the two always-enabled actions.
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const auto cur = static_cast<std::int32_t>(row[cur_slot]);
-    const ProcessId q =
-        neighbors[static_cast<std::size_t>(offsets[p] + cur - 1)];
-    const Value checked =
-        data[static_cast<std::size_t>(q) * stride + kColorVar];
-    actions[p] = static_cast<std::int8_t>(
-        row[kColorVar] == checked ? kConflict : kAdvance);
-    ctx.log(p, q, kColorVar);
-  }
-}
-
-void ColoringProtocol::execute_selected(BulkExecContext& ctx,
-                                        const EnabledBitmap& enabled,
-                                        std::span<const ProcessId> selection,
-                                        std::size_t begin,
-                                        std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot = static_cast<std::size_t>(cfg.num_comm() + kCurVar);
-  // No action-phase neighbor reads: both actions only advance cur (and
-  // kConflict redraws the own color — serial-path model rng, ascending
-  // order matching the scalar draw sequence).
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const auto degree = static_cast<Value>(offsets[p + 1] - offsets[p]);
-    const Value next = (row[cur_slot] % degree) + 1;
-    Value* out = ctx.stage(i, p);
-    if (action == kConflict) {
-      out[kColorVar] = ctx.random_range(1, static_cast<Value>(palette_size_));
-    }
-    out[cur_slot] = next;
-  }
-}
-
-void ColoringProtocol::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void ColoringProtocol::act(int action, Ctx& ctx) const {
   const auto cur = static_cast<Value>(ctx.self_internal(kCurVar));
   const Value next = (cur % static_cast<Value>(ctx.degree())) + 1;
   switch (action) {
@@ -101,5 +46,7 @@ void ColoringProtocol::execute(int action, ActionContext& ctx) const {
       SSS_ASSERT(false, "COLORING has exactly two actions");
   }
 }
+
+template class RuleProtocol<ColoringProtocol>;
 
 }  // namespace sss

@@ -18,11 +18,11 @@
 
 #include <string>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class ColoringProtocol final : public Protocol {
+class ColoringProtocol final : public RuleProtocol<ColoringProtocol> {
  public:
   /// Variable indices, public for predicates/tests.
   static constexpr int kColorVar = 0;  ///< comm
@@ -38,24 +38,20 @@ class ColoringProtocol final : public Protocol {
   int num_actions() const override { return 2; }
   bool is_probabilistic() const override { return true; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
-
   int palette_size() const { return palette_size_; }
 
  private:
+  friend RuleProtocol<ColoringProtocol>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "COLORING";
   int palette_size_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<ColoringProtocol>;
 
 }  // namespace sss

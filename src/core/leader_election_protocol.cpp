@@ -49,7 +49,8 @@ void LeaderElectionProtocol::install_constants(const Graph& g,
   }
 }
 
-int LeaderElectionProtocol::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int LeaderElectionProtocol::guard(Ctx& ctx) const {
   const Value id = ctx.self_comm(kIdVar);
   const Value leader = ctx.self_comm(kLeaderVar);
   const Value dist = ctx.self_comm(kDistVar);
@@ -84,171 +85,8 @@ int LeaderElectionProtocol::first_enabled(GuardContext& ctx) const {
   return kScan;
 }
 
-void LeaderElectionProtocol::sweep_enabled_range(BulkGuardContext& ctx,
-                                                 EnabledBitmap& out, ProcessId begin,
-                                                 ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot =
-      static_cast<std::size_t>(cfg.num_comm() + kCurVar);  // internal cur
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value id = row[kIdVar];
-    const Value leader = row[kLeaderVar];
-    const Value dist = row[kDistVar];
-    const Value parent = row[kParentVar];
-    const std::int32_t base = offsets[p];
-
-    if (leader > id) {
-      actions[p] = static_cast<std::int8_t>(kReset);
-      continue;
-    }
-    if (leader == id) {
-      if (dist != 0 || parent != 0) {
-        actions[p] = static_cast<std::int8_t>(kReset);
-        continue;
-      }
-      const ProcessId cur_nbr = neighbors[static_cast<std::size_t>(
-          base + static_cast<std::int32_t>(row[cur_slot]) - 1)];
-      const Value* cur_row = data + static_cast<std::size_t>(cur_nbr) * stride;
-      // Lazy conjunction: the distance is read only when the leader
-      // comparison leaves A4 undecided.
-      ctx.log(p, cur_nbr, kLeaderVar);
-      if (cur_row[kLeaderVar] < leader) {
-        ctx.log(p, cur_nbr, kDistVar);
-        if (cur_row[kDistVar] + 1 <= max_distance_) {
-          actions[p] = static_cast<std::int8_t>(kAdopt);
-          continue;
-        }
-      }
-      actions[p] = static_cast<std::int8_t>(kScan);
-      continue;
-    }
-
-    // leader < id: the claim must be backed by a parent chain.
-    if (parent == 0 || dist == 0) {
-      actions[p] = static_cast<std::int8_t>(kReset);
-      continue;
-    }
-    const ProcessId parent_nbr = neighbors[static_cast<std::size_t>(
-        base + static_cast<std::int32_t>(parent) - 1)];
-    const Value* parent_row =
-        data + static_cast<std::size_t>(parent_nbr) * stride;
-    const Value parent_leader = parent_row[kLeaderVar];
-    ctx.log(p, parent_nbr, kLeaderVar);
-    const Value parent_dist = parent_row[kDistVar];
-    ctx.log(p, parent_nbr, kDistVar);
-    if (parent_leader > leader || parent_dist == max_distance_) {
-      actions[p] = static_cast<std::int8_t>(kReset);
-      continue;
-    }
-    if (parent_leader < leader) {
-      actions[p] = static_cast<std::int8_t>(kInherit);
-      continue;
-    }
-    if (dist != parent_dist + 1) {
-      actions[p] = static_cast<std::int8_t>(kFollow);
-      continue;
-    }
-    const ProcessId cur_nbr = neighbors[static_cast<std::size_t>(
-        base + static_cast<std::int32_t>(row[cur_slot]) - 1)];
-    const Value* cur_row = data + static_cast<std::size_t>(cur_nbr) * stride;
-    const Value cur_leader = cur_row[kLeaderVar];
-    ctx.log(p, cur_nbr, kLeaderVar);
-    const Value cur_dist = cur_row[kDistVar];
-    ctx.log(p, cur_nbr, kDistVar);
-    if (cur_leader < leader && cur_dist + 1 <= max_distance_) {
-      actions[p] = static_cast<std::int8_t>(kAdopt);
-    } else if (cur_leader == leader && cur_dist + 1 < dist) {
-      actions[p] = static_cast<std::int8_t>(kImprove);
-    } else {
-      actions[p] = static_cast<std::int8_t>(kScan);
-    }
-  }
-}
-
-void LeaderElectionProtocol::execute_selected(
-    BulkExecContext& ctx, const EnabledBitmap& enabled,
-    std::span<const ProcessId> selection, std::size_t begin,
-    std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot = static_cast<std::size_t>(cfg.num_comm() + kCurVar);
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const std::int32_t base = offsets[p];
-    const Value cur = row[cur_slot];
-    const auto degree = static_cast<Value>(offsets[p + 1] - base);
-    const Value next = (cur % degree) + 1;
-    Value* out = ctx.stage(i, p);
-    // Execute-time neighbor reads (logged): the parent for A2/A3, the cur
-    // neighbor for A4/A5 — leader before distance, the scalar argument
-    // evaluation order.
-    switch (action) {
-      case kReset:
-        out[kLeaderVar] = row[kIdVar];
-        out[kDistVar] = 0;
-        out[kParentVar] = 0;
-        break;
-      case kInherit: {
-        const ProcessId q = neighbors[static_cast<std::size_t>(
-            base + static_cast<std::int32_t>(row[kParentVar]) - 1)];
-        const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-        out[kLeaderVar] = nbr_row[kLeaderVar];
-        ctx.log(p, q, kLeaderVar);
-        out[kDistVar] = nbr_row[kDistVar] + 1;
-        ctx.log(p, q, kDistVar);
-        break;
-      }
-      case kFollow: {
-        const ProcessId q = neighbors[static_cast<std::size_t>(
-            base + static_cast<std::int32_t>(row[kParentVar]) - 1)];
-        out[kDistVar] = data[static_cast<std::size_t>(q) * stride + kDistVar] + 1;
-        ctx.log(p, q, kDistVar);
-        break;
-      }
-      case kAdopt: {
-        const ProcessId q = neighbors[static_cast<std::size_t>(
-            base + static_cast<std::int32_t>(cur) - 1)];
-        const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-        out[kLeaderVar] = nbr_row[kLeaderVar];
-        ctx.log(p, q, kLeaderVar);
-        out[kDistVar] = nbr_row[kDistVar] + 1;
-        ctx.log(p, q, kDistVar);
-        out[kParentVar] = cur;
-        out[cur_slot] = next;
-        break;
-      }
-      case kImprove: {
-        const ProcessId q = neighbors[static_cast<std::size_t>(
-            base + static_cast<std::int32_t>(cur) - 1)];
-        out[kDistVar] = data[static_cast<std::size_t>(q) * stride + kDistVar] + 1;
-        ctx.log(p, q, kDistVar);
-        out[kParentVar] = cur;
-        out[cur_slot] = next;
-        break;
-      }
-      default:  // kScan
-        out[cur_slot] = next;
-        break;
-    }
-  }
-}
-
-void LeaderElectionProtocol::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void LeaderElectionProtocol::act(int action, Ctx& ctx) const {
   const auto cur = static_cast<Value>(ctx.self_internal(kCurVar));
   const Value next = (cur % static_cast<Value>(ctx.degree())) + 1;
   const auto cur_ch = static_cast<NbrIndex>(cur);
@@ -307,5 +145,7 @@ std::vector<Value> make_id_assignment(const Graph& g,
   throw PreconditionError("unknown id scheme \"" + scheme +
                           "\" (accepted: identity, reverse, random)");
 }
+
+template class RuleProtocol<LeaderElectionProtocol>;
 
 }  // namespace sss

@@ -47,11 +47,11 @@
 #include <string>
 #include <vector>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class LeaderElectionProtocol final : public Protocol {
+class LeaderElectionProtocol final : public RuleProtocol<LeaderElectionProtocol> {
  public:
   /// Variable indices, public for predicates/tests.
   static constexpr int kLeaderVar = 0;  ///< comm: L
@@ -68,24 +68,19 @@ class LeaderElectionProtocol final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 6; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   const std::vector<Value>& ids() const { return ids_; }
   Value min_id() const { return min_id_; }
   Value max_distance() const { return max_distance_; }
 
  private:
+  friend RuleProtocol<LeaderElectionProtocol>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "LEADER-ELECTION";
   std::vector<Value> ids_;
   Value min_id_;
@@ -93,6 +88,8 @@ class LeaderElectionProtocol final : public Protocol {
   Value max_distance_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<LeaderElectionProtocol>;
 
 /// Identifier assignments for the registry's `id_scheme` parameter:
 ///   "identity"  ID.p = p

@@ -40,7 +40,8 @@ void MatchingProtocol::install_constants(const Graph& g,
   }
 }
 
-bool MatchingProtocol::pr_married(const GuardContext& ctx) {
+template <class Ctx>
+bool MatchingProtocol::pr_married(Ctx& ctx) {
   const Value pr = ctx.self_comm(kPrVar);
   const auto cur = static_cast<NbrIndex>(ctx.self_internal(kCurVar));
   if (pr != static_cast<Value>(cur)) return false;
@@ -50,7 +51,8 @@ bool MatchingProtocol::pr_married(const GuardContext& ctx) {
   return nbr_pr == static_cast<Value>(ctx.self_index_at(cur));
 }
 
-int MatchingProtocol::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int MatchingProtocol::guard(Ctx& ctx) const {
   // Guards evaluate lazily: neighbor variables are read only when the
   // preceding conjuncts leave a guard undecided (a married process, for
   // instance, settles everything after reading only PR.(cur.p)). The
@@ -96,137 +98,8 @@ int MatchingProtocol::first_enabled(GuardContext& ctx) const {
   return kDisabled;
 }
 
-void MatchingProtocol::sweep_enabled_range(BulkGuardContext& ctx,
-                                           EnabledBitmap& out, ProcessId begin,
-                                           ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const NbrIndex* mirrors = g.csr_mirrors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot =
-      static_cast<std::size_t>(cfg.num_comm() + kCurVar);  // internal cur
-  std::int8_t* actions = out.actions();
-  // The scalar guard transcribed onto the slabs; every lazily-skipped
-  // neighbor read stays skipped so the logged sequence is identical.
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const Value pr = row[kPrVar];
-    const auto cur = static_cast<std::int32_t>(row[cur_slot]);
-    const auto cur_value = static_cast<Value>(cur);
-
-    if (pr != 0 && pr != cur_value) {  // A1, settled on own state alone
-      actions[p] = static_cast<std::int8_t>(kRepoint);
-      continue;
-    }
-
-    const std::size_t slot = static_cast<std::size_t>(offsets[p] + cur - 1);
-    const ProcessId q = neighbors[slot];
-    const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-    const Value nbr_pr = nbr_row[kPrVar];
-    ctx.log(p, q, kPrVar);
-    const auto back_channel = static_cast<Value>(mirrors[slot]);
-    const bool is_married = pr == cur_value && nbr_pr == back_channel;
-
-    if ((row[kMarriedVar] == kTrue) != is_married) {  // A2
-      actions[p] = static_cast<std::int8_t>(kAnnounce);
-      continue;
-    }
-
-    if (pr == 0) {
-      if (nbr_pr == back_channel) {  // A3
-        actions[p] = static_cast<std::int8_t>(kAccept);
-        continue;
-      }
-      if (nbr_pr != 0) {  // A6 first disjunct
-        actions[p] = static_cast<std::int8_t>(kAdvance);
-        continue;
-      }
-      ctx.log(p, q, kColorVar);
-      if (nbr_row[kColorVar] < row[kColorVar]) {
-        actions[p] = static_cast<std::int8_t>(kAdvance);
-        continue;
-      }
-      ctx.log(p, q, kMarriedVar);
-      actions[p] = static_cast<std::int8_t>(
-          nbr_row[kMarriedVar] == kTrue ? kAdvance : kPropose);
-      continue;
-    }
-
-    if (!is_married) {  // A4: pr == cur and the proposal went nowhere
-      ctx.log(p, q, kMarriedVar);
-      if (nbr_row[kMarriedVar] == kTrue) {
-        actions[p] = static_cast<std::int8_t>(kAbandon);
-        continue;
-      }
-      ctx.log(p, q, kColorVar);
-      if (nbr_row[kColorVar] < row[kColorVar]) {
-        actions[p] = static_cast<std::int8_t>(kAbandon);
-      }
-    }
-  }
-}
-
-void MatchingProtocol::execute_selected(BulkExecContext& ctx,
-                                        const EnabledBitmap& enabled,
-                                        std::span<const ProcessId> selection,
-                                        std::size_t begin,
-                                        std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const NbrIndex* mirrors = g.csr_mirrors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot = static_cast<std::size_t>(cfg.num_comm() + kCurVar);
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const auto cur = static_cast<std::int32_t>(row[cur_slot]);
-    const auto cur_value = static_cast<Value>(cur);
-    Value* out = ctx.stage(i, p);
-    switch (action) {
-      case kRepoint:
-      case kAccept:
-      case kPropose:
-        out[kPrVar] = cur_value;
-        break;
-      case kAnnounce: {
-        // pr_married re-reads PR.(cur.p) at execute time — logged, like
-        // the scalar nbr_comm — but only when the own pointer matches cur
-        // (the short-circuit settles the predicate on own state alone).
-        bool married = false;
-        if (row[kPrVar] == cur_value) {
-          const std::size_t slot =
-              static_cast<std::size_t>(offsets[p] + cur - 1);
-          const ProcessId q = neighbors[slot];
-          const Value nbr_pr =
-              data[static_cast<std::size_t>(q) * stride + kPrVar];
-          ctx.log(p, q, kPrVar);
-          married = nbr_pr == static_cast<Value>(mirrors[slot]);
-        }
-        out[kMarriedVar] = married ? kTrue : kFalse;
-        break;
-      }
-      case kAbandon:
-        out[kPrVar] = 0;
-        break;
-      default: {  // kAdvance
-        const auto degree = static_cast<Value>(offsets[p + 1] - offsets[p]);
-        out[cur_slot] = (cur_value % degree) + 1;
-        break;
-      }
-    }
-  }
-}
-
-void MatchingProtocol::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void MatchingProtocol::act(int action, Ctx& ctx) const {
   const auto cur = static_cast<Value>(ctx.self_internal(kCurVar));
   switch (action) {
     case kRepoint:
@@ -252,5 +125,7 @@ void MatchingProtocol::execute(int action, ActionContext& ctx) const {
       SSS_ASSERT(false, "MATCHING has exactly six actions");
   }
 }
+
+template class RuleProtocol<MatchingProtocol>;
 
 }  // namespace sss

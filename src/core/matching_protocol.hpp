@@ -28,11 +28,11 @@
 #include <string>
 
 #include "graph/coloring.hpp"
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class MatchingProtocol final : public Protocol {
+class MatchingProtocol final : public RuleProtocol<MatchingProtocol> {
  public:
   /// Variable indices.
   static constexpr int kMarriedVar = 0;  ///< comm: M
@@ -47,28 +47,25 @@ class MatchingProtocol final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 6; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   const Coloring& colors() const { return colors_; }
 
-  /// PRmarried(p) evaluated against a context (used by the predicate too).
-  static bool pr_married(const GuardContext& ctx);
-
  private:
+  friend RuleProtocol<MatchingProtocol>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+  /// PRmarried(p) evaluated against a rule context.
+  template <class Ctx>
+  SSS_RULE static bool pr_married(Ctx& ctx);
+
   std::string name_ = "MATCHING";
   Coloring colors_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<MatchingProtocol>;
 
 }  // namespace sss

@@ -38,7 +38,8 @@ void MisProtocol::install_constants(const Graph& g,
   }
 }
 
-int MisProtocol::first_enabled(GuardContext& ctx) const {
+template <class Ctx>
+int MisProtocol::guard(Ctx& ctx) const {
   // Guards read the checked neighbor's variables lazily: own-variable
   // conjuncts are tested first and the color is only fetched when the
   // state comparison leaves the guard undecided. This never changes which
@@ -65,85 +66,8 @@ int MisProtocol::first_enabled(GuardContext& ctx) const {
   return kDisabled;
 }
 
-void MisProtocol::sweep_enabled_range(BulkGuardContext& ctx,
-                                      EnabledBitmap& out, ProcessId begin,
-                                      ProcessId end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const ProcessId* neighbors = g.csr_neighbors().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot =
-      static_cast<std::size_t>(cfg.num_comm() + kCurVar);  // internal cur
-  std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const auto cur = static_cast<std::int32_t>(row[cur_slot]);
-    const ProcessId q =
-        neighbors[static_cast<std::size_t>(offsets[p] + cur - 1)];
-    const Value* nbr_row = data + static_cast<std::size_t>(q) * stride;
-    // Same lazy read structure as first_enabled: the state always, the
-    // color only when the state comparison leaves the guard undecided.
-    const Value nbr_state = nbr_row[kStateVar];
-    ctx.log(p, q, kStateVar);
-    if (row[kStateVar] == kDominator) {
-      if (nbr_state == kDominator) {
-        ctx.log(p, q, kColorVar);
-        actions[p] = static_cast<std::int8_t>(
-            nbr_row[kColorVar] < row[kColorVar] ? kDemote : kScan);
-      } else {
-        actions[p] = static_cast<std::int8_t>(kScan);
-      }
-      continue;
-    }
-    if (nbr_state == kDominated) {
-      actions[p] = static_cast<std::int8_t>(kPromote);
-    } else if (promote_on_higher_color_) {
-      ctx.log(p, q, kColorVar);
-      actions[p] = static_cast<std::int8_t>(
-          row[kColorVar] < nbr_row[kColorVar] ? kPromote : kDisabled);
-    }
-  }
-}
-
-void MisProtocol::execute_selected(BulkExecContext& ctx,
-                                   const EnabledBitmap& enabled,
-                                   std::span<const ProcessId> selection,
-                                   std::size_t begin, std::size_t end) const {
-  const Graph& g = ctx.graph();
-  const Configuration& cfg = ctx.config();
-  const std::int32_t* offsets = g.csr_offsets().data();
-  const Value* data = cfg.row(0);
-  const auto stride = static_cast<std::size_t>(cfg.stride());
-  const auto cur_slot = static_cast<std::size_t>(cfg.num_comm() + kCurVar);
-  // No action-phase neighbor reads: every action writes only own state
-  // and/or advances cur (kDemote deliberately keeps cur on the winner).
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection[i];
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
-    if (action == kDisabled) continue;
-    const Value* row = data + static_cast<std::size_t>(p) * stride;
-    const auto degree = static_cast<Value>(offsets[p + 1] - offsets[p]);
-    const Value next = (row[cur_slot] % degree) + 1;
-    Value* out = ctx.stage(i, p);
-    switch (action) {
-      case kDemote:
-        out[kStateVar] = kDominated;
-        break;
-      case kPromote:
-        out[kStateVar] = kDominator;
-        out[cur_slot] = next;
-        break;
-      default:  // kScan
-        out[cur_slot] = next;
-        break;
-    }
-  }
-}
-
-void MisProtocol::execute(int action, ActionContext& ctx) const {
+template <class Ctx>
+void MisProtocol::act(int action, Ctx& ctx) const {
   const auto cur = static_cast<Value>(ctx.self_internal(kCurVar));
   const Value next = (cur % static_cast<Value>(ctx.degree())) + 1;
   switch (action) {
@@ -162,5 +86,7 @@ void MisProtocol::execute(int action, ActionContext& ctx) const {
       SSS_ASSERT(false, "MIS has exactly three actions");
   }
 }
+
+template class RuleProtocol<MisProtocol>;
 
 }  // namespace sss

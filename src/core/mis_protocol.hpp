@@ -22,11 +22,11 @@
 #include <string>
 
 #include "graph/coloring.hpp"
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class MisProtocol final : public Protocol {
+class MisProtocol final : public RuleProtocol<MisProtocol> {
  public:
   /// S values.
   static constexpr Value kDominated = 0;
@@ -53,29 +53,26 @@ class MisProtocol final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 3; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   const Coloring& colors() const { return colors_; }
   int num_colors() const { return num_colors_; }
   bool promote_on_higher_color() const { return promote_on_higher_color_; }
 
  private:
+  friend RuleProtocol<MisProtocol>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_;
   Coloring colors_;
   int num_colors_;
   bool promote_on_higher_color_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<MisProtocol>;
 
 }  // namespace sss

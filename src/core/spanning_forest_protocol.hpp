@@ -38,11 +38,11 @@
 #include <string>
 #include <vector>
 
-#include "runtime/protocol.hpp"
+#include "runtime/rule.hpp"
 
 namespace sss {
 
-class SpanningForestProtocol final : public Protocol {
+class SpanningForestProtocol final : public RuleProtocol<SpanningForestProtocol> {
  public:
   /// Variable indices, public for predicates/tests (shared layout with
   /// BfsTreeProtocol, which is the one-root special case).
@@ -59,28 +59,25 @@ class SpanningForestProtocol final : public Protocol {
   const ProtocolSpec& spec() const override { return spec_; }
   int num_actions() const override { return 5; }
 
-  int first_enabled(GuardContext& ctx) const override;
-  void execute(int action, ActionContext& ctx) const override;
   void install_constants(const Graph& g, Configuration& config) const override;
-
-  bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override;
-
-  bool has_bulk_execute() const override { return true; }
-  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
-                        std::span<const ProcessId> selection, std::size_t begin,
-                        std::size_t end) const override;
 
   const std::vector<ProcessId>& roots() const { return roots_; }
   /// The distance cap n-1, which is what flushes fake parent cycles.
   Value max_distance() const { return max_distance_; }
 
  private:
+  friend RuleProtocol<SpanningForestProtocol>;
+  template <class Ctx>
+  SSS_RULE int guard(Ctx& ctx) const;
+  template <class Ctx>
+  SSS_RULE void act(int action, Ctx& ctx) const;
+
   std::string name_ = "SPANNING-FOREST";
   std::vector<ProcessId> roots_;
   Value max_distance_;
   ProtocolSpec spec_;
 };
+
+extern template class RuleProtocol<SpanningForestProtocol>;
 
 }  // namespace sss

@@ -6,11 +6,10 @@
 /// cache entry is stale after every step, so the engine's refresh degrades
 /// to n virtual `first_enabled` calls, each paying a GuardContext
 /// construction, range-checked neighbor lookups, and a virtual read-logger
-/// call per neighbor read. A protocol that opts into the bulk path instead
-/// evaluates *all* guards in one `sweep_enabled` pass written directly
-/// against the CSR slabs (`Graph::csr_*`) and the flat configuration rows
-/// (`Configuration::row`) — no virtual dispatch inside the loop, no
-/// per-read bounds checks, and loops the compiler can unroll or vectorize.
+/// call per neighbor read. The bulk path instead evaluates *all* guards in
+/// one `sweep_enabled` pass against the CSR slabs (`Graph::csr_*`) and the
+/// flat configuration rows (`Configuration::row`) — no virtual dispatch
+/// and no per-read bounds checks inside the loop.
 ///
 /// The sweep owes the engine exactly what n scalar probes would have
 /// produced, because the engine *replays* this data later:
@@ -23,11 +22,15 @@
 ///    when the process is selected, so any deviation shows up as a read-
 ///    metric divergence from `ReferenceEngine`.
 ///
-/// Sweeps must therefore mirror the *lazy* read structure of their scalar
-/// guards (a short-circuited conjunct whose left side decides must not
-/// read its right side), not just compute the same action. The lockstep
-/// suites (tests/test_bulk_sweep.cpp, the property harness with
-/// SweepMode::kForceBulk) hold implementations to that contract.
+/// The contexts here are the engine-facing half of that contract. The
+/// protocol-facing half is runtime/rule.hpp: `RuleProtocol` runs each
+/// protocol's single guard/act on slab-row contexts that log through
+/// `BulkGuardContext` / `BulkExecContext`, so a sweep reproduces the lazy,
+/// short-circuited read structure of the scalar guard by construction.
+/// The lockstep suites (tests/test_bulk_sweep.cpp,
+/// tests/test_bulk_execute.cpp, the property harness with
+/// SweepMode::kForceBulk) hold those contexts and the engine paths to the
+/// contract.
 ///
 /// Bulk *execution* (`BulkExecContext`, `Protocol::execute_selected`) is
 /// the same idea applied to the other half of a deployed synchronous step:

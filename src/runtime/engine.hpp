@@ -71,10 +71,11 @@
 ///  5. Bulk guard sweep. Under co-firing daemons the dirty queue holds
 ///     almost all of n after every step, so the refresh is n scalar probes
 ///     — n virtual calls with per-read checked lookups. When the protocol
-///     opts in (Protocol::has_bulk_sweep) and the dirty set covers at
-///     least 3/4 of the network (or SweepMode::kForceBulk), the refresh
-///     instead runs one `sweep_enabled` pass over the CSR slabs that
-///     rewrites every memo (action + read log) at once; see
+///     has a bulk sweep (Protocol::has_bulk_sweep; RuleProtocol supplies
+///     it from the protocol's one guard, runtime/rule.hpp) and the dirty
+///     set covers at least 3/4 of the network (or SweepMode::kForceBulk),
+///     the refresh instead runs one `sweep_enabled` pass over the CSR
+///     slabs that rewrites every memo (action + read log) at once; see
 ///     runtime/bulk.hpp. Clean processes are recomputed too — their
 ///     inputs are unchanged, so the sweep reproduces their memos exactly
 ///     and the dirty-queue invariant is preserved. Frozen-process
@@ -83,10 +84,11 @@
 ///
 ///  6. Bulk execution. The execute half of a deployed synchronous step
 ///     pays one ActionContext + virtual `execute` + pending-write commit
-///     per selected process. When the protocol opts in
-///     (Protocol::has_bulk_execute) and the selection covers at least
-///     half of the network (or SweepMode::kForceBulk), phase 1 instead
-///     runs one `execute_selected` pass over the CSR slabs: the kernel
+///     per selected process. When the protocol has a bulk execute
+///     (Protocol::has_bulk_execute; RuleProtocol supplies it from the
+///     protocol's one act) and the selection covers at least half of the
+///     network (or SweepMode::kForceBulk), phase 1 instead runs one
+///     `execute_selected` pass over the CSR slabs: the kernel
 ///     replays each selected guard memo into the read counters and
 ///     stages each fired process's post-state as a full configuration
 ///     row; phase 2 commits the rows with the same dirty-queue/covering/

@@ -49,9 +49,10 @@ class Protocol {
   virtual int solo_quiescence_margin() const { return 2; }
 
   /// Bulk guard evaluation (see runtime/bulk.hpp): true when the protocol
-  /// implements `sweep_enabled`, letting the engine refresh every guard in
-  /// one pass over the CSR slabs instead of n virtual probes. Protocols
-  /// that stay on the scalar path simply keep the default.
+  /// provides `sweep_enabled_range`, letting the engine refresh every
+  /// guard in one pass over the CSR slabs instead of n virtual probes.
+  /// RuleProtocol (runtime/rule.hpp) supplies it from the protocol's one
+  /// guard; protocols that stay on the scalar path keep the default.
   virtual bool has_bulk_sweep() const { return false; }
 
   /// Evaluates every process's guards in one pass: writes the first
@@ -64,24 +65,23 @@ class Protocol {
   /// whole-network case of `sweep_enabled_range`.
   void sweep_enabled(BulkGuardContext& ctx, EnabledBitmap& out) const;
 
-  /// The sweep restricted to processes [begin, end): kernels must touch
-  /// only `out` entries and `ctx` logs of that range (reading any process's
+  /// The sweep restricted to processes [begin, end): touches only `out`
+  /// entries and `ctx` logs of that range (reading any process's
   /// configuration is fine — guards read neighbors). This is the partition
   /// primitive of the engine's intra-trial parallel refresh: disjoint
   /// ranges sweep concurrently, each reproducing exactly the actions and
   /// read logs the whole-network sweep would produce for its slice.
-  /// Because a kernel body is a loop over p anyway, opting in means
-  /// implementing this and inheriting `sweep_enabled` for free. Only
-  /// called when `has_bulk_sweep()` is true; the default asserts.
+  /// RuleProtocol implements it by running the protocol's guard on a
+  /// slab-row context per process. Only called when `has_bulk_sweep()` is
+  /// true; the default asserts.
   virtual void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
                                    ProcessId begin, ProcessId end) const;
 
   /// Bulk action execution (see runtime/bulk.hpp): true when the protocol
-  /// implements `execute_selected`, letting the engine run phase-1 memo
+  /// provides `execute_selected`, letting the engine run phase-1 memo
   /// replay plus action execution for a whole selection in one slab pass
   /// instead of one ActionContext + virtual `execute` per selected
-  /// process. Independent of has_bulk_sweep, though every protocol here
-  /// implements both.
+  /// process. Independent of has_bulk_sweep; RuleProtocol supplies both.
   virtual bool has_bulk_execute() const { return false; }
 
   /// Executes selection indices [begin, end) of `selection` (strictly
@@ -92,8 +92,9 @@ class Protocol {
   /// included) the scalar `execute` would produce for that action against
   /// the same snapshot. [begin, end) is the partition primitive of the
   /// engine's parallel composition; the serial path passes the whole
-  /// selection. Only called when `has_bulk_execute()` is true; the
-  /// default asserts.
+  /// selection. RuleProtocol implements it by running the protocol's act
+  /// on a slab-row action context per fired process. Only called when
+  /// `has_bulk_execute()` is true; the default asserts.
   virtual void execute_selected(BulkExecContext& ctx,
                                 const EnabledBitmap& enabled,
                                 std::span<const ProcessId> selection,
