@@ -56,6 +56,7 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
   // Dedup flags bound both queues by n, so one reservation serves forever.
   dirty_queue_.reserve(static_cast<std::size_t>(g.num_vertices()));
   solo_dirty_queue_.reserve(static_cast<std::size_t>(g.num_vertices()));
+  bulk_actions_.reset(g.num_vertices());
   protocol_.install_constants(graph_, config_);
   invalidate_all_probes();
   logger_mux_.add(&read_counter_);
@@ -98,23 +99,13 @@ void Engine::apply_external_corruption(const std::vector<ProcessId>& victims,
     note_comm_changed(p);
   }
   // Round covering restarts, like set_config: the pre-fault covering
-  // history does not survive an external perturbation. Refresh first so
-  // the walk re-establishes the between-steps invariant (cached-disabled
-  // => covered) for the restarted round; unlike reset_round, no round is
-  // credited as completed. ReferenceEngine resets covering to all-zero and
-  // relies on its per-step disabled walk — both engines enter the next
+  // history does not survive an external perturbation. reset_round
+  // refreshes first and re-establishes the between-steps invariant
+  // (cached-disabled => covered) for the restarted round; it credits no
+  // round (step() does that). ReferenceEngine resets covering to all-zero
+  // and relies on its per-step disabled walk — both engines enter the next
   // step with the same covered set.
-  refresh_enabled();
-  std::fill(covered_.begin(), covered_.end(), 0);
-  covered_count_ = 0;
-  for (ProcessId p = 0; p < graph_.num_vertices(); ++p) {
-    if (!enabled_.test(p) ||
-        (exclude_frozen_ && frozen_[static_cast<std::size_t>(p)])) {
-      covered_[static_cast<std::size_t>(p)] = 1;
-      ++covered_count_;
-    }
-  }
-  steps_at_round_start_ = steps_;
+  reset_round();
 }
 
 void Engine::invalidate_all_probes() {
@@ -149,95 +140,112 @@ void Engine::cover(ProcessId p) {
   }
 }
 
+inline void Engine::record_probe(ProcessId p, int action,
+                                 RangeDeltas& deltas) {
+  probe_action_[static_cast<std::size_t>(p)] = action;
+  const bool now = action != Protocol::kDisabled;
+  deltas.enabled += enabled_.assign_deferred(p, now);
+  // A process observed disabled is covered for the current round; this is
+  // the only way "disabled at some moment" can begin mid-round, which is
+  // what lets step() skip the all-vertices covering walk. A frozen process
+  // counts as co-selected every step (its self-loop fires and changes
+  // nothing), so it is covered from the moment the classification holds —
+  // otherwise rounds could never complete.
+  const bool frozen = exclude_frozen_ && classify_frozen(p, action);
+  if ((!now || frozen) && !covered_[static_cast<std::size_t>(p)]) {
+    covered_[static_cast<std::size_t>(p)] = 1;
+    ++deltas.covered;
+  }
+}
+
+bool Engine::classify_frozen(ProcessId p, int action) {
+  const bool now = action != Protocol::kDisabled;
+  const bool frozen = now && verified_self_loop(p, action);
+  frozen_[static_cast<std::size_t>(p)] = frozen ? 1 : 0;
+  active_.assign(p, now && !frozen);
+  return frozen;
+}
+
+Engine::RangeDeltas Engine::probe_range(ProcessId begin, ProcessId end) {
+  // Each range probes only the dirty ids it owns — ranges partition the id
+  // space, so every entry is probed exactly once. Probes are simulator
+  // devices: no rng consumption (guards are deterministic; only actions
+  // may draw randomness) and nothing lands in the model's read counters —
+  // the guard's reads are recorded into the memo instead, to be replayed
+  // if the process is selected. Results are order-independent (the
+  // configuration is fixed for the whole refresh).
+  ProbeRecorder recorder;
+  RangeDeltas deltas;
+  for (const ProcessId p : dirty_queue_) {
+    if (p < begin || p >= end) continue;
+    probe_dirty_[static_cast<std::size_t>(p)] = 0;
+    auto& reads = probe_reads_[static_cast<std::size_t>(p)];
+    reads.clear();
+    recorder.target = &reads;
+    GuardContext guard(graph_, config_, p, &recorder);
+    record_probe(p, protocol_.first_enabled(guard), deltas);
+  }
+  return deltas;
+}
+
+Engine::RangeDeltas Engine::sweep_range(ProcessId begin, ProcessId end) {
+  // The sweep rewrites every memo in the range, clean or dirty: clean
+  // guards see unchanged inputs, so the sweep reproduces their action and
+  // read log byte for byte — recomputation, never divergence.
+  for (ProcessId p = begin; p < end; ++p) {
+    probe_reads_[static_cast<std::size_t>(p)].clear();
+    probe_dirty_[static_cast<std::size_t>(p)] = 0;
+  }
+  bulk_actions_.reset_range(begin, end);
+  BulkGuardContext ctx(graph_, config_, probe_reads_);
+  protocol_.sweep_enabled_range(ctx, bulk_actions_, begin, end);
+  const std::int8_t* actions = bulk_actions_.actions();
+  RangeDeltas deltas;
+  for (ProcessId p = begin; p < end; ++p) {
+    record_probe(p, actions[static_cast<std::size_t>(p)], deltas);
+  }
+  return deltas;
+}
+
 void Engine::refresh_enabled() {
   if (dirty_queue_.empty()) return;
-  // Frozen exclusion classifies self-loops with the per-process machinery,
-  // so it pins the scalar serial path (invariants 5 and 7).
-  const bool can_parallel = pool_ != nullptr && !exclude_frozen_;
+  const auto n = static_cast<std::size_t>(graph_.num_vertices());
   // Bulk dispatch (invariant 5): one sweep when the protocol opts in and
   // enough of the network is stale. The 3/4 threshold comes from measured
   // all-dirty refresh ratios (bench_bulk_sweep E15b): the cheapest sweep
   // is ~1.3x a scalar probe pass, so sweeping all n only beats refreshing
-  // the dirty subset when that subset covers most of the network.
-  if (bulk_supported_ && !exclude_frozen_ &&
-      sweep_mode_ != SweepMode::kForceScalar) {
-    const bool use_bulk =
-        sweep_mode_ == SweepMode::kForceBulk ||
-        dirty_queue_.size() * 4 >=
-            static_cast<std::size_t>(graph_.num_vertices()) * 3;
-    if (use_bulk) {
-      if (can_parallel) {
-        parallel_bulk_refresh();
-      } else {
-        bulk_refresh();
-      }
-      return;
-    }
-  }
-  // Parallel scalar refresh (invariant 7) wants the dirty set large enough
-  // to amortize the barrier: at least a quarter of the network. Central
-  // daemons dirty O(Delta) processes per step and stay on the cheap serial
-  // drain below. Cost gate only — both paths compute identical state.
-  if (can_parallel && dirty_queue_.size() >= 2 &&
-      dirty_queue_.size() * 4 >=
-          static_cast<std::size_t>(graph_.num_vertices())) {
-    parallel_scalar_refresh();
-    return;
-  }
-  while (!dirty_queue_.empty()) {
-    const ProcessId p = dirty_queue_.back();
-    dirty_queue_.pop_back();
-    probe_dirty_[static_cast<std::size_t>(p)] = 0;
-    // Probes are simulator devices: no rng consumption (guards are
-    // deterministic; only actions may draw randomness) and nothing lands
-    // in the model's read counters — the guard's reads are recorded into
-    // the memo instead, to be replayed if the process is selected.
-    auto& reads = probe_reads_[static_cast<std::size_t>(p)];
-    reads.clear();
-    probe_recorder_.target = &reads;
-    GuardContext guard(graph_, config_, p, &probe_recorder_);
-    const int action = protocol_.first_enabled(guard);
-    probe_action_[static_cast<std::size_t>(p)] = action;
-    const bool now = action != Protocol::kDisabled;
-    enabled_.assign(p, now);
-    // A process observed disabled is covered for the current round; this is
-    // the only way "disabled at some moment" can begin mid-round, which is
-    // what lets step() skip the all-vertices covering walk.
-    if (!now) cover(p);
-    if (exclude_frozen_) {
-      const bool frozen = now && verified_self_loop(p, action);
-      frozen_[static_cast<std::size_t>(p)] = frozen ? 1 : 0;
-      active_.assign(p, now && !frozen);
-      // A frozen process counts as co-selected every step (its self-loop
-      // fires and changes nothing), so it is covered from the moment the
-      // classification holds — otherwise rounds could never complete.
-      if (frozen) cover(p);
-    }
-  }
-}
-
-void Engine::bulk_refresh() {
-  const int n = graph_.num_vertices();
-  // The sweep rewrites every memo, clean or dirty: clean guards see
-  // unchanged inputs, so the sweep reproduces their action and read log
-  // byte for byte — recomputation, never divergence.
-  for (auto& log : probe_reads_) log.clear();
-  bulk_actions_.reset(n);
-  BulkGuardContext ctx(graph_, config_, probe_reads_);
-  protocol_.sweep_enabled(ctx, bulk_actions_);
-  const std::int8_t* actions = bulk_actions_.actions();
-  for (ProcessId p = 0; p < n; ++p) {
-    const int action = actions[static_cast<std::size_t>(p)];
-    probe_action_[static_cast<std::size_t>(p)] = action;
-    const bool now = action != Protocol::kDisabled;
-    enabled_.assign(p, now);
-    // Same covering rule as the scalar refresh. Re-covering a clean
-    // disabled process is a no-op: the between-steps invariant already
-    // guarantees it is covered.
-    if (!now) cover(p);
-  }
-  for (const ProcessId p : dirty_queue_) {
-    probe_dirty_[static_cast<std::size_t>(p)] = 0;
+  // the dirty subset when that subset covers most of the network. Frozen
+  // exclusion pins the scalar kernel on one range (invariants 5 and 7):
+  // its classifier runs through one shared scratch arena and updates
+  // active_'s count in place.
+  const bool bulk = bulk_supported_ && !exclude_frozen_ &&
+                    (sweep_mode_ == SweepMode::kForceBulk ||
+                     (sweep_mode_ == SweepMode::kAuto &&
+                      dirty_queue_.size() * 4 >= n * 3));
+  // Fanning out (invariant 7) wants the dirty set large enough to amortize
+  // the barrier: any sweep, or scalar probes of at least a quarter of the
+  // network. Central daemons dirty O(Delta) processes per step and stay on
+  // the one-range drain. Cost gate only — every split computes identical
+  // state.
+  const bool fan_out =
+      pool_ != nullptr && !exclude_frozen_ &&
+      (bulk || (dirty_queue_.size() >= 2 && dirty_queue_.size() * 4 >= n));
+  const auto kernel = [&](ProcessId begin, ProcessId end) {
+    return bulk ? sweep_range(begin, end) : probe_range(begin, end);
+  };
+  const auto fold = [&](RangeDeltas deltas) {
+    enabled_.add_count(deltas.enabled);
+    covered_count_ += deltas.covered;
+  };
+  if (fan_out) {
+    pool_->run([&](int w) {
+      const auto [begin, end] = worker_range(w);
+      worker_states_[static_cast<std::size_t>(w)].deltas =
+          begin < end ? kernel(begin, end) : RangeDeltas{};
+    });
+    for (const WorkerState& ws : worker_states_) fold(ws.deltas);
+  } else {
+    fold(kernel(0, static_cast<ProcessId>(n)));
   }
   dirty_queue_.clear();
 }
@@ -254,189 +262,6 @@ std::pair<ProcessId, ProcessId> Engine::worker_range(int worker) const {
   const ProcessId end =
       static_cast<ProcessId>(std::min<long long>(n, begin + chunk));
   return {begin, end};
-}
-
-void Engine::parallel_scalar_refresh() {
-  // Every worker scans the shared dirty queue and probes the ids in its
-  // own range — ranges partition the id space, so each entry is probed
-  // exactly once and all writes (memo slot, dirty flag, covered byte,
-  // EnabledSet word) stay inside the worker's partition. Probe results
-  // are order-independent (the configuration is fixed for the whole
-  // refresh), so this produces exactly the serial drain's state.
-  pool_->run([&](int w) {
-    const auto [begin, end] = worker_range(w);
-    WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
-    ws.enabled_delta = 0;
-    ws.covered_delta = 0;
-    if (begin >= end) return;
-    ProbeRecorder recorder;
-    for (const ProcessId p : dirty_queue_) {
-      if (p < begin || p >= end) continue;
-      probe_dirty_[static_cast<std::size_t>(p)] = 0;
-      auto& reads = probe_reads_[static_cast<std::size_t>(p)];
-      reads.clear();
-      recorder.target = &reads;
-      GuardContext guard(graph_, config_, p, &recorder);
-      const int action = protocol_.first_enabled(guard);
-      probe_action_[static_cast<std::size_t>(p)] = action;
-      const bool now = action != Protocol::kDisabled;
-      ws.enabled_delta += enabled_.assign_deferred(p, now);
-      // Same covering rule as the serial drain (cover() inlined against
-      // the worker-local counter).
-      if (!now && !covered_[static_cast<std::size_t>(p)]) {
-        covered_[static_cast<std::size_t>(p)] = 1;
-        ++ws.covered_delta;
-      }
-    }
-  });
-  for (const WorkerState& ws : worker_states_) {
-    enabled_.add_count(ws.enabled_delta);
-    covered_count_ += ws.covered_delta;
-  }
-  dirty_queue_.clear();
-}
-
-void Engine::parallel_bulk_refresh() {
-  const int n = graph_.num_vertices();
-  if (bulk_actions_.universe() != n) bulk_actions_.reset(n);
-  BulkGuardContext ctx(graph_, config_, probe_reads_);
-  // Like bulk_refresh, the sweep rewrites every memo, clean or dirty —
-  // but each worker clears, resets, sweeps, and commits only its own
-  // range, so the whole O(n) pass parallelizes.
-  pool_->run([&](int w) {
-    const auto [begin, end] = worker_range(w);
-    WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
-    ws.enabled_delta = 0;
-    ws.covered_delta = 0;
-    if (begin >= end) return;
-    for (ProcessId p = begin; p < end; ++p) {
-      probe_reads_[static_cast<std::size_t>(p)].clear();
-    }
-    bulk_actions_.reset_range(begin, end);
-    protocol_.sweep_enabled_range(ctx, bulk_actions_, begin, end);
-    const std::int8_t* actions = bulk_actions_.actions();
-    for (ProcessId p = begin; p < end; ++p) {
-      const int action = actions[static_cast<std::size_t>(p)];
-      probe_action_[static_cast<std::size_t>(p)] = action;
-      const bool now = action != Protocol::kDisabled;
-      ws.enabled_delta += enabled_.assign_deferred(p, now);
-      if (!now && !covered_[static_cast<std::size_t>(p)]) {
-        covered_[static_cast<std::size_t>(p)] = 1;
-        ++ws.covered_delta;
-      }
-      probe_dirty_[static_cast<std::size_t>(p)] = 0;
-    }
-  });
-  for (const WorkerState& ws : worker_states_) {
-    enabled_.add_count(ws.enabled_delta);
-    covered_count_ += ws.covered_delta;
-  }
-  dirty_queue_.clear();
-}
-
-void Engine::parallel_phases(std::size_t selected, StepInfo& info) {
-  const int threads = pool_->threads();
-  const std::size_t chunk =
-      (selected + static_cast<std::size_t>(threads) - 1) /
-      static_cast<std::size_t>(threads);
-  const auto slice = [&](int w) {
-    const std::size_t begin =
-        std::min(selected, static_cast<std::size_t>(w) * chunk);
-    return std::pair<std::size_t, std::size_t>{
-        begin, std::min(selected, begin + chunk)};
-  };
-
-  // Bulk-execute composition (invariant 6 under invariant 7): the same
-  // dispatch the serial step uses, applied per worker slice. The arenas
-  // are sized serially here; inside the pool each worker touches only its
-  // slice's staged rows, action bytes, and (distinct, ascending) memo
-  // entries, so all writes stay disjoint.
-  const bool use_bulk = use_bulk_execute(selected);
-  if (use_bulk) {
-    const auto stride = static_cast<std::size_t>(config_.stride());
-    if (bulk_staged_rows_.size() < selected * stride) {
-      bulk_staged_rows_.resize(selected * stride);
-    }
-    if (bulk_actions_.universe() != graph_.num_vertices()) {
-      bulk_actions_.reset(graph_.num_vertices());
-    }
-  }
-
-  // Phase 1 over contiguous selection slices, all against the shared
-  // gamma_i snapshot; the barrier below keeps any commit from being
-  // visible to a still-evaluating worker. Scalar actions run through
-  // execute_certified (scratch rng + empty random script): a protocol
-  // that declared is_probabilistic() == false and draws anyway is caught
-  // by its assert instead of silently diverging from the serial rng
-  // stream. Bulk kernels get a null-rng context, whose random_range
-  // asserts on any draw attempt — the same contract, enforced
-  // structurally.
-  pool_->run([&](int w) {
-    const auto [begin, end] = slice(w);
-    WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
-    ws.tally.begin_step();
-    ws.commits.clear();
-    if (use_bulk) {
-      stage_bulk_actions(begin, end);
-      BulkExecContext ctx(graph_, config_, probe_reads_, ws.tally,
-                          bulk_staged_rows_.data(),
-                          static_cast<std::size_t>(config_.stride()),
-                          /*rng=*/nullptr);
-      protocol_.execute_selected(
-          ctx, bulk_actions_,
-          std::span<const ProcessId>(selection_.data(), selected), begin,
-          end);
-      return;
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const ProcessId p = selection_[i];
-      ProcessStep& staged = staged_[i];
-      staged.writes.clear();
-      staged.comm_write_attempted = false;
-      for (const auto& [subject, var] :
-           probe_reads_[static_cast<std::size_t>(p)]) {
-        ws.tally.on_read(p, subject, var);
-      }
-      staged.action = probe_action_[static_cast<std::size_t>(p)];
-      if (staged.action == Protocol::kDisabled) continue;
-      execute_certified(p, staged.action, &ws.tally, staged.writes,
-                        staged.comm_write_attempted);
-    }
-  });
-
-  // Phase 2a: commit each slice's rows in parallel. A process's writes
-  // touch only its own configuration row, and the slices partition the
-  // (strictly ascending, distinct) selection, so the rows are disjoint.
-  pool_->run([&](int w) {
-    const auto [begin, end] = slice(w);
-    WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
-    for (std::size_t i = begin; i < end; ++i) {
-      const ProcessStep& staged = staged_[i];
-      if (staged.action == Protocol::kDisabled) continue;
-      const ProcessId p = selection_[i];
-      ws.commits.push_back({p, use_bulk
-                                   ? commit_staged_row(i)
-                                   : commit_writes(config_, p,
-                                                   staged.writes)});
-    }
-  });
-
-  // Phase 2b: serial merge in worker order = ascending selection order,
-  // so every dirty-queue push lands in exactly the order the serial
-  // engine's commit loop would produce it.
-  for (const WorkerState& ws : worker_states_) {
-    read_counter_.absorb(ws.tally.total_reads(), ws.tally.total_bits(),
-                         ws.tally.max_reads(), ws.tally.max_bits());
-    for (const auto& [p, changed] : ws.commits) {
-      ++info.fired;
-      mark_probe_dirty(p);
-      mark_solo_dirty(p);
-      if (changed) {
-        info.comm_changed = true;
-        note_comm_changed(p);
-      }
-    }
-  }
 }
 
 bool Engine::use_bulk_execute(std::size_t selected) const {
@@ -457,68 +282,85 @@ bool Engine::use_bulk_execute(std::size_t selected) const {
   return selected * 2 >= static_cast<std::size_t>(graph_.num_vertices());
 }
 
-void Engine::stage_bulk_actions(std::size_t begin, std::size_t end) {
-  // Mirror the memo actions for [begin, end) of the selection into the
-  // kernel-facing bitmap and the trace-facing staged slots. probe_action_
-  // is authoritative: bulk_actions_ may hold a stale sweep result when the
-  // refresh ran scalar probes since the last bulk sweep.
+void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
+                            ReadLogger& logger, Rng* rng) {
+  if (bulk) {
+    // Mirror the memo actions into the kernel-facing bitmap and the
+    // trace-facing staged slots. probe_action_ is authoritative:
+    // bulk_actions_ may hold a stale sweep result when the refresh ran
+    // scalar probes since the last bulk sweep. Probabilistic protocols
+    // draw from the model stream, and ascending selection order inside the
+    // kernel reproduces the scalar rng consumption bit for bit; everything
+    // else gets a null rng whose random_range asserts — the bulk
+    // counterpart of execute_certified.
+    for (std::size_t i = begin; i < end; ++i) {
+      const ProcessId p = selection_[i];
+      const int action = probe_action_[static_cast<std::size_t>(p)];
+      bulk_actions_.set_action(p, action);
+      staged_[i].action = action;
+    }
+    BulkExecContext ctx(graph_, config_, probe_reads_, logger,
+                        bulk_staged_rows_.data(),
+                        static_cast<std::size_t>(config_.stride()),
+                        protocol_.is_probabilistic() ? rng : nullptr);
+    protocol_.execute_selected(
+        ctx, bulk_actions_,
+        std::span<const ProcessId>(selection_.data(), selection_.size()),
+        begin, end);
+    return;
+  }
+  // The guard half is replayed from the memo (invariant 4): the refresh
+  // drained the dirty queue, so each memo holds exactly the action and
+  // read log a live first_enabled run would produce now. staged_ grows
+  // monotonically and its write buffers keep their capacity, so this loop
+  // allocates nothing in steady state. Without the model rng (pool
+  // workers) actions run through execute_certified, whose assert catches
+  // a protocol that declared is_probabilistic() == false and draws anyway
+  // instead of letting it silently diverge from the serial rng stream.
   for (std::size_t i = begin; i < end; ++i) {
     const ProcessId p = selection_[i];
-    const int action = probe_action_[static_cast<std::size_t>(p)];
-    bulk_actions_.set_action(p, action);
-    staged_[i].action = action;
+    ProcessStep& staged = staged_[i];
+    staged.writes.clear();
+    staged.comm_write_attempted = false;
+    for (const auto& [subject, var] :
+         probe_reads_[static_cast<std::size_t>(p)]) {
+      logger.on_read(p, subject, var);
+    }
+    staged.action = probe_action_[static_cast<std::size_t>(p)];
+    if (staged.action == Protocol::kDisabled) continue;
+    if (rng == nullptr) {
+      execute_certified(p, staged.action, &logger, staged.writes,
+                        staged.comm_write_attempted);
+      continue;
+    }
+    ActionContext action(graph_, config_, p, *rng, &logger, &staged.writes);
+    protocol_.execute(staged.action, action);
+    staged.comm_write_attempted = action.comm_write_attempted();
   }
 }
 
-bool Engine::commit_staged_row(std::size_t i) {
-  // Whole-row commit of selection index i's staged post-state. The staged
-  // row started as a copy of the snapshot row, so comparing the
-  // communication prefix detects exactly what the scalar commit's
-  // pending-write walk detects: a written comm slot whose value differs.
-  const ProcessId p = selection_[i];
+template <class OnCommit>
+void Engine::commit_slice(std::size_t begin, std::size_t end, bool bulk,
+                          OnCommit&& on_commit) {
   const auto stride = static_cast<std::size_t>(config_.stride());
-  const Value* staged = bulk_staged_rows_.data() + i * stride;
-  Value* live = config_.raw().data() + static_cast<std::size_t>(p) * stride;
   const auto num_comm = static_cast<std::size_t>(config_.num_comm());
-  const bool changed = !std::equal(staged, staged + num_comm, live);
-  std::copy(staged, staged + stride, live);
-  return changed;
-}
-
-void Engine::bulk_phases(std::size_t selected, StepInfo& info) {
-  // Invariant 6's serial deployment: one kernel call covers phase 1 (memo
-  // replay + staged execution) for the whole selection, then the commit
-  // loop below applies the exact dirty-queue/covering/solo-cache
-  // treatment of the scalar phase 2.
-  if (bulk_actions_.universe() != graph_.num_vertices()) {
-    bulk_actions_.reset(graph_.num_vertices());
-  }
-  const auto stride = static_cast<std::size_t>(config_.stride());
-  if (bulk_staged_rows_.size() < selected * stride) {
-    bulk_staged_rows_.resize(selected * stride);
-  }
-  stage_bulk_actions(0, selected);
-  // Probabilistic protocols draw from the model stream: ascending
-  // selection order inside the kernel reproduces the scalar rng
-  // consumption bit for bit. Deterministic protocols get a null rng whose
-  // random_range asserts — the bulk counterpart of execute_certified.
-  Rng* rng = protocol_.is_probabilistic() ? &rng_ : nullptr;
-  BulkExecContext ctx(graph_, config_, probe_reads_, read_counter_,
-                      bulk_staged_rows_.data(), stride, rng);
-  protocol_.execute_selected(
-      ctx, bulk_actions_, std::span<const ProcessId>(selection_.data(), selected),
-      0, selected);
-  for (std::size_t i = 0; i < selected; ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     if (staged_[i].action == Protocol::kDisabled) continue;
     const ProcessId p = selection_[i];
-    ++info.fired;
-    const bool changed = commit_staged_row(i);
-    mark_probe_dirty(p);
-    mark_solo_dirty(p);
-    if (changed) {
-      info.comm_changed = true;
-      note_comm_changed(p);
+    bool changed;
+    if (bulk) {
+      // Whole-row commit of the staged post-state. The staged row started
+      // as a copy of the snapshot row, so comparing the communication
+      // prefix detects exactly what the pending-write walk detects: a
+      // written comm slot whose value differs.
+      const Value* row = bulk_staged_rows_.data() + i * stride;
+      Value* live = config_.raw().data() + static_cast<std::size_t>(p) * stride;
+      changed = !std::equal(row, row + num_comm, live);
+      std::copy(row, row + stride, live);
+    } else {
+      changed = commit_writes(config_, p, staged_[i].writes);
     }
+    on_commit(p, changed);
   }
 }
 
@@ -704,56 +546,76 @@ Engine::StepInfo Engine::step() {
   StepInfo info;
   info.selected = static_cast<int>(selected);
 
-  // Parallel dispatch (invariant 7): probabilistic protocols must consume
-  // rng_ in ascending selection order, and external read loggers observe
-  // reads through the order-sensitive mux — both pin the serial path.
-  // The serial path then picks between the bulk-execute kernel
-  // (invariant 6) and the scalar loop. Cost gates aside, all three paths
-  // produce bit-identical state.
-  if (pool_ != nullptr && selected >= 2 && !protocol_.is_probabilistic() &&
-      external_loggers_ == 0) {
-    parallel_phases(selected, info);
-  } else if (use_bulk_execute(selected)) {
-    bulk_phases(selected, info);
-  } else {
-    // Phase 1: every selected process evaluates against the gamma_i
-    // snapshot. The guard half is replayed from the memo (invariant 4):
-    // the refresh above drained the dirty queue, so each memo holds
-    // exactly the action and read log a live first_enabled run would
-    // produce now. staged_ grows monotonically and its write buffers keep
-    // their capacity, so this loop allocates nothing in steady state.
-    for (std::size_t i = 0; i < selected; ++i) {
-      const ProcessId p = selection_[i];
-      ProcessStep& staged = staged_[i];
-      staged.writes.clear();
-      staged.comm_write_attempted = false;
-      for (const auto& [subject, var] :
-           probe_reads_[static_cast<std::size_t>(p)]) {
-        logger_mux_.on_read(p, subject, var);
-      }
-      staged.action = probe_action_[static_cast<std::size_t>(p)];
-      if (staged.action == Protocol::kDisabled) continue;
-      ActionContext action(graph_, config_, p, rng_, &logger_mux_,
-                           &staged.writes);
-      protocol_.execute(staged.action, action);
-      staged.comm_write_attempted = action.comm_write_attempted();
+  // Phase 1: every selected process evaluates against the gamma_i snapshot
+  // — through the bulk-execute kernel (invariant 6) or per process. Phase
+  // 2: the simultaneous commit forms gamma_{i+1}. Any fired action may
+  // change the process's own state, so its cached enabledness and
+  // solo-quiescence answers are stale either way.
+  const bool bulk = use_bulk_execute(selected);
+  if (bulk) {
+    const auto stride = static_cast<std::size_t>(config_.stride());
+    if (bulk_staged_rows_.size() < selected * stride) {
+      bulk_staged_rows_.resize(selected * stride);
     }
-
-    // Phase 2: simultaneous commit forms gamma_{i+1}.
-    for (std::size_t i = 0; i < selected; ++i) {
-      const ProcessId p = selection_[i];
-      const ProcessStep& staged = staged_[i];
-      if (staged.action == Protocol::kDisabled) continue;
-      ++info.fired;
-      const bool changed = commit_writes(config_, p, staged.writes);
-      // Any fired action may change the process's own state, so its cached
-      // enabledness and solo-quiescence answers are stale either way.
-      mark_probe_dirty(p);
-      mark_solo_dirty(p);
-      if (changed) {
-        info.comm_changed = true;
-        note_comm_changed(p);
-      }
+  }
+  const auto mark_fired = [&](ProcessId p, bool changed) {
+    ++info.fired;
+    mark_probe_dirty(p);
+    mark_solo_dirty(p);
+    if (changed) {
+      info.comm_changed = true;
+      note_comm_changed(p);
+    }
+  };
+  // Fanning out (invariant 7): probabilistic protocols must consume rng_
+  // in ascending selection order, and external read loggers observe reads
+  // through the order-sensitive mux — both pin the one serial slice, which
+  // reads straight into read_counter_ when nothing else listens.
+  if (pool_ == nullptr || selected < 2 || protocol_.is_probabilistic() ||
+      external_loggers_ != 0) {
+    evaluate_slice(0, selected, bulk,
+                   external_loggers_ == 0
+                       ? static_cast<ReadLogger&>(read_counter_)
+                       : static_cast<ReadLogger&>(logger_mux_),
+                   &rng_);
+    commit_slice(0, selected, bulk, mark_fired);
+  } else {
+    const auto threads = static_cast<std::size_t>(pool_->threads());
+    const std::size_t chunk = (selected + threads - 1) / threads;
+    const auto slice = [&](int w) {
+      const std::size_t begin =
+          std::min(selected, static_cast<std::size_t>(w) * chunk);
+      return std::pair<std::size_t, std::size_t>{
+          begin, std::min(selected, begin + chunk)};
+    };
+    // Contiguous selection slices, all against the shared snapshot; each
+    // worker touches only its slice's staged slots, action bytes, and
+    // (distinct, ascending) memo entries. The barrier keeps any commit
+    // from being visible to a still-evaluating worker.
+    pool_->run([&](int w) {
+      const auto [begin, end] = slice(w);
+      WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
+      ws.tally.begin_step();
+      evaluate_slice(begin, end, bulk, ws.tally, /*rng=*/nullptr);
+    });
+    // A process's writes touch only its own configuration row, and the
+    // slices partition the (strictly ascending, distinct) selection, so
+    // the rows committed in parallel are disjoint.
+    pool_->run([&](int w) {
+      const auto [begin, end] = slice(w);
+      WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
+      ws.commits.clear();
+      commit_slice(begin, end, bulk, [&](ProcessId p, bool changed) {
+        ws.commits.push_back({p, changed});
+      });
+    });
+    // Serial merge in worker order = ascending selection order, so every
+    // dirty-queue push lands in exactly the order the serial slice's
+    // commit loop produces it.
+    for (const WorkerState& ws : worker_states_) {
+      read_counter_.absorb(ws.tally.total_reads(), ws.tally.total_bits(),
+                           ws.tally.max_reads(), ws.tally.max_bits());
+      for (const auto& [p, changed] : ws.commits) mark_fired(p, changed);
     }
   }
 

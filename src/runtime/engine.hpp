@@ -68,65 +68,72 @@
 ///     the replayed on_read sequence is the one a live evaluation would
 ///     emit.
 ///
-///  5. Bulk guard sweep. Under co-firing daemons the dirty queue holds
-///     almost all of n after every step, so the refresh is n scalar probes
-///     — n virtual calls with per-read checked lookups. When the protocol
-///     has a bulk sweep (Protocol::has_bulk_sweep; RuleProtocol supplies
-///     it from the protocol's one guard, runtime/rule.hpp) and the dirty
-///     set covers at least 3/4 of the network (or SweepMode::kForceBulk),
-///     the refresh instead runs one `sweep_enabled` pass over the CSR
-///     slabs that rewrites every memo (action + read log) at once; see
-///     runtime/bulk.hpp. Clean processes are recomputed too — their
-///     inputs are unchanged, so the sweep reproduces their memos exactly
-///     and the dirty-queue invariant is preserved. Frozen-process
-///     exclusion needs the per-process self-loop classifier, so it always
-///     takes the scalar path.
+///  5. One partitioned refresh. `refresh_enabled` drains the dirty queue
+///     with one of two range kernels, each recording every outcome through
+///     the same `record_probe` (memo, EnabledSet, covering): `probe_range`
+///     runs scalar probes of the dirty ids inside [begin, end), and
+///     `sweep_range` runs one `sweep_enabled_range` pass over the range's
+///     CSR slabs that rewrites every memo in it (action + read log) at
+///     once; see runtime/bulk.hpp. The sweep is chosen when the protocol
+///     has one (Protocol::has_bulk_sweep; RuleProtocol supplies it from
+///     the protocol's one guard, runtime/rule.hpp) and the dirty set
+///     covers at least 3/4 of the network (or SweepMode::kForceBulk):
+///     under co-firing daemons the dirty queue holds almost all of n after
+///     every step, and n virtual scalar probes cost more than one sweep.
+///     Clean processes are recomputed too — their inputs are unchanged, so
+///     the sweep reproduces their memos exactly and the dirty-queue
+///     invariant is preserved. The serial engine is the one-range case,
+///     [0, n); invariant 7 splits the same kernels across workers.
+///     Frozen-process exclusion always takes the scalar kernel on one
+///     range: its self-loop classifier shares one scratch arena and
+///     updates `active_`'s count in place.
 ///
-///  6. Bulk execution. The execute half of a deployed synchronous step
-///     pays one ActionContext + virtual `execute` + pending-write commit
-///     per selected process. When the protocol has a bulk execute
-///     (Protocol::has_bulk_execute; RuleProtocol supplies it from the
-///     protocol's one act) and the selection covers at least half of the
-///     network (or SweepMode::kForceBulk), phase 1 instead runs one
-///     `execute_selected` pass over the CSR slabs: the kernel
-///     replays each selected guard memo into the read counters and
-///     stages each fired process's post-state as a full configuration
-///     row; phase 2 commits the rows with the same dirty-queue/covering/
-///     solo-cache treatment (and comm-changed detection by comm-prefix
-///     compare, equivalent to the pending-write flag because unwritten
-///     slots keep their snapshot values). The 1/2 threshold is calibrated
-///     from bench_bulk_execute: the bulk pass only amortizes its staging
-///     and dispatch overhead under co-firing selections. Frozen-process
-///     exclusion and attached external read loggers pin the scalar
-///     execute exactly as they pin the scalar sweep / serial step;
-///     probabilistic protocols are bulk-executable *serially* (the kernel
-///     draws from the model rng in ascending selection order, which is
-///     the scalar stream bit for bit) and stay serial under invariant 7's
-///     gates.
+///  6. One phase pair. A step's execution is `evaluate_slice` (phase 1:
+///     memo replay + staged actions against the gamma_i snapshot) then
+///     `commit_slice` (phase 2: rows committed, each fired process handed
+///     to the dirty-queue/covering/solo-cache treatment), over selection
+///     index slices. Each slice runs per process or, when the protocol
+///     has a bulk execute (Protocol::has_bulk_execute; RuleProtocol
+///     supplies it from the protocol's one act) and the selection covers
+///     at least half of the network (or SweepMode::kForceBulk), through
+///     one `execute_selected` pass over the CSR slabs: the kernel replays
+///     each selected guard memo into the read counters and stages each
+///     fired process's post-state as a full configuration row, and the
+///     commit compares the staged comm prefix against the live row
+///     (equivalent to the pending-write flag because unwritten slots keep
+///     their snapshot values). The 1/2 threshold is calibrated from
+///     bench_bulk_execute: the bulk pass only amortizes its staging and
+///     dispatch overhead under co-firing selections. Frozen-process
+///     exclusion and attached external read loggers pin per-process
+///     execution exactly as they pin the scalar refresh; probabilistic
+///     protocols are bulk-executable *serially* (the kernel draws from the
+///     model rng in ascending selection order, which is the scalar stream
+///     bit for bit). The serial engine runs one slice over the whole
+///     selection, reading straight into the step counter unless an
+///     external logger is attached.
 ///
 ///  7. Intra-trial parallelism (opt-in via set_parallel_threads). The
-///     network is partitioned into contiguous 64-aligned process ranges —
-///     one per StepPool worker — so each range owns disjoint EnabledSet
-///     words, probe memo slots, and covered_/probe_dirty_ bytes. Guard
-///     refreshes (scalar probes and bulk sweeps alike; guards never draw
-///     randomness) and the selected set's phase-1 evaluation + phase-2
-///     row commits fan out over the ranges — phase 1 running the bulk
-///     execute kernel over each worker's contiguous selection slice when
-///     invariant 6 would engage it serially; everything order-sensitive —
-///     daemon selection (it consumes rng_), EnabledSet count deltas,
-///     dirty-queue pushes, read-metric absorption — is merged serially in
-///     ascending process order after the barrier. The determinism
-///     contract: every configuration trajectory, round count, and
-///     read/bit metric is bit-identical to the single-threaded engine at
-///     any thread count. Three gates keep the contract airtight rather
-///     than probabilistic: probabilistic protocols fall back to serial
-///     execution (Rng::below consumes a variable number of words, so
-///     parallel actions cannot preserve the stream; an empty random
-///     script + assert catches a protocol that lies about
-///     is_probabilistic), attached external read loggers force the
-///     serial path (ReadLoggerMux fan-out is order-sensitive and not
-///     thread-safe), and frozen-process exclusion pins the scalar serial
-///     refresh exactly as it pins the scalar sweep.
+///     kernels of invariants 5 and 6 fan out over StepPool workers. The
+///     refresh partitions the network into contiguous 64-aligned process
+///     ranges, so each range owns disjoint EnabledSet words, probe memo
+///     slots, and covered_/probe_dirty_ bytes, and defers its count deltas
+///     to a serial fold; the phase pair partitions the selection into
+///     contiguous slices, each worker reading into its own tally, with a
+///     barrier between the phases. Everything order-sensitive — daemon
+///     selection (it consumes rng_), EnabledSet count deltas, dirty-queue
+///     pushes, read-metric absorption — is merged serially in ascending
+///     process order after the barrier. The determinism contract: every
+///     configuration trajectory, round count, and read/bit metric is
+///     bit-identical to the one-range engine at any thread count. Three
+///     gates keep the contract airtight rather than probabilistic:
+///     probabilistic protocols keep the one serial slice (Rng::below
+///     consumes a variable number of words, so parallel actions cannot
+///     preserve the stream; workers get no model rng, and
+///     execute_certified's empty random script + assert catches a
+///     protocol that lies about is_probabilistic), attached external read
+///     loggers do too (ReadLoggerMux fan-out is order-sensitive and not
+///     thread-safe), and frozen-process exclusion pins the one-range
+///     scalar refresh.
 ///
 ///  8. Legitimacy tracker (`run` only, while the first legitimate
 ///     configuration is pending). When RunOptions::local_legitimacy is
@@ -345,42 +352,43 @@ class Engine {
   void invalidate_all_probes();
   void mark_probe_dirty(ProcessId p);
   void mark_solo_dirty(ProcessId p);
+  /// Drains the dirty queue (invariant 5): picks the scalar or bulk range
+  /// kernel, runs it on [0, n) or once per pool worker range (invariant
+  /// 7), then folds the ranges' deferred count deltas.
   void refresh_enabled();
-  /// One sweep_enabled pass committed into the probe memo, enabled set,
-  /// and round covering — the bulk equivalent of draining the dirty queue
-  /// through scalar probes.
-  void bulk_refresh();
-  /// Partitioned counterparts of the two refresh paths (invariant 7):
-  /// every worker drains the dirty ids (scalar) or sweeps (bulk) its own
-  /// 64-aligned range, deferring EnabledSet count and covered_count_
-  /// deltas to the serial merge after the barrier.
-  void parallel_scalar_refresh();
-  void parallel_bulk_refresh();
-  /// Phase 1 + 2 of step() over the pool: evaluate the selection in
-  /// contiguous index slices (scalar per-process, or the bulk execute
-  /// kernel per slice when use_bulk_execute holds), barrier, commit rows
-  /// in parallel, barrier, then merge dirty marks and read metrics
-  /// serially in ascending selection order. Only called under the
-  /// invariant-7 gates.
-  void parallel_phases(std::size_t selected, StepInfo& info);
+  /// A refresh range's EnabledSet count and covered_count_ deltas, folded
+  /// serially after the kernels.
+  struct RangeDeltas {
+    int enabled = 0;
+    int covered = 0;
+  };
+  /// The two refresh kernels over process range [begin, end): scalar
+  /// probes of the dirty ids inside it, or one sweep_enabled_range pass.
+  /// Each returns its range's deferred count deltas.
+  RangeDeltas probe_range(ProcessId begin, ProcessId end);
+  RangeDeltas sweep_range(ProcessId begin, ProcessId end);
+  /// Commits one guard outcome into the memo, EnabledSet, frozen
+  /// classification, and covering, deferring count deltas into `deltas`.
+  void record_probe(ProcessId p, int action, RangeDeltas& deltas);
+  /// Updates p's frozen_/active_ entries for its new first enabled
+  /// `action` and returns whether p is frozen. Exclusion on only.
+  bool classify_frozen(ProcessId p, int action);
   /// Invariant-6 dispatch: does this step's execution run the protocol's
   /// bulk kernel? A pure cost gate — both paths are bit-identical.
   bool use_bulk_execute(std::size_t selected) const;
-  /// Serial bulk execution of the whole selection (invariant 6): mirror
-  /// the memo into the action bitmap, run execute_selected, commit the
-  /// staged rows.
-  void bulk_phases(std::size_t selected, StepInfo& info);
-  /// Mirrors probe_action_ into bulk_actions_ (the kernel's input) and
-  /// staged_[i].action (what phase 2 and the trace read) for selection
-  /// indices [begin, end). The memo is authoritative — the bitmap may be
-  /// stale after scalar refreshes.
-  void stage_bulk_actions(std::size_t begin, std::size_t end);
-  /// Phase 2 of the bulk path for selection index i: comm-changed by
-  /// comparing the staged comm prefix against the live row (equivalent to
-  /// the pending-write flag, since unwritten slots keep their snapshot
-  /// values), then whole-row copy. Returns whether a communication
-  /// variable changed value.
-  bool commit_staged_row(std::size_t i);
+  /// Phase 1 for selection indices [begin, end): memo replay into
+  /// `logger` plus staged actions — per process, or one execute_selected
+  /// call when `bulk`. `rng` is the model stream on the serial slice and
+  /// null on pool workers, whose scalar actions then run through
+  /// execute_certified.
+  void evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
+                      ReadLogger& logger, Rng* rng);
+  /// Phase 2 for selection indices [begin, end): commits each fired
+  /// process's writes (or staged row when `bulk`) and calls
+  /// on_commit(p, comm_changed) in ascending order.
+  template <class OnCommit>
+  void commit_slice(std::size_t begin, std::size_t end, bool bulk,
+                    OnCommit&& on_commit);
   /// Runs `action` for p through the scalar execute against a scratch rng
   /// with the empty random script installed, staging writes into `writes`
   /// (cleared first) and logging action reads through `logger`. The one
@@ -421,9 +429,10 @@ class Engine {
   std::vector<ProcessId> dirty_queue_;
 
   // Bulk sweep (invariant 5) and bulk execute (invariant 6). The
-  // `*_supported_` flags cache the protocol's opt-ins; `bulk_actions_` is
-  // the sweep's reusable output arena, doubling as the execute kernel's
-  // action input (stage_bulk_actions re-syncs it from the memo);
+  // `*_supported_` flags cache the protocol's opt-ins; `bulk_actions_`,
+  // sized to n once in the constructor so range kernels can reset just
+  // their range, is the sweep's output arena, doubling as the execute
+  // kernel's action input (evaluate_slice re-syncs it from the memo);
   // `bulk_staged_rows_` holds one full configuration row per selection
   // index for the kernel's staged writes.
   bool bulk_supported_ = false;
@@ -453,7 +462,6 @@ class Engine {
   };
   std::vector<int> probe_action_;
   std::vector<std::vector<std::pair<ProcessId, int>>> probe_reads_;
-  ProbeRecorder probe_recorder_;
 
   // Round accounting (invariant 2).
   std::vector<std::uint8_t> covered_;
@@ -481,14 +489,13 @@ class Engine {
 
   // Intra-trial parallelism (invariant 7). worker_states_ holds one slot
   // per pool worker, reused across steps; external_loggers_ counts
-  // attach_read_logger clients, whose presence forces the serial path.
+  // attach_read_logger clients, whose presence pins the one serial slice.
   struct WorkerState {
     explicit WorkerState(const StepReadCounter& counter) : tally(counter) {}
     WorkerReadTally tally;
     /// (process, comm changed) per committed row, in slice order.
     std::vector<std::pair<ProcessId, bool>> commits;
-    int enabled_delta = 0;
-    int covered_delta = 0;
+    RangeDeltas deltas;
   };
   int parallel_threads_ = 1;
   std::unique_ptr<StepPool> pool_;

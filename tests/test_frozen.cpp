@@ -33,8 +33,13 @@ namespace {
 TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
   // Deterministic protocols under the synchronous daemon: dropping frozen
   // self-loops from the selection must leave every configuration
-  // bit-identical to the reference (non-excluding) engine.
-  const std::vector<Graph> graphs = {star(7), grid(3, 4), caterpillar(4, 3)};
+  // bit-identical to the reference (non-excluding) engine. Frozen
+  // exclusion pins the one-range scalar refresh and per-process execution
+  // whatever the engine's worker count and sweep mode, so a pool and
+  // force_bulk must change nothing; grid(12, 12) spans three 64-aligned
+  // worker ranges.
+  const std::vector<Graph> graphs = {star(7), grid(3, 4), caterpillar(4, 3),
+                                     grid(12, 12)};
   for (const Graph& g : graphs) {
     for (const bool use_matching : {false, true}) {
       const Coloring colors = greedy_coloring(g);
@@ -44,17 +49,25 @@ TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
       } else {
         protocol = std::make_unique<MisProtocol>(g, colors);
       }
-      Engine engine(g, *protocol, make_synchronous_daemon(), 99);
-      engine.set_exclude_frozen(true);
-      ReferenceEngine reference(g, *protocol, make_synchronous_daemon(), 99);
-      engine.randomize_state();
-      reference.set_config(engine.config());
-      for (int step = 0; step < 400; ++step) {
-        engine.step();
-        reference.step();
-        ASSERT_TRUE(engine.config() == reference.config())
-            << g.name() << " step " << step
-            << (use_matching ? " MATCHING" : " MIS");
+      for (const int workers : {1, 3}) {
+        for (const SweepMode mode : {SweepMode::kAuto, SweepMode::kForceBulk}) {
+          Engine engine(g, *protocol, make_synchronous_daemon(), 99);
+          engine.set_exclude_frozen(true);
+          engine.set_parallel_threads(workers);
+          engine.set_sweep_mode(mode);
+          ReferenceEngine reference(g, *protocol, make_synchronous_daemon(),
+                                    99);
+          engine.randomize_state();
+          reference.set_config(engine.config());
+          for (int step = 0; step < 400; ++step) {
+            engine.step();
+            reference.step();
+            ASSERT_TRUE(engine.config() == reference.config())
+                << g.name() << " step " << step
+                << (use_matching ? " MATCHING" : " MIS") << " workers "
+                << workers << " mode " << sweep_mode_name(mode);
+          }
+        }
       }
     }
   }
