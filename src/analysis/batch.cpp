@@ -186,8 +186,7 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
       churn.seed = splitmix64(seed_state);
       churn.exclude_frozen = item.exclude_frozen;
       churn.sweep_mode = item.sweep_mode;
-      const LegitimacyPredicate& legitimacy =
-          runs[static_cast<std::size_t>(ref.item)].legitimacy;
+      const RunOptions& run = runs[static_cast<std::size_t>(ref.item)];
       auto drive = [&](auto& runner) {
         stats = runner.stabilize();
         runner.run_window();
@@ -196,11 +195,12 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
       if (item.protocol_factory) {
         ChurnRunner<Engine> runner(*item.graph, item.protocol_factory,
                                    daemon_name, engine_seed, churn,
-                                   legitimacy);
+                                   run.legitimacy, run.local_legitimacy);
         drive(runner);
       } else {
         ChurnRunner<Engine> runner(*item.graph, *item.protocol, daemon_name,
-                                   engine_seed, churn, legitimacy);
+                                   engine_seed, churn, run.legitimacy,
+                                   run.local_legitimacy);
         drive(runner);
       }
     } else {

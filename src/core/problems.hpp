@@ -16,16 +16,19 @@
 ///   holds(g, c)  <=>  constants_ok(g, c)  and  for all p: ok_at(g, c, p)
 ///
 ///  * ok_at(g, c, p) reads only variables of processes within radius()
-///    hops of p — communication and internal variables alike;
+///    hops of p, and only their communication variables unless the form
+///    declares reads_internal() (maximal matching, whose PRmarried reads
+///    cur); tests/test_legitimacy_tracking.cpp audits both declarations;
 ///  * constants_ok(g, c) reads only protocol constants (root flags,
 ///    identifiers) and the graph;
 ///  * both are const and stateless, because one Problem is shared by every
 ///    engine of a batch, across worker threads.
 ///
-/// Engine::run uses the local form to re-check only the neighbourhoods a
-/// step touched (engine invariant 8); `holds` stays the reference the
-/// engine re-confirms against, and tests/test_legitimacy_tracking.cpp
-/// checks the equivalence registry-wide.
+/// Engine::run (engine invariant 8) and the churn window
+/// (runtime/churn.hpp) use the local form to re-check only the
+/// neighbourhoods whose read variables changed; `holds` stays the
+/// reference both re-confirm against, and tests/test_legitimacy_tracking.cpp
+/// and tests/test_churn.cpp check the equivalence registry-wide.
 
 #include <memory>
 #include <string>
@@ -124,9 +127,11 @@ class MatchingProblem final : public Problem, public CoverLegitimacy {
   /// matching — an edge {p, q} is matched only if PR.p and PR.q point at
   /// each other, so every matched edge at p is {p, PR.p} — hence holds
   /// reduces to maximality: the covered processes (matching_covered) form
-  /// a vertex cover.
+  /// a vertex cover. PRmarried compares PR with the internal pointer cur,
+  /// so the form reads_internal().
   const LocalLegitimacy* local_form() const override { return this; }
   int radius() const override { return 2; }
+  bool reads_internal() const override { return true; }
   bool constants_ok(const Graph&, const Configuration&) const override {
     return true;
   }

@@ -60,6 +60,21 @@ bool remains_connected(int n, const std::vector<Edge>& edges, ProcessId skip) {
   return reached == expected;
 }
 
+/// ChurnRunner<Engine> follows a bound local form through a tracker fed by
+/// the engine's last selection; ChurnRunner<ReferenceEngine>, the oracle,
+/// keeps the full per-step check.
+template <typename EngineT>
+constexpr bool kTracksLocally =
+    requires(const EngineT& e) { e.last_selection(); };
+
+template <typename EngineT>
+const LocalLegitimacy* tracked_form(const LocalLegitimacy* form,
+                                    const LegitimacyPredicate& legitimacy) {
+  SSS_REQUIRE(form == nullptr || legitimacy,
+              "a local legitimacy form needs the predicate it tracks");
+  return kTracksLocally<EngineT> ? form : nullptr;
+}
+
 std::uint64_t nearest_rank(const std::vector<std::uint64_t>& samples,
                            double pct) {
   if (samples.empty()) return 0;
@@ -136,13 +151,15 @@ ChurnRunner<EngineT>::ChurnRunner(Graph initial, ProtocolFactory factory,
                                   std::string daemon_name,
                                   std::uint64_t engine_seed,
                                   ChurnOptions options,
-                                  LegitimacyPredicate legitimacy)
+                                  LegitimacyPredicate legitimacy,
+                                  const LocalLegitimacy* local_legitimacy)
     : owned_graph_(std::make_unique<Graph>(std::move(initial))),
       factory_(std::move(factory)),
       daemon_name_(std::move(daemon_name)),
       engine_seed_(engine_seed),
       options_(std::move(options)),
       legitimacy_(std::move(legitimacy)),
+      local_legitimacy_(tracked_form<EngineT>(local_legitimacy, legitimacy_)),
       churn_rng_(options_.seed) {
   SSS_REQUIRE(factory_ != nullptr,
               "owning-mode churn runner needs a protocol factory");
@@ -167,13 +184,15 @@ ChurnRunner<EngineT>::ChurnRunner(const Graph& g, const Protocol& protocol,
                                   std::string daemon_name,
                                   std::uint64_t engine_seed,
                                   ChurnOptions options,
-                                  LegitimacyPredicate legitimacy)
+                                  LegitimacyPredicate legitimacy,
+                                  const LocalLegitimacy* local_legitimacy)
     : graph_(&g),
       protocol_(&protocol),
       daemon_name_(std::move(daemon_name)),
       engine_seed_(engine_seed),
       options_(std::move(options)),
       legitimacy_(std::move(legitimacy)),
+      local_legitimacy_(tracked_form<EngineT>(local_legitimacy, legitimacy_)),
       churn_rng_(options_.seed) {
   SSS_REQUIRE(options_.topology_weight == 0,
               "topology churn requires the owning-mode runner (it must "
@@ -218,6 +237,7 @@ RunStats ChurnRunner<EngineT>::stabilize() {
   run.max_steps = options_.stabilize_steps;
   run.stop_on_silence = true;
   run.legitimacy = legitimacy_;
+  run.local_legitimacy = local_legitimacy_;
   const RunStats s = engine_->run(run);
   stats_.initial_silent = s.silent;
   // A run that failed to stabilize enters the window already "recovering":
@@ -228,6 +248,7 @@ RunStats ChurnRunner<EngineT>::stabilize() {
   recovery_start_step_ = 0;
   quiet_streak_ = 0;
   legit_valid_ = false;
+  tracker_.reset();
   return s;
 }
 
@@ -267,10 +288,9 @@ void ChurnRunner<EngineT>::mark_disruption() {
 }
 
 template <typename EngineT>
-void ChurnRunner<EngineT>::corrupt(int victim_count) {
-  const std::vector<ProcessId> victims =
-      choose_victims(graph_->num_vertices(), victim_count, churn_rng_);
+void ChurnRunner<EngineT>::corrupt(const std::vector<ProcessId>& victims) {
   engine_->apply_external_corruption(victims, churn_rng_);
+  if (tracker_) tracker_->recheck(engine_->config(), victims);
 }
 
 template <typename EngineT>
@@ -285,14 +305,13 @@ void ChurnRunner<EngineT>::inject_event() {
     const int cap = std::min(options_.max_victims, n);
     const int count =
         1 + static_cast<int>(churn_rng_.below(static_cast<std::uint64_t>(cap)));
-    corrupt(count);
+    corrupt(choose_victims(n, count, churn_rng_));
     ++stats_.corruptions;
     mark_disruption();
   } else if (draw < static_cast<std::uint64_t>(wc + wr)) {
     // Node reset: one whole process re-randomized in place.
-    const ProcessId victim = static_cast<ProcessId>(
-        churn_rng_.below(static_cast<std::uint64_t>(graph_->num_vertices())));
-    engine_->apply_external_corruption({victim}, churn_rng_);
+    corrupt({static_cast<ProcessId>(
+        churn_rng_.below(static_cast<std::uint64_t>(graph_->num_vertices())))});
     ++stats_.node_resets;
     mark_disruption();
   } else {
@@ -466,8 +485,10 @@ bool ChurnRunner<EngineT>::reattach(int new_n) {
     next_engine->set_config(cfg);
 
     // Commit: retire the outgoing engine's lifetime counters into the
-    // offsets, then swap in dependency order (engine before the protocol
-    // and graph it references).
+    // offsets, then swap in dependency order (tracker and engine before
+    // the protocol and graph they reference). The next step builds a new
+    // tracker on the new graph.
+    tracker_.reset();
     rounds_offset_ += engine_->rounds_inclusive();
     reads_offset_ += engine_->read_counter().total_reads();
     bits_offset_ += engine_->read_counter().total_bits();
@@ -518,16 +539,7 @@ bool ChurnRunner<EngineT>::step_once() {
     stats_.idle_bits += delta_bits;
   }
 
-  if (legitimacy_) {
-    // The predicate is pure in the configuration: re-evaluate only when
-    // something could have changed it (a fired action, or an event — the
-    // latter clears legit_valid_ via mark_disruption/reattach).
-    if (!legit_valid_ || info.fired > 0) {
-      legit_cached_ = legitimacy_(*graph_, engine_->config());
-      legit_valid_ = true;
-    }
-    if (legit_cached_) ++stats_.legitimate_steps;
-  }
+  if (legitimacy_ && legitimate_after_step(info)) ++stats_.legitimate_steps;
 
   if (info.comm_changed) {
     quiet_streak_ = 0;
@@ -550,6 +562,37 @@ bool ChurnRunner<EngineT>::step_once() {
     }
   }
   return true;
+}
+
+template <typename EngineT>
+bool ChurnRunner<EngineT>::legitimate_after_step(const Engine::StepInfo& info) {
+  if constexpr (kTracksLocally<EngineT>) {
+    if (local_legitimacy_ != nullptr) {
+      // Events already re-checked their victims; a step that fired wrote
+      // only processes of its selection.
+      const bool was_legitimate = legit_valid_ && legit_cached_;
+      if (!tracker_) {
+        tracker_.emplace(*graph_, *local_legitimacy_, engine_->config());
+      } else if (info.fired > 0) {
+        tracker_->recheck(engine_->config(), engine_->last_selection());
+      }
+      legit_cached_ = tracker_->legitimate();
+      legit_valid_ = true;
+      SSS_ASSERT(!legit_cached_ || was_legitimate ||
+                     legitimacy_(*graph_, engine_->config()),
+                 "churn legitimacy tracker reported a configuration the "
+                 "full predicate rejects");
+      return legit_cached_;
+    }
+  }
+  // The predicate is pure in the configuration: re-evaluate only when
+  // something could have changed it (a fired action, or an event — the
+  // latter clears legit_valid_ via mark_disruption).
+  if (!legit_valid_ || info.fired > 0) {
+    legit_cached_ = legitimacy_(*graph_, engine_->config());
+    legit_valid_ = true;
+  }
+  return legit_cached_;
 }
 
 template class ChurnRunner<Engine>;

@@ -11,7 +11,8 @@
 /// availability-style service metrics in `ChurnStats`:
 ///
 ///  * fraction of window steps the configuration satisfies the bound
-///    legitimacy predicate (availability);
+///    legitimacy predicate (availability), followed incrementally through
+///    the problem's local form when one is bound (see below);
 ///  * recovery-time samples — rounds from each disruption to the next
 ///    re-certified silence (exact quiescence check), summarized as
 ///    p50/p90/p99 by `summarize_churn`;
@@ -44,15 +45,33 @@
 /// scheme) survive every event. The daemon and its fairness history
 /// restart with the new engine; documented, deterministic, and identical
 /// on both engines.
+///
+/// Availability tracking: the predicate is pure in the configuration, so
+/// it is re-evaluated only after a step that fired or an event. Given the
+/// problem's LocalLegitimacy as well, `ChurnRunner<Engine>` instead keeps
+/// a LegitimacyTracker (runtime/legitimacy.hpp) for the window, so a step
+/// costs the local re-checks around whatever actually changed rather than
+/// one O(n + m) predicate call: a fired step re-checks around the
+/// engine's `last_selection()`, a corruption or reset around its victims,
+/// and a topology re-attach builds a new tracker on the new graph (the old
+/// one references the graph the re-attach destroys). The stabilize phase
+/// hands the form to Engine::run (engine invariant 8). Every
+/// not-legitimate -> legitimate flip of the tracker is re-confirmed by the
+/// full predicate under SSS_ASSERT, a few calls per disruption. Both paths
+/// count the same legitimate steps; `ChurnRunner<ReferenceEngine>` ignores
+/// the form and keeps the full per-step check, which makes it the oracle of
+/// the registry-wide lockstep suite in tests/test_churn.cpp.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/legitimacy.hpp"
 
 namespace sss {
 
@@ -143,6 +162,8 @@ struct ChurnStats {
   /// Whether the uncounted phase-0 stabilization certified silence.
   bool initial_silent = false;
 
+  bool operator==(const ChurnStats&) const = default;
+
   /// legitimate_steps / window_steps (0 when the window is empty).
   double availability() const;
   std::uint64_t topology_events() const {
@@ -184,15 +205,20 @@ class ChurnRunner {
  public:
   /// Owning mode: the runner owns the (initial) graph and rebuilds
   /// graph/protocol/engine on topology events via `factory`.
+  /// `local_legitimacy` (not owned, must outlive the runner) is the local
+  /// form of `legitimacy`, which it requires; see "Availability tracking"
+  /// in the file comment.
   ChurnRunner(Graph initial, ProtocolFactory factory, std::string daemon_name,
               std::uint64_t engine_seed, ChurnOptions options,
-              LegitimacyPredicate legitimacy = {});
+              LegitimacyPredicate legitimacy = {},
+              const LocalLegitimacy* local_legitimacy = nullptr);
 
   /// Borrowed mode: runs on the caller's graph/protocol (which must
   /// outlive the runner); topology_weight must be 0.
   ChurnRunner(const Graph& g, const Protocol& protocol,
               std::string daemon_name, std::uint64_t engine_seed,
-              ChurnOptions options, LegitimacyPredicate legitimacy = {});
+              ChurnOptions options, LegitimacyPredicate legitimacy = {},
+              const LocalLegitimacy* local_legitimacy = nullptr);
 
   /// Phase 0: runs to silence (uncounted); records initial_silent.
   RunStats stabilize();
@@ -222,7 +248,13 @@ class ChurnRunner {
   /// (no-ops on engine types without those knobs).
   void configure_engine();
   void inject_event();
-  void corrupt(int victim_count);
+  /// Redraws every variable of `victims` and re-checks the tracker (if
+  /// built) around them.
+  void corrupt(const std::vector<ProcessId>& victims);
+  /// Whether the post-step configuration is legitimate: the tracker (built
+  /// on first use and after every re-attach), re-checked around the step's
+  /// selection when it fired, or the predicate when no form is tracked.
+  bool legitimate_after_step(const Engine::StepInfo& info);
   /// Attempts one topology mutation of `subkind` on the current edge
   /// list; returns false when preconditions fail (event skipped).
   bool mutate_topology(int subkind);
@@ -243,7 +275,11 @@ class ChurnRunner {
   std::uint64_t engine_seed_ = 0;
   ChurnOptions options_;
   LegitimacyPredicate legitimacy_;
+  /// Null unless a form was given and EngineT is Engine.
+  const LocalLegitimacy* local_legitimacy_ = nullptr;
   std::unique_ptr<EngineT> engine_;
+  /// Declared after the graph it references, so it is destroyed first.
+  std::optional<LegitimacyTracker> tracker_;
   Rng churn_rng_;
   ChurnStats stats_;
 

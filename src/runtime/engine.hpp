@@ -135,20 +135,25 @@
 ///     thread-safe), and frozen-process exclusion pins the one-range
 ///     scalar refresh.
 ///
-///  8. Legitimacy tracker (`run` only, while the first legitimate
-///     configuration is pending). When RunOptions::local_legitimacy is
+///  8. Legitimacy tracker (`run`, while the first legitimate
+///     configuration is pending; the churn window of runtime/churn.hpp
+///     keeps one the same way). When RunOptions::local_legitimacy is
 ///     set, a per-run LegitimacyTracker (runtime/legitimacy.hpp) counts
 ///     local violations: processes failing ok_at (or, for a cover form,
 ///     edges with both ends uncovered). Invariant after every step: the
-///     count equals that number in the current configuration. Every process that fired is in the step's
-///     selection, and ok_at reads nothing beyond its radius r, so
-///     re-checking the radius-r ball around the selection (each process
-///     once, by generation stamp) keeps the count exact; this covers
-///     internal-variable writes such as matching's cur too, and the
-///     parallel and bulk paths need nothing extra because the selection
-///     is the same on every path. The count reaching zero (with
-///     constants_ok) marks first legitimacy; that one moment is
-///     re-confirmed by the full `legitimacy` function under SSS_ASSERT,
+///     count equals that number in the current configuration. Every
+///     process that fired is in the step's selection, and ok_at reads
+///     nothing beyond its radius r, so the tracker re-checks the radius-r
+///     ball around the selected processes whose read-visible row (comm
+///     prefix, or full row when the form reads_internal(), as matching's
+///     cur) differs from its mirror (each process once, by generation
+///     stamp). That keeps the count exact, and a step that only rotates
+///     an internal pointer re-checks nothing. The parallel and bulk paths
+///     need nothing extra because the selection is the same on every
+///     path, and step() pays nothing for it: the tracker reads the
+///     selection after the step (`last_selection`). The count reaching
+///     zero (with constants_ok) marks first legitimacy; that one moment
+///     is re-confirmed by the full `legitimacy` function under SSS_ASSERT,
 ///     as certified silence re-confirms the quiescence cache. Fallback:
 ///     without a local form (an opaque caller-supplied predicate) run
 ///     evaluates `legitimacy` after every step, as the original engine
@@ -158,6 +163,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -278,6 +284,11 @@ class Engine {
   /// Runs until silence (if stop_on_silence) or max_steps. Accumulates into
   /// the engine's lifetime counters and returns the stats of this run.
   RunStats run(const RunOptions& options);
+
+  /// The processes the last step() selected, ascending (empty before the
+  /// first step). Every write of that step landed in one of them. Valid
+  /// until the next step().
+  std::span<const ProcessId> last_selection() const { return selection_; }
 
   std::uint64_t steps() const { return steps_; }
   /// Completed rounds so far.

@@ -27,6 +27,13 @@ LegitimacyTracker::LegitimacyTracker(const Graph& g,
               "(at least 1 for a cover form)");
   if (!constants_ok_) return;
   const int n = g.num_vertices();
+  width_ = form.reads_internal() ? config.stride() : config.num_comm();
+  const auto width = static_cast<std::size_t>(width_);
+  mirror_.resize(static_cast<std::size_t>(n) * width);
+  for (ProcessId p = 0; p < n; ++p) {
+    std::copy_n(config.row(p), width,
+                mirror_.data() + static_cast<std::size_t>(p) * width);
+  }
   flag_.assign(static_cast<std::size_t>(n), 0);
   stamp_.assign(static_cast<std::size_t>(n), 0);
   for (ProcessId p = 0; p < n; ++p) {
@@ -46,15 +53,27 @@ LegitimacyTracker::LegitimacyTracker(const Graph& g,
   }
 }
 
-void LegitimacyTracker::collect_ball(std::span<const ProcessId> touched,
-                                     int radius) {
+void LegitimacyTracker::collect_changed(const Configuration& config,
+                                        std::span<const ProcessId> touched) {
+  seeds_.clear();
+  const auto width = static_cast<std::size_t>(width_);
+  for (const ProcessId p : touched) {
+    const Value* row = config.row(p);
+    Value* seen = mirror_.data() + static_cast<std::size_t>(p) * width;
+    if (std::equal(row, row + width, seen)) continue;
+    std::copy(row, row + width, seen);
+    seeds_.push_back(p);
+  }
+}
+
+void LegitimacyTracker::collect_ball(int radius) {
   if (++generation_ == 0) {
     // Wrapped: no stale stamp may equal a reissued generation.
     std::fill(stamp_.begin(), stamp_.end(), 0);
     generation_ = 1;
   }
   ball_.clear();
-  for (const ProcessId p : touched) {
+  for (const ProcessId p : seeds_) {
     if (stamp_[static_cast<std::size_t>(p)] != generation_) {
       stamp_[static_cast<std::size_t>(p)] = generation_;
       ball_.push_back(p);
@@ -86,10 +105,13 @@ std::int64_t LegitimacyTracker::uncovered_neighbours(ProcessId p) const {
 void LegitimacyTracker::recheck(const Configuration& config,
                                 std::span<const ProcessId> touched) {
   if (!constants_ok_) return;
+  collect_changed(config, touched);
+  if (seeds_.empty()) return;
   if (cover_ == nullptr) {
     // ok_at(p) reads within radius() hops, so only the ball around the
-    // written processes can have changed its answer.
-    collect_ball(touched, form_.radius());
+    // processes whose read-visible rows changed can have changed its
+    // answer.
+    collect_ball(form_.radius());
     for (const ProcessId p : ball_) {
       const std::uint8_t bad = !form_.ok_at(graph_, config, p);
       violations_ += static_cast<int>(bad) -
@@ -101,7 +123,7 @@ void LegitimacyTracker::recheck(const Configuration& config,
   // Cover form: covered_at reads within radius() - 1 hops. Flipping one
   // flag changes the status of exactly the edges to uncovered neighbours;
   // applying flips one at a time keeps the edge count exact.
-  collect_ball(touched, form_.radius() - 1);
+  collect_ball(form_.radius() - 1);
   for (const ProcessId p : ball_) {
     const std::uint8_t covered = cover_->covered_at(graph_, config, p);
     std::uint8_t& cached = flag_[static_cast<std::size_t>(p)];

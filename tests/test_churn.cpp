@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/problem_registry.hpp"
@@ -24,6 +25,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/reference_engine.hpp"
+#include "support/require.hpp"
 #include "test_util.hpp"
 
 namespace sss {
@@ -149,59 +151,63 @@ TEST(ChurnEngineLockstep, SetConfigMidRunMatchesReference) {
   }
 }
 
-/// Runs the full churn driver on both engine types in lockstep and asserts
-/// the trajectories and statistics never diverge.
+/// Runs the full churn driver on both engine types in lockstep. Returns
+/// the first divergence — configuration, topology, rounds, reads, bits or
+/// the running legitimate-step count after any step, or the final
+/// statistics — or a failed invariant (e.g. the tracker's full-predicate
+/// confirmation); empty when the runners agree throughout. `fast_stats`
+/// receives the Engine runner's final statistics.
 template <typename MakeRunner>
-void expect_runner_lockstep(MakeRunner&& make, bool expect_topology) {
+std::string runner_divergence(MakeRunner&& make, ChurnStats& fast_stats) try {
   auto fast = make(static_cast<Engine*>(nullptr));
   auto oracle = make(static_cast<ReferenceEngine*>(nullptr));
 
   const RunStats sa = fast->stabilize();
   const RunStats sb = oracle->stabilize();
-  ASSERT_EQ(sa.silent, sb.silent);
-  ASSERT_EQ(sa.steps, sb.steps);
-  ASSERT_EQ(sa.rounds, sb.rounds);
-  ASSERT_TRUE(fast->config() == oracle->config());
+  if (sa.silent != sb.silent || sa.steps != sb.steps ||
+      sa.rounds != sb.rounds || sa.reached_legitimate != sb.reached_legitimate ||
+      sa.steps_to_legitimate != sb.steps_to_legitimate ||
+      !(fast->config() == oracle->config())) {
+    return "stabilization diverged";
+  }
 
   std::uint64_t step = 0;
+  const auto at = [&step](const char* what) {
+    return std::string(what) + " diverged at window step " +
+           std::to_string(step);
+  };
   while (true) {
     const bool more_a = fast->step_once();
     const bool more_b = oracle->step_once();
-    ASSERT_EQ(more_a, more_b) << "window length diverged at step " << step;
+    if (more_a != more_b) return at("window length");
     if (!more_a) break;
-    ASSERT_EQ(fast->graph().num_vertices(), oracle->graph().num_vertices())
-        << "topology diverged at step " << step;
-    ASSERT_EQ(fast->graph().edges(), oracle->graph().edges())
-        << "topology diverged at step " << step;
-    ASSERT_TRUE(fast->config() == oracle->config())
-        << "configuration diverged at step " << step;
-    ASSERT_EQ(fast->total_rounds(), oracle->total_rounds())
-        << "rounds diverged at step " << step;
-    ASSERT_EQ(fast->total_reads(), oracle->total_reads())
-        << "reads diverged at step " << step;
-    ASSERT_EQ(fast->total_bits(), oracle->total_bits())
-        << "bits diverged at step " << step;
+    if (fast->graph().num_vertices() != oracle->graph().num_vertices() ||
+        fast->graph().edges() != oracle->graph().edges()) {
+      return at("topology");
+    }
+    if (!(fast->config() == oracle->config())) return at("configuration");
+    if (fast->total_rounds() != oracle->total_rounds()) return at("rounds");
+    if (fast->total_reads() != oracle->total_reads()) return at("reads");
+    if (fast->total_bits() != oracle->total_bits()) return at("bits");
+    if (fast->stats().legitimate_steps != oracle->stats().legitimate_steps) {
+      return at("availability");
+    }
     ++step;
   }
 
-  const ChurnStats& a = fast->stats();
-  const ChurnStats& b = oracle->stats();
-  EXPECT_EQ(a.window_steps, b.window_steps);
-  EXPECT_EQ(a.legitimate_steps, b.legitimate_steps);
-  EXPECT_EQ(a.disruptions, b.disruptions);
-  EXPECT_EQ(a.corruptions, b.corruptions);
-  EXPECT_EQ(a.node_resets, b.node_resets);
-  EXPECT_EQ(a.edge_adds, b.edge_adds);
-  EXPECT_EQ(a.edge_removes, b.edge_removes);
-  EXPECT_EQ(a.node_joins, b.node_joins);
-  EXPECT_EQ(a.node_leaves, b.node_leaves);
-  EXPECT_EQ(a.skipped_events, b.skipped_events);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.recovery_rounds, b.recovery_rounds);
-  EXPECT_EQ(a.recovery_step_counts, b.recovery_step_counts);
-  EXPECT_EQ(a.recovery_reads, b.recovery_reads);
-  EXPECT_EQ(a.idle_reads, b.idle_reads);
-  EXPECT_EQ(a.initial_silent, b.initial_silent);
+  if (!(fast->stats() == oracle->stats())) return "final statistics differ";
+  fast_stats = fast->stats();
+  return {};
+} catch (const InvariantError& error) {
+  return std::string("invariant failed: ") + error.what();
+}
+
+/// Asserts the lockstep agrees and the trajectory was disrupted enough to
+/// prove anything.
+template <typename MakeRunner>
+void expect_runner_lockstep(MakeRunner&& make, bool expect_topology) {
+  ChurnStats a;
+  ASSERT_EQ(runner_divergence(make, a), "");
   EXPECT_GT(a.disruptions, 0u);
   if (expect_topology) {
     EXPECT_GE(a.topology_events(), 3u)
@@ -251,6 +257,132 @@ TEST(ChurnRunnerLockstep, TopologyChurnTrajectoriesMatch) {
     };
     expect_runner_lockstep(make, /*expect_topology=*/true);
   }
+}
+
+/// The two churn schedules of the registry-wide lockstep: a Bernoulli
+/// corruption/reset mix, and a period with topology churn.
+ChurnOptions lockstep_schedule(bool topology) {
+  ChurnOptions options;
+  if (topology) {
+    options.period = 25;
+    options.window_steps = 500;
+    options.seed = 0x70d0ULL;
+    options.corruption_weight = 1;
+    options.topology_weight = 3;
+  } else {
+    options.event_probability = 0.05;
+    options.window_steps = 400;
+    options.seed = 0xabcdULL;
+    options.max_victims = 3;
+    options.corruption_weight = 2;
+    options.node_reset_weight = 1;
+  }
+  return options;
+}
+
+/// ChurnRunner<Engine> bound to `problem`'s local form against
+/// ChurnRunner<ReferenceEngine> on its full predicate alone, for one
+/// selection, daemon and schedule. Owning mode (with a registry factory)
+/// under topology churn, borrowed mode otherwise.
+std::string local_form_divergence(const ProtocolSelection& selection,
+                                  const Problem& problem,
+                                  const std::string& daemon, bool topology,
+                                  std::uint64_t engine_seed,
+                                  ChurnStats& fast_stats) {
+  const Graph g = grid(3, 3);
+  const std::unique_ptr<Protocol> protocol =
+      ProtocolRegistry::instance().make(selection, g);
+  const ProtocolFactory factory = [selection](const Graph& h) {
+    return ProtocolRegistry::instance().make(selection, h);
+  };
+  const ChurnOptions options = lockstep_schedule(topology);
+  auto make = [&](auto* tag) {
+    using EngineT = std::remove_pointer_t<decltype(tag)>;
+    const LocalLegitimacy* form =
+        std::is_same_v<EngineT, Engine> ? problem.local_form() : nullptr;
+    if (topology) {
+      return std::make_unique<ChurnRunner<EngineT>>(
+          g, factory, daemon, engine_seed, options, problem.predicate(),
+          form);
+    }
+    return std::make_unique<ChurnRunner<EngineT>>(
+        g, *protocol, daemon, engine_seed, options, problem.predicate(), form);
+  };
+  return runner_divergence(make, fast_stats);
+}
+
+TEST(ChurnRunnerLockstep, LocalFormMatchesFullPredicateAcrossRegistry) {
+  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  int compared = 0;
+  std::uint64_t topology_events = 0;
+  for (const std::string& name : registry.protocol_names()) {
+    for (const ProtocolSelection& selection :
+         {ProtocolSelection::base(name),
+          ProtocolSelection::wrap("generic-efficiency",
+                                  ProtocolSelection::base(name))}) {
+      const ProtocolRegistry::ComposedInfo info = registry.resolve(selection);
+      ASSERT_FALSE(info.problem.empty()) << info.label;
+      const std::unique_ptr<Problem> problem =
+          ProblemRegistry::instance().make(info.problem);
+      ASSERT_NE(problem->local_form(), nullptr) << info.label;
+      for (const std::string daemon : {"central-rr", "distributed"}) {
+        if (!info.daemons.empty() &&
+            std::find(info.daemons.begin(), info.daemons.end(), daemon) ==
+                info.daemons.end()) {
+          continue;
+        }
+        for (const bool topology : {false, true}) {
+          ChurnStats stats;
+          ASSERT_EQ(local_form_divergence(selection, *problem, daemon,
+                                          topology, 4242, stats),
+                    "")
+              << info.label << " under " << daemon
+              << (topology ? " with topology churn" : " with corruption");
+          EXPECT_GT(stats.disruptions, 0u) << info.label << " " << daemon;
+          topology_events += stats.topology_events();
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 4 * static_cast<int>(registry.protocol_names().size()));
+  EXPECT_GT(topology_events, 0u);
+}
+
+TEST(ChurnRunnerLockstep, CurBlindFormIsCaughtByTheLockstep) {
+  // The planted form ignores cur-only writes, so either its count goes
+  // stale (availability diverges from the oracle) or a stale zero fails
+  // the full-predicate confirmation. Every combination must catch it, and
+  // the same form declared honestly must pass.
+  const testing::CurReadingColoring blind(/*declares_internal=*/false);
+  const testing::CurReadingColoring honest(/*declares_internal=*/true);
+  for (const std::string daemon : {"central-rr", "distributed"}) {
+    for (const bool topology : {false, true}) {
+      const std::string where =
+          daemon + (topology ? " with topology churn" : " with corruption");
+      ChurnStats stats;
+      EXPECT_NE(local_form_divergence(ProtocolSelection::base("coloring"),
+                                      blind, daemon, topology, 4242, stats),
+                "")
+          << where;
+      EXPECT_EQ(local_form_divergence(ProtocolSelection::base("coloring"),
+                                      honest, daemon, topology, 4242, stats),
+                "")
+          << where;
+    }
+  }
+}
+
+TEST(ChurnRunner, LocalFormNeedsItsPredicate) {
+  const Graph g = path(4);
+  const auto protocol = make_registry_protocol("coloring", g);
+  const auto problem = ProblemRegistry::instance().make("vertex-coloring");
+  ChurnOptions options;
+  options.event_probability = 0.1;
+  EXPECT_ANY_THROW(({
+    ChurnRunner<Engine> runner(g, *protocol, "central-rr", 1, options, {},
+                               problem->local_form());
+  }));
 }
 
 TEST(ChurnRunner, SeedReproducible) {

@@ -6,14 +6,18 @@
 ///    menagerie, constants_ok and every ok_at must agree with holds on
 ///    uniformly random configurations, along real trajectories, and on
 ///    one-process corruptions of silent configurations, and ok_at (and a
-///    cover form's covered_at) must not read beyond its declared radius;
+///    cover form's covered_at) must not read beyond its declared radius,
+///    nor read internal variables unless the form declares reads_internal;
 ///  * Engine (tracking the local form) vs ReferenceEngine (calling the
 ///    opaque predicate after every step) — identical RunStats over
 ///    registry x daemons x seeds, serial, at 3 engine workers, and under
 ///    SweepMode::kForceBulk;
 ///  * planted faults — a form whose declared radius is too small is caught
-///    by the radius audit and by the engine comparison, and every
-///    registered problem provides a local form.
+///    by the radius audit and by the engine comparison, a form that reads
+///    cur but declares comm-only by the read-set audit, and every
+///    registered problem provides a local form;
+///  * the tracker's mirror filter — a touched process whose read-visible
+///    row did not change seeds no re-check.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +38,7 @@
 #include "runtime/fault.hpp"
 #include "runtime/reference_engine.hpp"
 #include "support/require.hpp"
+#include "test_util.hpp"
 
 namespace sss {
 namespace {
@@ -110,6 +115,48 @@ std::string radius_violation(const LocalLegitimacy& form, const Graph& g,
   return {};
 }
 
+/// Read-set audit: when the form declares itself comm-only, redraws every
+/// internal variable of every process and reports the first p whose ok_at
+/// (or, for a cover form, covered_at) changed. Empty = none.
+std::string internal_read_violation(const LocalLegitimacy& form,
+                                    const Graph& g, const ProtocolSpec& spec,
+                                    const Configuration& config, Rng& rng) {
+  if (form.reads_internal()) return {};
+  const auto* cover = dynamic_cast<const CoverLegitimacy*>(&form);
+  for (int draw = 0; draw < 4; ++draw) {
+    Configuration redrawn = config;
+    for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+      for (int v = 0; v < spec.num_internal(); ++v) {
+        const VarSpec& var = spec.internal[static_cast<std::size_t>(v)];
+        if (var.is_constant()) continue;
+        const VarDomain d = var.domain(g, p);
+        redrawn.set_internal(
+            p, v,
+            d.lo + static_cast<Value>(
+                       rng.below(static_cast<std::uint64_t>(d.size()))));
+      }
+    }
+    for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+      if (form.ok_at(g, config, p) != form.ok_at(g, redrawn, p) ||
+          (cover != nullptr && cover->covered_at(g, config, p) !=
+                                   cover->covered_at(g, redrawn, p))) {
+        return "the local form at " + std::to_string(p) +
+               " reads internal variables but declares comm-only";
+      }
+    }
+  }
+  return {};
+}
+
+/// Both read audits of the local form on one configuration.
+std::string read_violation(const LocalLegitimacy& form, const Graph& g,
+                           const ProtocolSpec& spec,
+                           const Configuration& config, Rng& rng) {
+  const std::string radius = radius_violation(form, g, spec, config, rng);
+  return radius.empty() ? internal_read_violation(form, g, spec, config, rng)
+                        : radius;
+}
+
 /// Checks the local form against holds on one configuration; returns a
 /// description of the first disagreement, or empty.
 std::string audit(const Problem& problem, const Graph& g,
@@ -166,10 +213,10 @@ TEST(LocalLegitimacy, MatchesHoldsAcrossRegistryAndMenagerie) {
       for (int draw = 0; draw < 8; ++draw) {
         engine.randomize_state();
         if (!check(engine.config(), "random")) return;
-        const std::string radius = radius_violation(
+        const std::string reads = read_violation(
             *problem->local_form(), g, protocol->spec(), engine.config(),
             audit_rng);
-        ASSERT_TRUE(radius.empty()) << where << ": " << radius;
+        ASSERT_TRUE(reads.empty()) << where << ": " << reads;
       }
 
       // A real trajectory to silence, audited at every step.
@@ -182,10 +229,10 @@ TEST(LocalLegitimacy, MatchesHoldsAcrossRegistryAndMenagerie) {
       to_silence.max_steps = 400'000;
       ASSERT_TRUE(engine.run(to_silence).silent) << where;
       if (!check(engine.config(), "silent")) return;
-      const std::string radius = radius_violation(
+      const std::string reads = read_violation(
           *problem->local_form(), g, protocol->spec(), engine.config(),
           audit_rng);
-      ASSERT_TRUE(radius.empty()) << where << ": " << radius;
+      ASSERT_TRUE(reads.empty()) << where << ": " << reads;
 
       // Near-legitimate configurations: one corrupted process each.
       const Configuration silent = engine.config();
@@ -406,6 +453,79 @@ TEST(LegitimacyTracking, TooSmallRadiusIsCaughtByTheEngine) {
                   : 1;
   }
   EXPECT_GT(caught, 0);
+}
+
+TEST(LegitimacyTracking, CurBlindFormIsCaughtByTheReadAudit) {
+  const Graph g = grid(3, 3);
+  const ColoringProtocol protocol(g);
+  Engine engine(g, protocol, make_daemon("central-rr"), 3);
+  Rng rng(5);
+  bool caught = false;
+  for (int draw = 0; draw < 4 && !caught; ++draw) {
+    engine.randomize_state();
+    caught = !internal_read_violation(
+                  testing::CurReadingColoring(/*declares_internal=*/false), g,
+                  protocol.spec(), engine.config(), rng)
+                  .empty();
+  }
+  EXPECT_TRUE(caught);
+}
+
+// --- Mirror filter ----------------------------------------------------------
+
+/// The coloring form, counting its ok_at evaluations.
+class CountingColoring final : public LocalLegitimacy {
+ public:
+  int radius() const override { return inner_.radius(); }
+  bool ok_at(const Graph& g, const Configuration& config,
+             ProcessId p) const override {
+    ++calls;
+    return inner_.ok_at(g, config, p);
+  }
+  bool constants_ok(const Graph& g,
+                    const Configuration& config) const override {
+    return inner_.constants_ok(g, config);
+  }
+  mutable int calls = 0;
+
+ private:
+  ColoringProblem inner_;
+};
+
+TEST(LegitimacyTracking, PointerRotationSeedsNoRecheck) {
+  // At silence COLORING keeps rotating cur: every step fires and writes
+  // its selected processes, but no color changes, so a comm-only form's
+  // tracker re-checks nothing.
+  const Graph g = grid(3, 3);
+  const ColoringProtocol protocol(g);
+  Engine engine(g, protocol, make_daemon("central-rr"), 7);
+  engine.randomize_state();
+  ASSERT_TRUE(engine.run(RunOptions{}).silent);
+  const CountingColoring form;
+  LegitimacyTracker tracker(g, form, engine.config());
+  ASSERT_TRUE(tracker.legitimate());
+  const int build_calls = form.calls;
+  EXPECT_EQ(build_calls, g.num_vertices());
+  for (int s = 0; s < 3 * g.num_vertices(); ++s) {
+    const Configuration before = engine.config();
+    const Engine::StepInfo info = engine.step();
+    ASSERT_GT(info.fired, 0);
+    ASSERT_FALSE(info.comm_changed);
+    ASSERT_FALSE(engine.config() == before) << "step " << s;
+    tracker.recheck(engine.config(), engine.last_selection());
+  }
+  EXPECT_EQ(form.calls, build_calls);
+  EXPECT_TRUE(tracker.legitimate());
+
+  // A color change at p does seed: p and its neighbours are re-checked.
+  Configuration clash = engine.config();
+  const ProcessId p = 4;
+  clash.set_comm(p, ColoringProtocol::kColorVar,
+                 clash.comm(g.neighbor(p, 1), ColoringProtocol::kColorVar));
+  const std::vector<ProcessId> touched = {p};
+  tracker.recheck(clash, touched);
+  EXPECT_EQ(form.calls, build_calls + 1 + g.degree(p));
+  EXPECT_FALSE(tracker.legitimate());
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 #pragma once
 /// \file test_util.hpp
 /// Shared fixtures: toy protocols for exercising the runtime in isolation,
-/// and the standard graph menagerie used by the property sweeps.
+/// a planted faulty legitimacy form, and the standard graph menagerie used
+/// by the property sweeps.
 
 #include <cctype>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/coloring_protocol.hpp"
+#include "core/problems.hpp"
 #include "graph/builders.hpp"
 #include "graph/coloring.hpp"
 #include "runtime/protocol.hpp"
@@ -111,6 +114,42 @@ inline std::vector<NamedGraph> sweep_graphs() {
   graphs.push_back({"rtree11", random_tree(11, rng)});
   return graphs;
 }
+
+/// Vertex coloring with process 0's pointer off channel 1: a predicate
+/// whose local form reads the internal pointer cur. Constructed with
+/// `declares_internal` false it is the planted fault: the form claims to
+/// be comm-only, and since COLORING rotates cur on every activation,
+/// silent or not, a tracker that trusts the claim misses those writes and
+/// its count goes stale. The read-set audit and the churn lockstep must
+/// both catch it, and the lockstep must pass the honest declaration.
+class CurReadingColoring final : public Problem, public LocalLegitimacy {
+ public:
+  explicit CurReadingColoring(bool declares_internal)
+      : declares_internal_(declares_internal) {}
+  const std::string& name() const override { return name_; }
+  bool holds(const Graph& g, const Configuration& config) const override {
+    return inner_.holds(g, config) && pointer_ok(config, 0);
+  }
+  const LocalLegitimacy* local_form() const override { return this; }
+  int radius() const override { return 1; }
+  bool reads_internal() const override { return declares_internal_; }
+  bool ok_at(const Graph& g, const Configuration& config,
+             ProcessId p) const override {
+    return inner_.ok_at(g, config, p) && pointer_ok(config, p);
+  }
+  bool constants_ok(const Graph&, const Configuration&) const override {
+    return true;
+  }
+
+ private:
+  static bool pointer_ok(const Configuration& config, ProcessId p) {
+    return p != 0 || config.internal_var(0, ColoringProtocol::kCurVar) != 1;
+  }
+
+  std::string name_ = "cur-reading-coloring";
+  bool declares_internal_;
+  ColoringProblem inner_;
+};
 
 /// Tiny instances for the exhaustive model checker.
 inline std::vector<NamedGraph> tiny_graphs() {
