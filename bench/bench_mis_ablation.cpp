@@ -36,7 +36,10 @@ int main() {
       options.seeds_per_daemon = 5;
       options.run.max_steps = 6'000'000;
       const SweepSummary s =
-          sweep_convergence(g, protocol, &problem, options);
+          run_batch({make_batch_item(g.name(), g, protocol, &problem,
+                                     options)},
+                    BatchOptions{})
+              .summaries.front();
       const std::int64_t bound =
           mis_round_bound(g.max_degree(), protocol.num_colors());
       table.row()

@@ -3,10 +3,10 @@
 /// Sharded multi-graph batch runner: one process, one thread pool, a whole
 /// experiment plan (many graphs x daemons x seeds).
 ///
-/// `sweep_convergence` runs one (graph, protocol) pair; every bench that
-/// sweeps a menagerie used to call it once per graph, so each call paid
-/// its own thread-pool spin-up and a slow graph serialized everything
-/// behind it. `run_batch` takes the whole plan instead:
+/// `run_batch` is the one trial runner: a single (graph, protocol) sweep
+/// is the one-item plan (`make_batch_item`), and a menagerie is one plan
+/// rather than a loop of sweeps, so the plan pays one thread-pool spin-up
+/// and a slow graph cannot serialize everything behind it:
 ///
 ///  * every item is a (graph, protocol[, problem]) triple plus the sweep
 ///    shape to run on it — the graph/protocol immutables are shared by
@@ -88,7 +88,8 @@ struct BatchItem {
   ProtocolFactory protocol_factory;
 };
 
-/// Converts a `sweep_convergence` call into the equivalent batch item.
+/// The batch item that sweeps `protocol` on `g` with `options`' daemons,
+/// seeds and run options.
 BatchItem make_batch_item(std::string label, const Graph& g,
                           const Protocol& protocol, const Problem* problem,
                           const SweepOptions& options);

@@ -1,8 +1,5 @@
 #include "analysis/experiment.hpp"
 
-#include "analysis/batch.hpp"
-#include "support/require.hpp"
-
 namespace sss {
 
 const std::vector<std::string>& default_sweep_daemons() {
@@ -10,24 +7,6 @@ const std::vector<std::string>& default_sweep_daemons() {
                                                     "central-rr",
                                                     "synchronous"};
   return kDaemons;
-}
-
-SweepSummary sweep_convergence(const Graph& g, const Protocol& protocol,
-                               const Problem* problem,
-                               const SweepOptions& options) {
-  SSS_REQUIRE(!options.daemons.empty() && options.seeds_per_daemon >= 1,
-              "sweep needs at least one daemon and one seed");
-  SSS_REQUIRE(options.threads >= 0, "thread count cannot be negative");
-
-  // A sweep is the one-item batch: same trial seeds (base_seed + 1 + index),
-  // same daemon-major order, same reduction — run_batch carries the
-  // determinism contract.
-  const std::vector<BatchItem> plan = {
-      make_batch_item(g.name(), g, protocol, problem, options)};
-  BatchOptions batch;
-  batch.threads = options.threads;
-  batch.shards = 1;
-  return run_batch(plan, batch).summaries.front();
 }
 
 }  // namespace sss

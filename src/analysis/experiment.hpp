@@ -1,22 +1,20 @@
 #pragma once
 /// \file experiment.hpp
-/// Seeded experiment sweeps shared by the bench harness: run a protocol on
-/// a graph across daemons x seeds, aggregate convergence and communication
-/// metrics. Everything is deterministic in (base_seed, daemons, seeds) —
-/// including under the thread-parallel runner: every (daemon, seed) trial
-/// owns a private Engine whose seed is derived from its trial index alone,
-/// and aggregation happens in trial-index order after all workers join, so
-/// the thread count can never leak into the results.
-///
-/// A sweep is the single-item case of the sharded multi-graph batch runner
-/// (analysis/batch.hpp), which `sweep_convergence` routes through; callers
-/// sweeping many graphs should build one batch plan instead of looping.
+/// The sweep shape shared by the bench harness: a protocol on a graph
+/// across daemons x seeds, and the convergence and communication metrics
+/// aggregated over those trials. The batch runner (analysis/batch.hpp)
+/// executes sweeps — `make_batch_item` turns SweepOptions into one plan
+/// item, and `run_batch` reduces each item into a SweepSummary.
+/// Everything is deterministic in (base_seed, daemons, seeds): every
+/// (daemon, seed) trial owns a private Engine whose seed is derived from
+/// its trial index alone, and aggregation happens in trial-index order
+/// after all workers join, so the thread count can never leak into the
+/// results.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/problems.hpp"
 #include "runtime/engine.hpp"
 #include "support/stats.hpp"
 
@@ -34,10 +32,6 @@ struct SweepOptions {
   int seeds_per_daemon = kDefaultSeedsPerDaemon;
   RunOptions run;
   std::uint64_t base_seed = kDefaultBaseSeed;
-  /// Worker threads for the trial runner: 0 = one per hardware thread,
-  /// 1 = run inline. Results are identical for every value (see file
-  /// comment).
-  int threads = 0;
   /// Forwarded to Engine::set_exclude_frozen for every trial (opt-in
   /// verified-self-loop exclusion; see engine.hpp).
   bool exclude_frozen = false;
@@ -61,12 +55,5 @@ struct SweepSummary {
   double mean_total_reads = 0.0;
   double mean_total_bits = 0.0;
 };
-
-/// Runs `protocol` on `g` from a fresh arbitrary configuration for every
-/// (daemon, seed) pair. If `problem` is non-null its predicate feeds the
-/// rounds-to-legitimate statistics.
-SweepSummary sweep_convergence(const Graph& g, const Protocol& protocol,
-                               const Problem* problem,
-                               const SweepOptions& options);
 
 }  // namespace sss

@@ -7,6 +7,11 @@
 /// and repoints PR.p at the first minimizing channel; every root pins
 /// itself at distance 0. Converges in O(n) rounds, but charges Delta
 /// distance reads per step where SPANNING-FOREST charges 2.
+///
+/// With one root this is the classic (Dolev-style) silent BFS spanning
+/// tree, the comparator for Protocol BFS-TREE's 2-efficient read pattern
+/// (arXiv:1509.03815): the registry's `full-read-bfs-tree` entry
+/// constructs it with `roots = {root}` under the name FULL-READ-BFS-TREE.
 
 #include <string>
 #include <vector>
@@ -23,7 +28,10 @@ class FullReadSpanningForest final : public RuleProtocol<FullReadSpanningForest>
   static constexpr int kParentVar = 1;  ///< comm: PR
   static constexpr int kRootVar = 2;    ///< comm constant: R
 
-  FullReadSpanningForest(const Graph& g, std::vector<ProcessId> roots);
+  /// `name` is the protocol's reported name (rows, labels and error text
+  /// key on it).
+  FullReadSpanningForest(const Graph& g, std::vector<ProcessId> roots,
+                         std::string name = "FULL-READ-SPANNING-FOREST");
 
   const std::string& name() const override { return name_; }
   const ProtocolSpec& spec() const override { return spec_; }
@@ -41,7 +49,7 @@ class FullReadSpanningForest final : public RuleProtocol<FullReadSpanningForest>
   template <class Ctx>
   SSS_RULE void act(int action, Ctx& ctx) const;
 
-  std::string name_ = "FULL-READ-SPANNING-FOREST";
+  std::string name_;
   std::vector<ProcessId> roots_;
   Value max_distance_;
   ProtocolSpec spec_;

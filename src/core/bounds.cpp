@@ -19,11 +19,6 @@ std::int64_t matching_round_bound(int n, int max_degree) {
   return (static_cast<std::int64_t>(max_degree) + 1) * n + 2;
 }
 
-std::int64_t bfs_tree_round_bound(int n, int max_degree) {
-  SSS_REQUIRE(n >= 2 && max_degree >= 1, "invalid parameters");
-  return (static_cast<std::int64_t>(max_degree) + 1) * n + 2;
-}
-
 std::int64_t spanning_forest_round_bound(int n, int max_degree) {
   SSS_REQUIRE(n >= 2 && max_degree >= 1, "invalid parameters");
   return (static_cast<std::int64_t>(max_degree) + 1) * n + 2;

@@ -21,23 +21,17 @@ std::int64_t mis_round_bound(int max_degree, int num_colors);
 /// (Delta + 1) * n + 2 rounds.
 std::int64_t matching_round_bound(int n, int max_degree);
 
-/// BFS-tree revision (arXiv:1509.03815), in the Lemma 9 style: the rooted
-/// 2-efficient BFS protocol reaches a silent configuration within
-/// (Delta + 1) * n + 2 rounds. The distance cap n-1 flushes fake parent
-/// chains within n rounds (their minimum claimed distance rises every
-/// round), and the round-robin cur pointer re-examines a full
-/// neighborhood every Delta rounds, so each of the at most n-1 true BFS
-/// layers settles within Delta rounds. Asserted across the
-/// daemon x menagerie grid in tests/test_bfs_tree_protocol.cpp.
-std::int64_t bfs_tree_round_bound(int n, int max_degree);
-
-/// Multi-root generalization (arXiv:1805.02401): Protocol SPANNING-FOREST
-/// reaches a silent configuration within (Delta + 1) * n + 2 rounds
-/// regardless of the number of roots. The BFS-TREE argument is
-/// root-count-agnostic — the distance cap flushes fake parent chains in n
-/// rounds and each true forest layer (w.r.t. the multi-source BFS) settles
-/// within Delta rounds of the previous one — and more roots only shrink
-/// the layer count. Asserted in tests/test_spanning_forest.cpp.
+/// Protocol SPANNING-FOREST (arXiv:1805.02401) reaches a silent
+/// configuration within (Delta + 1) * n + 2 rounds, in the Lemma 9 style,
+/// regardless of the number of roots; with one root it is the bound of
+/// Protocol BFS-TREE (arXiv:1509.03815). The distance cap n-1 flushes
+/// fake parent chains within n rounds (their minimum claimed distance
+/// rises every round), and the round-robin cur pointer re-examines a full
+/// neighborhood every Delta rounds, so each of the at most n-1 true
+/// layers of the multi-source BFS settles within Delta rounds of the
+/// previous one; more roots only shrink the layer count. Asserted across
+/// the daemon x menagerie grid in tests/test_spanning_forest.cpp and, for
+/// the `bfs-tree` registry entries, tests/test_bfs_tree_protocol.cpp.
 std::int64_t spanning_forest_round_bound(int n, int max_degree);
 
 /// Same treatment for communication-efficient LEADER-ELECTION

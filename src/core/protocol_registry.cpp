@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "baselines/full_read_bfs_tree.hpp"
 #include "baselines/full_read_coloring.hpp"
 #include "baselines/full_read_leader_election.hpp"
 #include "baselines/full_read_matching.hpp"
 #include "baselines/full_read_mis.hpp"
 #include "baselines/full_read_spanning_forest.hpp"
-#include "core/bfs_tree_protocol.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/leader_election_protocol.hpp"
 #include "core/matching_protocol.hpp"
@@ -172,14 +170,17 @@ ProtocolRegistry& ProtocolRegistry::instance() {
                 .problem = "bfs-spanning-tree",
                 .make = [](const Graph& g, const ParamMap& p)
                     -> std::unique_ptr<Protocol> {
-                  return std::make_unique<BfsTreeProtocol>(g, tree_root(g, p));
+                  return std::make_unique<SpanningForestProtocol>(
+                      g, std::vector<ProcessId>{tree_root(g, p)}, "BFS-TREE");
                 }});
     fresh->add({.name = "full-read-bfs-tree",
                 .params = kRootedParams,
                 .problem = "bfs-spanning-tree",
                 .make = [](const Graph& g, const ParamMap& p)
                     -> std::unique_ptr<Protocol> {
-                  return std::make_unique<FullReadBfsTree>(g, tree_root(g, p));
+                  return std::make_unique<FullReadSpanningForest>(
+                      g, std::vector<ProcessId>{tree_root(g, p)},
+                      "FULL-READ-BFS-TREE");
                 }});
     fresh->add({.name = "spanning-forest",
                 .params = kForestParams,

@@ -15,18 +15,20 @@ constexpr int kScan = 4;     // A5
 }  // namespace
 
 SpanningForestProtocol::SpanningForestProtocol(const Graph& g,
-                                               std::vector<ProcessId> roots)
-    : roots_(std::move(roots)),
+                                               std::vector<ProcessId> roots,
+                                               std::string name)
+    : name_(std::move(name)),
+      roots_(std::move(roots)),
       max_distance_(static_cast<Value>(g.num_vertices() - 1)) {
   SSS_REQUIRE(g.num_vertices() >= 2 && g.min_degree() >= 1,
-              "SPANNING-FOREST requires a connected network with n >= 2");
-  SSS_REQUIRE(!roots_.empty(), "SPANNING-FOREST needs at least one root");
+              name_ + " requires a connected network with n >= 2");
+  SSS_REQUIRE(!roots_.empty(), name_ + " needs at least one root");
   std::sort(roots_.begin(), roots_.end());
   for (std::size_t i = 0; i < roots_.size(); ++i) {
     SSS_REQUIRE(roots_[i] >= 0 && roots_[i] < g.num_vertices(),
-                "SPANNING-FOREST roots must be process ids in [0, n)");
+                name_ + " roots must be process ids in [0, n)");
     SSS_REQUIRE(i == 0 || roots_[i] != roots_[i - 1],
-                "SPANNING-FOREST roots must be distinct");
+                name_ + " roots must be distinct");
   }
   spec_.comm.emplace_back("D", VarDomain{0, max_distance_});
   spec_.comm.emplace_back("PR", domain_channel_or_none());

@@ -58,9 +58,9 @@ std::vector<int> multi_source_bfs_distances(const Graph& g,
 
 /// True iff `dist`/`parent` encode the BFS forest of `roots`: dist equals
 /// the multi-source BFS distance everywhere, roots have no parent, and
-/// every non-root parent channel points one level down. The predicate
-/// class reduces to this after pulling the layout out of the
-/// configuration.
+/// every non-root parent channel points one level down. The forest,
+/// BFS-tree and leader-election predicates reduce to this (the latter two
+/// with one root) after pulling their layouts out of the configuration.
 bool is_bfs_forest(const Graph& g, const std::vector<ProcessId>& roots,
                    const std::vector<Value>& dist,
                    const std::vector<Value>& parent);

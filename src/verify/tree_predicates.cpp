@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/bfs_tree_protocol.hpp"
 #include "core/leader_election_protocol.hpp"
+#include "core/spanning_forest_protocol.hpp"
 #include "graph/properties.hpp"
-#include "support/require.hpp"
+#include "verify/forest_predicates.hpp"
 
 namespace sss {
 
@@ -19,18 +19,19 @@ bool BfsTreeProblem::holds(const Graph& g, const Configuration& config) const {
   std::vector<Value> parent(static_cast<std::size_t>(g.num_vertices()));
   for (ProcessId p = 0; p < g.num_vertices(); ++p) {
     dist[static_cast<std::size_t>(p)] =
-        config.comm(p, BfsTreeProtocol::kDistVar);
+        config.comm(p, SpanningForestProtocol::kDistVar);
     parent[static_cast<std::size_t>(p)] =
-        config.comm(p, BfsTreeProtocol::kParentVar);
+        config.comm(p, SpanningForestProtocol::kParentVar);
   }
-  return is_bfs_tree(g, root, dist, parent);
+  return is_bfs_forest(g, {root}, dist, parent);
 }
 
 bool BfsTreeProblem::ok_at(const Graph& g, const Configuration& config,
                            ProcessId p) const {
   return bfs_ok_at(g, config, p,
-                   config.comm(p, BfsTreeProtocol::kRootVar) == 1,
-                   BfsTreeProtocol::kDistVar, BfsTreeProtocol::kParentVar);
+                   config.comm(p, SpanningForestProtocol::kRootVar) == 1,
+                   SpanningForestProtocol::kDistVar,
+                   SpanningForestProtocol::kParentVar);
 }
 
 bool BfsTreeProblem::constants_ok(const Graph& g,
@@ -61,7 +62,7 @@ bool LeaderElectionProblem::holds(const Graph& g,
     parent[static_cast<std::size_t>(p)] =
         config.comm(p, LeaderElectionProtocol::kParentVar);
   }
-  return is_bfs_tree(g, owner, dist, parent);
+  return is_bfs_forest(g, {owner}, dist, parent);
 }
 
 bool LeaderElectionProblem::ok_at(const Graph& g, const Configuration& config,
@@ -97,7 +98,7 @@ bool LeaderElectionProblem::constants_ok(const Graph& g,
 ProcessId extract_bfs_root(const Graph& g, const Configuration& config) {
   ProcessId root = -1;
   for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    if (config.comm(p, BfsTreeProtocol::kRootVar) != 1) continue;
+    if (config.comm(p, SpanningForestProtocol::kRootVar) != 1) continue;
     if (root >= 0) return -1;  // two flagged roots
     root = p;
   }
@@ -139,29 +140,6 @@ bool bfs_ok_at(const Graph& g, const Configuration& config, ProcessId p,
   return dist == nearest + 1 &&
          config.comm(g.neighbor(p, static_cast<NbrIndex>(parent)), dist_var) ==
              dist - 1;
-}
-
-bool is_bfs_tree(const Graph& g, ProcessId root,
-                 const std::vector<Value>& dist,
-                 const std::vector<Value>& parent) {
-  SSS_REQUIRE(root >= 0 && root < g.num_vertices(),
-              "is_bfs_tree needs a root inside the graph");
-  SSS_REQUIRE(static_cast<int>(dist.size()) == g.num_vertices() &&
-                  static_cast<int>(parent.size()) == g.num_vertices(),
-              "is_bfs_tree needs one distance and one parent per process");
-  const std::vector<int> truth = bfs_distances(g, root);
-  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    const auto i = static_cast<std::size_t>(p);
-    if (dist[i] != static_cast<Value>(truth[i])) return false;
-    if (p == root) {
-      if (parent[i] != 0) return false;
-      continue;
-    }
-    if (parent[i] < 1 || parent[i] > g.degree(p)) return false;
-    const ProcessId q = g.neighbor(p, static_cast<NbrIndex>(parent[i]));
-    if (truth[static_cast<std::size_t>(q)] != truth[i] - 1) return false;
-  }
-  return true;
 }
 
 }  // namespace sss

@@ -22,7 +22,8 @@ namespace sss {
 /// exactly one process carries R = 1; the root claims distance 0 and no
 /// parent; every other process claims its exact BFS distance from the
 /// root and a parent channel pointing at a distance-(D.p - 1) neighbor.
-/// Variable layout: BfsTreeProtocol::{kDistVar, kParentVar, kRootVar}.
+/// Variable layout: SpanningForestProtocol::{kDistVar, kParentVar,
+/// kRootVar} (the `bfs-tree` entries are its one-root case).
 ///
 /// Local form (radius 1): constants_ok is "exactly one root flag"; ok_at
 /// is bfs_ok_at. Exact distances follow from the local Bellman-Ford
@@ -99,14 +100,5 @@ Value extract_agreed_leader(const Graph& g, const Configuration& config);
 /// component without a root has none).
 bool bfs_ok_at(const Graph& g, const Configuration& config, ProcessId p,
                bool root, int dist_var, int parent_var);
-
-/// True iff `dist`/`parent` (claimed per-process distance and parent
-/// channel) encode the BFS tree rooted at `root`: dist equals the true
-/// BFS distance everywhere and every non-root parent channel points one
-/// level down. The predicate classes reduce to this after pulling their
-/// layouts out of the configuration.
-bool is_bfs_tree(const Graph& g, ProcessId root,
-                 const std::vector<Value>& dist,
-                 const std::vector<Value>& parent);
 
 }  // namespace sss

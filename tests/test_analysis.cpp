@@ -1,8 +1,9 @@
-/// Tests for the experiment runner and report formatting shared by the
-/// bench harness.
+/// Tests for single-sweep batches (one make_batch_item through run_batch)
+/// and report formatting shared by the bench harness.
 
 #include <gtest/gtest.h>
 
+#include "analysis/batch.hpp"
 #include "analysis/experiment.hpp"
 #include "analysis/report.hpp"
 #include "core/coloring_protocol.hpp"
@@ -14,14 +15,22 @@
 namespace sss {
 namespace {
 
+/// One (graph, protocol) sweep: the one-item batch plan.
+SweepSummary sweep(const Graph& g, const Protocol& protocol,
+                   const Problem* problem, const SweepOptions& options) {
+  return run_batch({make_batch_item(g.name(), g, protocol, problem, options)},
+                   BatchOptions{})
+      .summaries.front();
+}
+
 TEST(Sweep, DeterministicForSameOptions) {
   const Graph g = cycle(8);
   const ColoringProtocol protocol(g);
   const ColoringProblem problem;
   SweepOptions options;
   options.seeds_per_daemon = 3;
-  const SweepSummary a = sweep_convergence(g, protocol, &problem, options);
-  const SweepSummary b = sweep_convergence(g, protocol, &problem, options);
+  const SweepSummary a = sweep(g, protocol, &problem, options);
+  const SweepSummary b = sweep(g, protocol, &problem, options);
   EXPECT_EQ(a.runs, b.runs);
   EXPECT_EQ(a.silent_runs, b.silent_runs);
   EXPECT_EQ(a.max_rounds_to_silence, b.max_rounds_to_silence);
@@ -36,8 +45,7 @@ TEST(Sweep, CountsRunsAndCertifiesEfficiency) {
   SweepOptions options;
   options.daemons = {"distributed", "enumerator"};
   options.seeds_per_daemon = 4;
-  const SweepSummary summary =
-      sweep_convergence(g, protocol, &problem, options);
+  const SweepSummary summary = sweep(g, protocol, &problem, options);
   EXPECT_EQ(summary.runs, 8);
   EXPECT_EQ(summary.silent_runs, 8);
   EXPECT_EQ(summary.k_measured, 1);  // 1-efficiency across the whole sweep
@@ -54,8 +62,8 @@ TEST(Sweep, DifferentSeedsChangeTrajectories) {
   a.seeds_per_daemon = 5;
   SweepOptions b = a;
   b.base_seed = 777;
-  const SweepSummary sa = sweep_convergence(g, protocol, nullptr, a);
-  const SweepSummary sb = sweep_convergence(g, protocol, nullptr, b);
+  const SweepSummary sa = sweep(g, protocol, nullptr, a);
+  const SweepSummary sb = sweep(g, protocol, nullptr, b);
   // Same protocol, same graph: both silent, but trajectories (and hence
   // step counts) differ with overwhelming probability.
   EXPECT_EQ(sa.silent_runs, sb.silent_runs);
@@ -67,8 +75,7 @@ TEST(Sweep, RejectsEmptyPlans) {
   const ColoringProtocol protocol(g);
   SweepOptions options;
   options.daemons = {};
-  EXPECT_THROW(sweep_convergence(g, protocol, nullptr, options),
-               PreconditionError);
+  EXPECT_THROW(sweep(g, protocol, nullptr, options), PreconditionError);
 }
 
 TEST(Sweep, MisBoundHoldsAcrossTheSweep) {
@@ -77,8 +84,7 @@ TEST(Sweep, MisBoundHoldsAcrossTheSweep) {
   const MisProblem problem;
   SweepOptions options;
   options.seeds_per_daemon = 3;
-  const SweepSummary summary =
-      sweep_convergence(g, protocol, &problem, options);
+  const SweepSummary summary = sweep(g, protocol, &problem, options);
   EXPECT_EQ(summary.silent_runs, summary.runs);
   EXPECT_LE(summary.max_rounds_to_silence,
             static_cast<std::uint64_t>(g.max_degree()) *

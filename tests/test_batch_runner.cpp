@@ -119,7 +119,7 @@ TEST(BatchRunner, BitIdenticalAcrossThreadsAndShards) {
   }
 }
 
-TEST(BatchRunner, SingleItemMatchesSweepConvergence) {
+TEST(BatchRunner, SingleItemMatchesAcrossThreadsAndShards) {
   const Graph g = grid(4, 4);
   const MisProtocol protocol(g, greedy_coloring(g));
   const MisProblem problem;
@@ -127,16 +127,18 @@ TEST(BatchRunner, SingleItemMatchesSweepConvergence) {
   options.daemons = {"distributed", "synchronous", "central-random"};
   options.seeds_per_daemon = 3;
   options.run.max_steps = 20'000;
-  options.threads = 2;
-  const SweepSummary sweep = sweep_convergence(g, protocol, &problem, options);
-
   const std::vector<BatchItem> items = {
       make_batch_item("grid", g, protocol, &problem, options)};
-  BatchOptions batch;
-  batch.threads = 3;
-  batch.shards = 2;
-  const BatchResult result = run_batch(items, batch);
-  expect_same_sweep(result.summaries.front(), sweep, "batch vs sweep");
+
+  BatchOptions serial;
+  serial.threads = 1;
+  serial.shards = 1;
+  BatchOptions pooled;
+  pooled.threads = 3;
+  pooled.shards = 2;
+  expect_same_sweep(run_batch(items, pooled).summaries.front(),
+                    run_batch(items, serial).summaries.front(),
+                    "threads=3 shards=2 vs threads=1 shards=1");
 }
 
 /// The seed contract, stated against raw engines: trial j of an item runs

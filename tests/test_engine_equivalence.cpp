@@ -9,13 +9,14 @@
 ///    menagerie, for deterministic and randomized protocols alike;
 ///  * run-level: full RunStats equality, exercising the cached quiescence
 ///    certification against the original O(n*Delta)-per-checkpoint check;
-///  * sweep-level: sweep_convergence results are identical at 1 and N
+///  * sweep-level: a one-item run_batch sweep is identical at 1 and N
 ///    threads.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "analysis/batch.hpp"
 #include "analysis/experiment.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/matching_protocol.hpp"
@@ -153,12 +154,14 @@ TEST(SweepEquivalence, ThreadCountDoesNotChangeResults) {
   options.seeds_per_daemon = 3;
   options.run.max_steps = 20'000;
 
-  options.threads = 1;
-  const SweepSummary serial = sweep_convergence(g, protocol, &problem, options);
+  const std::vector<BatchItem> plan = {
+      make_batch_item("grid", g, protocol, &problem, options)};
+  BatchOptions batch;
+  batch.threads = 1;
+  const SweepSummary serial = run_batch(plan, batch).summaries.front();
   for (int threads : {2, 4, 8}) {
-    options.threads = threads;
-    const SweepSummary parallel =
-        sweep_convergence(g, protocol, &problem, options);
+    batch.threads = threads;
+    const SweepSummary parallel = run_batch(plan, batch).summaries.front();
     const std::string context = "threads=" + std::to_string(threads);
     EXPECT_EQ(serial.runs, parallel.runs) << context;
     EXPECT_EQ(serial.silent_runs, parallel.silent_runs) << context;

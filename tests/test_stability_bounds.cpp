@@ -21,9 +21,9 @@ TEST(Bounds, Formulas) {
   EXPECT_EQ(coloring_palette_size(4), 5);
   EXPECT_EQ(mis_round_bound(3, 4), 12);
   EXPECT_EQ(matching_round_bound(10, 3), 42);
-  EXPECT_EQ(bfs_tree_round_bound(10, 3), 42);
+  EXPECT_EQ(spanning_forest_round_bound(10, 3), 42);
   EXPECT_EQ(leader_election_round_bound(10, 3), 52);
-  EXPECT_THROW(bfs_tree_round_bound(1, 1), PreconditionError);
+  EXPECT_THROW(spanning_forest_round_bound(1, 1), PreconditionError);
   EXPECT_THROW(leader_election_round_bound(2, 0), PreconditionError);
   EXPECT_EQ(mis_one_stable_lower_bound(6), 3);
   EXPECT_EQ(mis_one_stable_lower_bound(7), 4);
