@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/batch.hpp"
-#include "analysis/experiment.hpp"
 #include "analysis/plan.hpp"
 #include "analysis/report.hpp"
 #include "graph/builders.hpp"

@@ -39,12 +39,14 @@ int main() {
   std::vector<BatchItem> plan;
   for (const std::string& daemon : daemon_names()) {
     for (const auto& [protocol_name, protocol] : protocols) {
-      SweepOptions options;
-      options.daemons = {daemon};
-      options.seeds_per_daemon = 8;
-      options.run.max_steps = 6'000'000;
-      plan.push_back(make_batch_item(daemon + "/" + protocol_name, g,
-                                     *protocol, nullptr, options));
+      BatchItem item;
+      item.label = daemon + "/" + protocol_name;
+      item.graph = &g;
+      item.protocol = protocol;
+      item.daemons = {daemon};
+      item.seeds_per_daemon = 8;
+      item.run.max_steps = 6'000'000;
+      plan.push_back(std::move(item));
     }
   }
   const BatchResult result = run_batch(plan, BatchOptions{});

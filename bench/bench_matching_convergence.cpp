@@ -30,12 +30,15 @@ int main() {
     const MatchingProtocol& protocol =
         store.emplace_protocol<MatchingProtocol>(stored,
                                                  greedy_coloring(stored));
-    SweepOptions options;
-    options.daemons = daemon_names();
-    options.seeds_per_daemon = 5;
-    options.run.max_steps = 6'000'000;
-    plan.push_back(
-        make_batch_item(stored.name(), stored, protocol, &problem, options));
+    BatchItem item;
+    item.label = stored.name();
+    item.graph = &stored;
+    item.protocol = &protocol;
+    item.problem = &problem;
+    item.daemons = daemon_names();
+    item.seeds_per_daemon = 5;
+    item.run.max_steps = 6'000'000;
+    plan.push_back(std::move(item));
   }
   const BatchResult result = run_batch(plan, BatchOptions{});
 

@@ -31,15 +31,14 @@ int main() {
     const Coloring colors = greedy_coloring(g);
     for (const bool boost : {true, false}) {
       const MisProtocol protocol(g, colors, boost);
-      SweepOptions options;
-      options.daemons = {"distributed", "central-rr", "synchronous"};
-      options.seeds_per_daemon = 5;
-      options.run.max_steps = 6'000'000;
+      BatchItem item;  // default daemons and seeds
+      item.label = g.name();
+      item.graph = &g;
+      item.protocol = &protocol;
+      item.problem = &problem;
+      item.run.max_steps = 6'000'000;
       const SweepSummary s =
-          run_batch({make_batch_item(g.name(), g, protocol, &problem,
-                                     options)},
-                    BatchOptions{})
-              .summaries.front();
+          run_batch({item}, BatchOptions{}).summaries.front();
       const std::int64_t bound =
           mis_round_bound(g.max_degree(), protocol.num_colors());
       table.row()

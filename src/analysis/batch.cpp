@@ -21,20 +21,29 @@ struct TrialRef {
 
 }  // namespace
 
-BatchItem make_batch_item(std::string label, const Graph& g,
-                          const Protocol& protocol, const Problem* problem,
-                          const SweepOptions& options) {
-  BatchItem item;
-  item.label = std::move(label);
-  item.graph = &g;
-  item.protocol = &protocol;
-  item.problem = problem;
-  item.daemons = options.daemons;
-  item.seeds_per_daemon = options.seeds_per_daemon;
-  item.run = options.run;
-  item.base_seed = options.base_seed;
-  item.exclude_frozen = options.exclude_frozen;
-  return item;
+void validate_batch_item(const BatchItem& item) {
+  // Messages are built only on failure; the label names the item in a
+  // manifest that expands to many.
+  const auto bad = [&item](const char* what) {
+    return "batch item \"" + item.label + "\": " + what;
+  };
+  SSS_REQUIRE(item.graph != nullptr && item.protocol != nullptr,
+              bad("needs a graph and a protocol"));
+  SSS_REQUIRE(!item.daemons.empty() && item.seeds_per_daemon >= 1,
+              bad("needs at least one daemon and one seed"));
+  SSS_REQUIRE(item.extra_steps >= 0, bad("extra_steps cannot be negative"));
+  SSS_REQUIRE(item.parallel_threads >= 1 && item.parallel_threads <= 1024,
+              bad("parallel_threads must be in [1, 1024]"));
+  if (item.churn_enabled) {
+    SSS_REQUIRE(item.extra_steps == 0,
+                bad("extra_steps and churn windows cannot be combined"));
+    SSS_REQUIRE(item.parallel_threads == 1,
+                bad("churn mode runs single-threaded engines; "
+                    "parallel_threads must be 1"));
+    SSS_REQUIRE(item.churn.topology_weight == 0 || item.protocol_factory,
+                bad("topology churn needs a protocol_factory"));
+    validate_churn_options(item.churn);
+  }
 }
 
 SweepSummary summarize_runs(const RunStats* stats, int count) {
@@ -83,24 +92,7 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
   SSS_REQUIRE(!items.empty(), "batch needs at least one item");
   SSS_REQUIRE(options.threads >= 0 && options.shards >= 0,
               "thread and shard counts cannot be negative");
-  for (const BatchItem& item : items) {
-    SSS_REQUIRE(item.graph != nullptr && item.protocol != nullptr,
-                "batch item needs a graph and a protocol");
-    SSS_REQUIRE(!item.daemons.empty() && item.seeds_per_daemon >= 1,
-                "batch item needs at least one daemon and one seed");
-    SSS_REQUIRE(item.extra_steps >= 0, "extra_steps cannot be negative");
-    SSS_REQUIRE(item.parallel_threads >= 1,
-                "parallel_threads must be >= 1");
-    if (item.churn_enabled) {
-      SSS_REQUIRE(item.extra_steps == 0,
-                  "extra_steps and churn windows cannot be combined");
-      SSS_REQUIRE(item.parallel_threads == 1,
-                  "churn mode runs single-threaded engines; "
-                  "parallel_threads must be 1");
-      SSS_REQUIRE(item.churn.topology_weight == 0 || item.protocol_factory,
-                  "topology churn needs a protocol_factory on the item");
-    }
-  }
+  for (const BatchItem& item : items) validate_batch_item(item);
 
   // Per-item effective run options: a problem supplies the legitimacy
   // predicate and its local form unless the caller already set a

@@ -3,10 +3,16 @@
 /// Sharded multi-graph batch runner: one process, one thread pool, a whole
 /// experiment plan (many graphs x daemons x seeds).
 ///
+/// `BatchItem` is the one description of a sweep — a protocol on a graph
+/// across daemons x seeds — from manifest (analysis/plan.hpp) to engine,
+/// and its member initializers are the one copy of the sweep defaults.
+/// `validate_batch_item` is the one check of which items can run; the
+/// plan expander, the engine overrides and `run_batch` all call it.
+///
 /// `run_batch` is the one trial runner: a single (graph, protocol) sweep
-/// is the one-item plan (`make_batch_item`), and a menagerie is one plan
-/// rather than a loop of sweeps, so the plan pays one thread-pool spin-up
-/// and a slow graph cannot serialize everything behind it:
+/// is the one-item plan, and a menagerie is one plan rather than a loop
+/// of sweeps, so the plan pays one thread-pool spin-up and a slow graph
+/// cannot serialize everything behind it:
 ///
 ///  * every item is a (graph, protocol[, problem]) triple plus the sweep
 ///    shape to run on it — the graph/protocol immutables are shared by
@@ -35,25 +41,26 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "core/problems.hpp"
 #include "runtime/churn.hpp"
 #include "runtime/engine.hpp"
+#include "support/stats.hpp"
 
 namespace sss {
 
 /// One sweep unit of a batch plan. Pointers are non-owning and must
-/// outlive `run_batch`; `problem` may be null. Daemon/seed defaults are
-/// the shared sweep defaults from analysis/experiment.hpp.
+/// outlive `run_batch`; `problem` may be null. The initializers are the
+/// sweep defaults a manifest falls back to.
 struct BatchItem {
   std::string label;
   const Graph* graph = nullptr;
   const Protocol* protocol = nullptr;
   const Problem* problem = nullptr;
-  std::vector<std::string> daemons = default_sweep_daemons();
-  int seeds_per_daemon = kDefaultSeedsPerDaemon;
+  std::vector<std::string> daemons = {"distributed", "central-rr",
+                                      "synchronous"};
+  int seeds_per_daemon = 5;
   RunOptions run;
-  std::uint64_t base_seed = kDefaultBaseSeed;
+  std::uint64_t base_seed = 42;
   /// Extra engine.step() calls after run() completes, before the trial's
   /// read maxima are sampled — the post-silence window the communication-
   /// complexity measurements need (guards keep being evaluated after
@@ -88,11 +95,37 @@ struct BatchItem {
   ProtocolFactory protocol_factory;
 };
 
-/// The batch item that sweeps `protocol` on `g` with `options`' daemons,
-/// seeds and run options.
-BatchItem make_batch_item(std::string label, const Graph& g,
-                          const Protocol& protocol, const Problem* problem,
-                          const SweepOptions& options);
+/// Throws PreconditionError unless `item` can run: a graph and a
+/// protocol, at least one daemon and one seed, non-negative extra_steps,
+/// parallel_threads in [1, 1024], and — in churn mode — no extra_steps,
+/// one engine thread, a protocol_factory for topology churn, and churn
+/// options that pass validate_churn_options.
+void validate_batch_item(const BatchItem& item);
+
+/// Convergence and communication metrics of one item, reduced over its
+/// trials in trial order.
+struct SweepSummary {
+  int runs = 0;
+  int silent_runs = 0;
+  /// Runs whose trajectory reached the bound legitimacy predicate; stays
+  /// 0 when the sweep carries no problem (RunOptions::legitimacy unset).
+  int legitimate_runs = 0;
+  std::uint64_t max_rounds_to_silence = 0;
+  std::uint64_t max_steps_to_silence = 0;
+  Summary rounds_to_silence;
+  Summary steps_to_silence;
+  Summary rounds_to_legitimate;
+  /// Worst per-process per-step read count over all runs (measured k).
+  int k_measured = 0;
+  /// Worst per-process per-step bits over all runs.
+  int bits_measured = 0;
+  double mean_total_reads = 0.0;
+  double mean_total_bits = 0.0;
+};
+
+/// Reduction shared by `run_batch` and anyone aggregating raw trial stats:
+/// folds `count` RunStats (in order) into a SweepSummary.
+SweepSummary summarize_runs(const RunStats* stats, int count);
 
 /// One finished trial, as handed to the streaming callback: the trial's
 /// plan coordinates plus its raw stats. Everything identifying is carried
@@ -171,10 +204,6 @@ struct BatchResult {
 /// comment for the determinism and scheduling contract.
 BatchResult run_batch(const std::vector<BatchItem>& items,
                       const BatchOptions& options);
-
-/// Reduction shared by `run_batch` and anyone aggregating raw trial stats:
-/// folds `count` RunStats (in order) into a SweepSummary.
-SweepSummary summarize_runs(const RunStats* stats, int count);
 
 /// Pointer-stable storage for plan inputs built on the fly. Everything
 /// added lives until the store is destroyed, so batch items can reference

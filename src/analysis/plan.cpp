@@ -36,22 +36,21 @@ void require_known_keys(const JsonValue& object,
   }
 }
 
-/// Sweep-shaping knobs resolved from manifest defaults + sweep overrides.
-struct RunDefaults {
-  std::vector<std::string> daemons = default_sweep_daemons();
-  int seeds_per_daemon = kDefaultSeedsPerDaemon;
-  std::uint64_t base_seed = kDefaultBaseSeed;
-  RunOptions run;
-  int extra_steps = 0;
-  bool exclude_frozen = false;
-  int parallel_threads = 1;
-  SweepMode sweep_mode = SweepMode::kAuto;
-  bool churn_enabled = false;
-  ChurnOptions churn;
-};
+/// Narrows a manifest integer to int, erroring instead of wrapping when
+/// it does not fit. Value ranges are validate_batch_item's.
+int int_key(const JsonValue& value, const std::string& key) {
+  const std::int64_t number = value.as_int();
+  SSS_REQUIRE(number >= std::numeric_limits<int>::min() &&
+                  number <= std::numeric_limits<int>::max(),
+              "\"" + key + "\" must fit an int");
+  return static_cast<int>(number);
+}
 
 /// Parses a "churn" block (see plan.hpp for the schema). Strict like the
-/// rest of the manifest: unknown keys throw.
+/// rest of the manifest: unknown keys throw. Value ranges are
+/// validate_churn_options'; this checks only what the parsed options
+/// cannot show — a schedule key given its "unset" value, and negative
+/// integers, which would wrap in the unsigned fields.
 ChurnOptions parse_churn(const JsonValue& object) {
   require_known_keys(
       object,
@@ -59,58 +58,45 @@ ChurnOptions parse_churn(const JsonValue& object) {
        "corruption_weight", "node_reset_weight", "topology_weight",
        "stabilize_steps", "recovery_patience"},
       "\"churn\"");
+  const auto count = [&object](const char* key, std::uint64_t fallback) {
+    const JsonValue* value = object.find(key);
+    if (value == nullptr) return fallback;
+    SSS_REQUIRE(value->as_int() >= 0,
+                std::string("churn \"") + key + "\" cannot be negative");
+    return static_cast<std::uint64_t>(value->as_int());
+  };
+  const auto int_field = [&object](const char* key, int fallback) {
+    const JsonValue* value = object.find(key);
+    return value == nullptr ? fallback : int_key(*value, key);
+  };
   ChurnOptions churn;
-  churn.corruption_weight = 1;
   if (const JsonValue* p = object.find("event_probability")) {
     churn.event_probability = p->as_double();
-    SSS_REQUIRE(churn.event_probability > 0.0 && churn.event_probability <= 1.0,
+    SSS_REQUIRE(churn.event_probability > 0.0,
                 "\"event_probability\" must be in (0, 1]");
   }
   if (const JsonValue* period = object.find("period")) {
     SSS_REQUIRE(period->as_int() >= 1, "\"period\" must be >= 1");
     churn.period = static_cast<std::uint64_t>(period->as_int());
   }
-  SSS_REQUIRE((churn.event_probability > 0.0) != (churn.period > 0),
-              "\"churn\" needs exactly one of \"event_probability\" and "
-              "\"period\"");
-  if (const JsonValue* window = object.find("window_steps")) {
-    SSS_REQUIRE(window->as_int() >= 1, "\"window_steps\" must be >= 1");
-    churn.window_steps = static_cast<std::uint64_t>(window->as_int());
-  }
-  if (const JsonValue* seed = object.find("seed")) {
-    SSS_REQUIRE(seed->as_int() >= 0, "churn \"seed\" cannot be negative");
-    churn.seed = static_cast<std::uint64_t>(seed->as_int());
-  }
-  if (const JsonValue* victims = object.find("max_victims")) {
-    SSS_REQUIRE(victims->as_int() >= 1, "\"max_victims\" must be >= 1");
-    churn.max_victims = static_cast<int>(victims->as_int());
-  }
-  const auto weight = [&](const char* key, int fallback) {
-    const JsonValue* value = object.find(key);
-    if (value == nullptr) return fallback;
-    SSS_REQUIRE(value->as_int() >= 0,
-                std::string("\"") + key + "\" cannot be negative");
-    return static_cast<int>(value->as_int());
-  };
-  churn.corruption_weight = weight("corruption_weight", 1);
-  churn.node_reset_weight = weight("node_reset_weight", 0);
-  churn.topology_weight = weight("topology_weight", 0);
-  SSS_REQUIRE(churn.corruption_weight + churn.node_reset_weight +
-                      churn.topology_weight >
-                  0,
-              "\"churn\" needs at least one positive event weight");
-  if (const JsonValue* stabilize = object.find("stabilize_steps")) {
-    SSS_REQUIRE(stabilize->as_int() >= 1, "\"stabilize_steps\" must be >= 1");
-    churn.stabilize_steps = static_cast<std::uint64_t>(stabilize->as_int());
-  }
-  if (const JsonValue* patience = object.find("recovery_patience")) {
-    SSS_REQUIRE(patience->as_int() >= 0,
-                "\"recovery_patience\" cannot be negative");
-    churn.recovery_patience = static_cast<std::uint64_t>(patience->as_int());
-  }
+  churn.window_steps = count("window_steps", churn.window_steps);
+  churn.seed = count("seed", churn.seed);
+  churn.max_victims = int_field("max_victims", churn.max_victims);
+  churn.corruption_weight =
+      int_field("corruption_weight", churn.corruption_weight);
+  churn.node_reset_weight =
+      int_field("node_reset_weight", churn.node_reset_weight);
+  churn.topology_weight = int_field("topology_weight", churn.topology_weight);
+  churn.stabilize_steps = count("stabilize_steps", churn.stabilize_steps);
+  churn.recovery_patience =
+      count("recovery_patience", churn.recovery_patience);
+  // Checked here as well as per item, so a defaults-level block every
+  // sweep overrides is still rejected when malformed.
+  validate_churn_options(churn);
   return churn;
 }
 
+/// Resolves daemon names; validate_batch_item rejects an empty list.
 std::vector<std::string> parse_daemons(const JsonValue& value) {
   std::vector<std::string> daemons;
   for (const JsonValue& entry : value.items()) {
@@ -121,70 +107,56 @@ std::vector<std::string> parse_daemons(const JsonValue& value) {
                     join(known, ", ") + ")");
     daemons.push_back(name);
   }
-  SSS_REQUIRE(!daemons.empty(), "\"daemons\" cannot be empty");
   return daemons;
 }
 
-/// Applies the run keys present in `object` on top of `base`.
-RunDefaults apply_run_keys(RunDefaults base, const JsonValue& object) {
+/// Folds the run keys present in `object` onto `prototype`, the item every
+/// expanded item of a sweep starts from. Checks only JSON types, name
+/// resolution and what a cast would hide; item ranges are
+/// validate_batch_item's, run per expanded item.
+void apply_run_keys(const JsonValue& object, BatchItem& prototype) {
   if (const JsonValue* daemons = object.find("daemons")) {
-    base.daemons = parse_daemons(*daemons);
+    prototype.daemons = parse_daemons(*daemons);
   }
   if (const JsonValue* seeds = object.find("seeds_per_daemon")) {
-    // Validate on the int64 BEFORE narrowing — an out-of-int-range value
-    // must error, not wrap.
-    const std::int64_t count = seeds->as_int();
-    SSS_REQUIRE(count >= 1 && count <= std::numeric_limits<int>::max(),
-                "\"seeds_per_daemon\" must be >= 1 (and fit an int)");
-    base.seeds_per_daemon = static_cast<int>(count);
+    prototype.seeds_per_daemon = int_key(*seeds, "seeds_per_daemon");
   }
   if (const JsonValue* seed = object.find("base_seed")) {
     SSS_REQUIRE(seed->as_int() >= 0, "\"base_seed\" cannot be negative");
-    base.base_seed = static_cast<std::uint64_t>(seed->as_int());
+    prototype.base_seed = static_cast<std::uint64_t>(seed->as_int());
   }
   if (const JsonValue* steps = object.find("max_steps")) {
-    base.run.max_steps = static_cast<std::uint64_t>(steps->as_int());
     SSS_REQUIRE(steps->as_int() >= 1, "\"max_steps\" must be >= 1");
+    prototype.run.max_steps = static_cast<std::uint64_t>(steps->as_int());
   }
   if (const JsonValue* stop = object.find("stop_on_silence")) {
-    base.run.stop_on_silence = stop->as_bool();
+    prototype.run.stop_on_silence = stop->as_bool();
   }
   if (const JsonValue* patience = object.find("quiescence_patience")) {
     SSS_REQUIRE(patience->as_int() >= 0,
                 "\"quiescence_patience\" cannot be negative");
-    base.run.quiescence_patience =
+    prototype.run.quiescence_patience =
         static_cast<std::uint64_t>(patience->as_int());
   }
   if (const JsonValue* extra = object.find("extra_steps")) {
-    const std::int64_t steps = extra->as_int();
-    SSS_REQUIRE(steps >= 0 && steps <= std::numeric_limits<int>::max(),
-                "\"extra_steps\" must be >= 0 (and fit an int)");
-    base.extra_steps = static_cast<int>(steps);
+    prototype.extra_steps = int_key(*extra, "extra_steps");
   }
   if (const JsonValue* frozen = object.find("exclude_frozen")) {
-    base.exclude_frozen = frozen->as_bool();
+    prototype.exclude_frozen = frozen->as_bool();
   }
   if (const JsonValue* threads = object.find("parallel_threads")) {
-    const std::int64_t count = threads->as_int();
-    SSS_REQUIRE(count >= 1 && count <= 1024,
-                "\"parallel_threads\" must be in [1, 1024]");
-    base.parallel_threads = static_cast<int>(count);
+    prototype.parallel_threads = int_key(*threads, "parallel_threads");
   }
   if (const JsonValue* mode = object.find("sweep_mode")) {
-    base.sweep_mode = parse_sweep_mode(mode->as_string());
+    prototype.sweep_mode = parse_sweep_mode(mode->as_string());
   }
   if (const JsonValue* churn = object.find("churn")) {
     // A churn block replaces any inherited one wholesale (null disables):
     // merging schedules field-by-field would make "defaults says Bernoulli,
     // sweep says periodic" silently ambiguous.
-    if (churn->is_null()) {
-      base.churn_enabled = false;
-    } else {
-      base.churn_enabled = true;
-      base.churn = parse_churn(*churn);
-    }
+    prototype.churn_enabled = !churn->is_null();
+    prototype.churn = churn->is_null() ? ChurnOptions{} : parse_churn(*churn);
   }
-  return base;
 }
 
 ParamValue scalar_param(const std::string& key, const JsonValue& value) {
@@ -328,7 +300,7 @@ ProtocolSelection parse_protocol_selection(const JsonValue& spec) {
                                  std::move(params));
 }
 
-void expand_sweep(const JsonValue& sweep, const RunDefaults& manifest_defaults,
+void expand_sweep(const JsonValue& sweep, const BatchItem& manifest_prototype,
                   ExperimentPlan& plan) {
   std::vector<std::string> allowed = kRunKeys;
   allowed.insert(allowed.end(),
@@ -338,7 +310,8 @@ void expand_sweep(const JsonValue& sweep, const RunDefaults& manifest_defaults,
                 sweep.find("base_seeds") != nullptr),
               "a sweep accepts \"base_seed\" or \"base_seeds\", not both");
 
-  const RunDefaults defaults = apply_run_keys(manifest_defaults, sweep);
+  BatchItem prototype = manifest_prototype;
+  apply_run_keys(sweep, prototype);
 
   const Problem* problem = nullptr;
   if (const JsonValue* problem_name = sweep.find("problem")) {
@@ -353,7 +326,7 @@ void expand_sweep(const JsonValue& sweep, const RunDefaults& manifest_defaults,
   // (one sweep may mix protocols of different problems).
   std::map<std::string, const Problem*> default_problems;
   auto problem_for = [&](const std::string& name) -> const Problem* {
-    if (problem != nullptr || !defaults.churn_enabled) return problem;
+    if (problem != nullptr || !prototype.churn_enabled) return problem;
     if (name.empty()) return nullptr;
     auto [it, fresh] = default_problems.try_emplace(name, nullptr);
     if (fresh) {
@@ -398,22 +371,12 @@ void expand_sweep(const JsonValue& sweep, const RunDefaults& manifest_defaults,
       for (const ParsedProtocol& choice : parsed) {
         const Protocol& protocol = plan.store.add(
             ProtocolRegistry::instance().make(choice.selection, graph));
-        BatchItem item;
+        BatchItem item = prototype;
         item.label = protocol.name() + "/" + graph.name();
         item.graph = &graph;
         item.protocol = &protocol;
         item.problem = problem_for(choice.info.problem);
-        item.daemons = defaults.daemons;
-        item.seeds_per_daemon = defaults.seeds_per_daemon;
-        item.run = defaults.run;
-        item.base_seed = defaults.base_seed;
-        item.extra_steps = defaults.extra_steps;
-        item.exclude_frozen = defaults.exclude_frozen;
-        item.parallel_threads = defaults.parallel_threads;
-        item.sweep_mode = defaults.sweep_mode;
-        if (defaults.churn_enabled) {
-          item.churn_enabled = true;
-          item.churn = defaults.churn;
+        if (item.churn_enabled) {
           // Registry-backed factory so churn windows can rebuild the
           // protocol on churned topologies (and so every churn trial runs
           // the owning-mode runner uniformly). Captures the whole
@@ -423,6 +386,9 @@ void expand_sweep(const JsonValue& sweep, const RunDefaults& manifest_defaults,
             return ProtocolRegistry::instance().make(selection, g);
           };
         }
+        // Checked as each item is built, so a bad sweep fails after its
+        // first graph rather than after the whole graph sweep.
+        validate_batch_item(item);
         sweep_items.push_back(std::move(item));
       }
     }
@@ -462,19 +428,30 @@ ExperimentPlan plan_from_manifest(const JsonValue& manifest) {
   plan.name = manifest.at("name").as_string();
   SSS_REQUIRE(!plan.name.empty(), "manifest \"name\" cannot be empty");
 
-  RunDefaults defaults;
-  if (const JsonValue* defaults_object = manifest.find("defaults")) {
-    require_known_keys(*defaults_object, kRunKeys, "\"defaults\"");
-    defaults = apply_run_keys(defaults, *defaults_object);
+  BatchItem prototype;
+  if (const JsonValue* defaults = manifest.find("defaults")) {
+    require_known_keys(*defaults, kRunKeys, "\"defaults\"");
+    apply_run_keys(*defaults, prototype);
   }
 
   const JsonValue& sweeps = manifest.at("sweeps");
   SSS_REQUIRE(!sweeps.items().empty(),
               "manifest needs at least one entry in \"sweeps\"");
   for (const JsonValue& sweep : sweeps.items()) {
-    expand_sweep(sweep, defaults, plan);
+    expand_sweep(sweep, prototype, plan);
   }
   return plan;
+}
+
+void apply_engine_overrides(ExperimentPlan& plan, int parallel_threads,
+                            const std::string& sweep_mode) {
+  const SweepMode mode =
+      sweep_mode.empty() ? SweepMode::kAuto : parse_sweep_mode(sweep_mode);
+  for (BatchItem& item : plan.items) {
+    if (parallel_threads != 0) item.parallel_threads = parallel_threads;
+    if (!sweep_mode.empty()) item.sweep_mode = mode;
+    validate_batch_item(item);
+  }
 }
 
 ExperimentPlan plan_from_manifest_text(const std::string& text) {

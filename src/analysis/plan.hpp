@@ -51,9 +51,10 @@
 /// only: one base seed per expanded item, for plans that pin historical
 /// seeds), "max_steps", "stop_on_silence", "quiescence_patience",
 /// "extra_steps", "exclude_frozen", "churn", "parallel_threads" (engine
-/// worker threads per trial, default 1; the intra-trial parallel step is
-/// bit-identical to single-threaded, so this key changes wall-clock only —
-/// it is deliberately NOT a sink column. Churn sweeps require 1), and
+/// worker threads per trial, default 1, at most 1024; the intra-trial
+/// parallel step is bit-identical to single-threaded, so this key changes
+/// wall-clock only — it is deliberately NOT a sink column. Churn sweeps
+/// require 1), and
 /// "sweep_mode" ("auto" | "force_scalar" | "force_bulk", default "auto":
 /// the engine's bulk sweep/execute dispatch. Like "parallel_threads" it
 /// changes cost, never results, and is NOT a sink column).
@@ -101,6 +102,14 @@
 /// order. Item labels are "<protocol name>/<graph name>". Trial
 /// semantics (seed derivation, daemon-major order, reduction) are
 /// run_batch's.
+///
+/// Run keys fold onto one prototype `BatchItem` — its member initializers
+/// are the defaults — first from "defaults", then from the sweep; every
+/// expanded item is a copy of it with its own label, graph, protocol,
+/// problem and (churn sweeps) protocol factory. Each item passes
+/// `validate_batch_item` as it is built, so a manifest that expands is a
+/// plan `run_batch` accepts: `sss_lab validate` and a serve submit reject
+/// what `sss_lab run` would.
 
 #include <string>
 #include <vector>
@@ -131,5 +140,15 @@ ExperimentPlan plan_from_manifest_text(const std::string& text);
 /// Reads `path` and expands it. Throws PreconditionError when the file
 /// cannot be read.
 ExperimentPlan plan_from_manifest_file(const std::string& path);
+
+/// Overrides every item's engine knobs after expansion — `sss_lab run
+/// --parallel-threads/--sweep-mode` and the serve layer's submit fields.
+/// `parallel_threads` 0 and an empty `sweep_mode` keep the manifest's
+/// values. Both knobs change cost, never results (engine invariants 5-7),
+/// so an overridden plan streams the same rows. Throws PreconditionError
+/// on an unknown mode or when an item no longer passes
+/// validate_batch_item (a churn item at parallel_threads > 1).
+void apply_engine_overrides(ExperimentPlan& plan, int parallel_threads,
+                            const std::string& sweep_mode);
 
 }  // namespace sss

@@ -1,7 +1,6 @@
 #include "analysis/report.hpp"
 
 #include <cstdio>
-#include <sstream>
 
 namespace sss {
 
@@ -13,16 +12,6 @@ void print_banner(const std::string& title) {
 
 void print_note(const std::string& note) {
   std::printf("  %s\n", note.c_str());
-}
-
-std::string format_vs_bound(double measured, double bound) {
-  std::ostringstream out;
-  out.precision(1);
-  out << std::fixed << measured << "/" << bound;
-  if (bound > 0) {
-    out << " (" << (100.0 * measured / bound) << "%)";
-  }
-  return out.str();
 }
 
 }  // namespace sss

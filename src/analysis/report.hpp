@@ -12,7 +12,4 @@ void print_banner(const std::string& title);
 /// Indented context line ("  note ...").
 void print_note(const std::string& note);
 
-/// "measured/bound (pct%)" — the paper-vs-measured cell format.
-std::string format_vs_bound(double measured, double bound);
-
 }  // namespace sss

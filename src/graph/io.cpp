@@ -3,9 +3,6 @@
 #include <array>
 #include <sstream>
 
-#include "support/require.hpp"
-#include "support/string_util.hpp"
-
 namespace sss {
 
 std::string to_dot(const Graph& g, const std::optional<Coloring>& colors) {
@@ -29,32 +26,6 @@ std::string to_dot(const Graph& g, const std::optional<Coloring>& colors) {
   }
   out << "}\n";
   return out.str();
-}
-
-std::string to_edge_list(const Graph& g) {
-  std::ostringstream out;
-  out << g.num_vertices() << ' ' << g.num_edges() << '\n';
-  for (const auto& [a, b] : g.edges()) out << a << ' ' << b << '\n';
-  return out.str();
-}
-
-Graph parse_edge_list(const std::string& text) {
-  std::istringstream in(text);
-  int n = 0;
-  int m = 0;
-  SSS_REQUIRE(static_cast<bool>(in >> n >> m),
-              "edge list must start with 'n m'");
-  SSS_REQUIRE(n >= 1 && m >= 0, "invalid vertex or edge count");
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    int a = 0;
-    int b = 0;
-    SSS_REQUIRE(static_cast<bool>(in >> a >> b),
-                "edge list ended before all edges were read");
-    edges.emplace_back(a, b);
-  }
-  return Graph::from_edges(n, edges);
 }
 
 }  // namespace sss

@@ -1,7 +1,6 @@
 #pragma once
 /// \file io.hpp
-/// Graph serialization: Graphviz DOT for inspection, and a plain edge-list
-/// format for round-tripping test fixtures.
+/// Graph serialization: Graphviz DOT for inspection.
 
 #include <optional>
 #include <string>
@@ -15,12 +14,5 @@ namespace sss {
 /// labelled "id:color" and given a fill color from a small palette.
 std::string to_dot(const Graph& g,
                    const std::optional<Coloring>& colors = std::nullopt);
-
-/// Plain text: first line "n m", then one "a b" pair per edge.
-std::string to_edge_list(const Graph& g);
-
-/// Parses the format produced by `to_edge_list`. Throws PreconditionError
-/// on malformed input.
-Graph parse_edge_list(const std::string& text);
 
 }  // namespace sss

@@ -88,6 +88,27 @@ std::uint64_t nearest_rank(const std::vector<std::uint64_t>& samples,
 
 }  // namespace
 
+void validate_churn_options(const ChurnOptions& options) {
+  SSS_REQUIRE(options.event_probability >= 0.0 &&
+                  options.event_probability <= 1.0,
+              "churn \"event_probability\" must be in [0, 1]");
+  SSS_REQUIRE((options.event_probability > 0.0) != (options.period > 0),
+              "churn needs exactly one schedule: \"event_probability\" or "
+              "\"period\"");
+  SSS_REQUIRE(options.window_steps >= 1, "churn \"window_steps\" must be >= 1");
+  SSS_REQUIRE(options.stabilize_steps >= 1,
+              "churn \"stabilize_steps\" must be >= 1");
+  SSS_REQUIRE(options.max_victims >= 1, "churn \"max_victims\" must be >= 1");
+  SSS_REQUIRE(options.corruption_weight >= 0 &&
+                  options.node_reset_weight >= 0 &&
+                  options.topology_weight >= 0,
+              "churn event weights cannot be negative");
+  SSS_REQUIRE(options.corruption_weight + options.node_reset_weight +
+                      options.topology_weight >
+                  0,
+              "churn needs at least one positive event weight");
+}
+
 double ChurnStats::availability() const {
   if (window_steps == 0) return 0.0;
   return static_cast<double>(legitimate_steps) /
@@ -168,7 +189,7 @@ ChurnRunner<EngineT>::ChurnRunner(Graph initial, ProtocolFactory factory,
   SSS_REQUIRE(owned_protocol_ != nullptr,
               "protocol factory returned null for the initial topology");
   protocol_ = owned_protocol_.get();
-  validate_options();
+  validate_churn_options(options_);
   edges_ = graph_->edges();
   const int n0 = graph_->num_vertices();
   max_nodes_ = options_.max_nodes > 0 ? options_.max_nodes : n0 + 8;
@@ -197,28 +218,10 @@ ChurnRunner<EngineT>::ChurnRunner(const Graph& g, const Protocol& protocol,
   SSS_REQUIRE(options_.topology_weight == 0,
               "topology churn requires the owning-mode runner (it must "
               "rebuild the graph and protocol)");
-  validate_options();
+  validate_churn_options(options_);
   engine_ = std::make_unique<EngineT>(*graph_, *protocol_,
                                       make_daemon(daemon_name_), engine_seed_);
   configure_engine();
-}
-
-template <typename EngineT>
-void ChurnRunner<EngineT>::validate_options() const {
-  SSS_REQUIRE(options_.event_probability >= 0.0 &&
-                  options_.event_probability <= 1.0,
-              "event_probability must be in [0, 1]");
-  SSS_REQUIRE((options_.event_probability > 0.0) != (options_.period > 0),
-              "churn needs exactly one schedule: event_probability or period");
-  SSS_REQUIRE(options_.max_victims >= 1, "max_victims must be >= 1");
-  SSS_REQUIRE(options_.corruption_weight >= 0 &&
-                  options_.node_reset_weight >= 0 &&
-                  options_.topology_weight >= 0,
-              "event weights must be non-negative");
-  SSS_REQUIRE(options_.corruption_weight + options_.node_reset_weight +
-                      options_.topology_weight >
-                  0,
-              "at least one event weight must be positive");
 }
 
 template <typename EngineT>

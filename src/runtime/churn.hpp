@@ -126,6 +126,14 @@ struct ChurnOptions {
   bool exclude_frozen = false;
 };
 
+/// Throws PreconditionError unless `options` describe a runnable window:
+/// exactly one schedule (event_probability in (0, 1] or period >= 1),
+/// window_steps, stabilize_steps and max_victims >= 1, and non-negative
+/// event weights of which at least one is positive. The one check of a
+/// ChurnOptions: ChurnRunner's constructors and validate_batch_item
+/// (analysis/batch.hpp) call it.
+void validate_churn_options(const ChurnOptions& options);
+
 /// Availability accumulators of one churn window.
 struct ChurnStats {
   std::uint64_t window_steps = 0;
@@ -243,7 +251,6 @@ class ChurnRunner {
   std::uint64_t total_bits() const;
 
  private:
-  void validate_options() const;
   /// Applies sweep-mode / frozen-exclusion options to the current engine
   /// (no-ops on engine types without those knobs).
   void configure_engine();

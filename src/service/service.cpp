@@ -12,25 +12,6 @@ namespace sss {
 
 namespace {
 
-/// Applies the engine-level overrides a submit carries (mirrors the
-/// sss_lab run flags: bit-identical output at any value, per engine
-/// invariants 5-7, so an override changes cost, never rows).
-void apply_engine_overrides(ExperimentPlan& plan, int parallel_threads,
-                            const std::string& sweep_mode) {
-  if (parallel_threads != 0) {
-    SSS_REQUIRE(parallel_threads >= 1, "parallel_threads must be >= 1");
-    for (BatchItem& item : plan.items) {
-      SSS_REQUIRE(!item.churn_enabled || parallel_threads == 1,
-                  "parallel_threads > 1 cannot be applied to churn sweeps");
-      item.parallel_threads = parallel_threads;
-    }
-  }
-  if (!sweep_mode.empty()) {
-    const SweepMode mode = parse_sweep_mode(sweep_mode);
-    for (BatchItem& item : plan.items) item.sweep_mode = mode;
-  }
-}
-
 /// Per-item trial counts, for validating recovered stream keys.
 std::vector<int> trials_per_item(const ExperimentPlan& plan) {
   std::vector<int> counts;

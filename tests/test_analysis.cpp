@@ -1,11 +1,8 @@
-/// Tests for single-sweep batches (one make_batch_item through run_batch)
-/// and report formatting shared by the bench harness.
+/// Tests for single-sweep batches (one BatchItem through run_batch).
 
 #include <gtest/gtest.h>
 
 #include "analysis/batch.hpp"
-#include "analysis/experiment.hpp"
-#include "analysis/report.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/mis_protocol.hpp"
 #include "core/problems.hpp"
@@ -15,22 +12,30 @@
 namespace sss {
 namespace {
 
+/// The item sweeping `protocol` on `g` with the default daemons and seeds.
+BatchItem item_for(const Graph& g, const Protocol& protocol,
+                   const Problem* problem) {
+  BatchItem item;
+  item.label = g.name();
+  item.graph = &g;
+  item.protocol = &protocol;
+  item.problem = problem;
+  return item;
+}
+
 /// One (graph, protocol) sweep: the one-item batch plan.
-SweepSummary sweep(const Graph& g, const Protocol& protocol,
-                   const Problem* problem, const SweepOptions& options) {
-  return run_batch({make_batch_item(g.name(), g, protocol, problem, options)},
-                   BatchOptions{})
-      .summaries.front();
+SweepSummary sweep(const BatchItem& item) {
+  return run_batch({item}, BatchOptions{}).summaries.front();
 }
 
 TEST(Sweep, DeterministicForSameOptions) {
   const Graph g = cycle(8);
   const ColoringProtocol protocol(g);
   const ColoringProblem problem;
-  SweepOptions options;
-  options.seeds_per_daemon = 3;
-  const SweepSummary a = sweep(g, protocol, &problem, options);
-  const SweepSummary b = sweep(g, protocol, &problem, options);
+  BatchItem item = item_for(g, protocol, &problem);
+  item.seeds_per_daemon = 3;
+  const SweepSummary a = sweep(item);
+  const SweepSummary b = sweep(item);
   EXPECT_EQ(a.runs, b.runs);
   EXPECT_EQ(a.silent_runs, b.silent_runs);
   EXPECT_EQ(a.max_rounds_to_silence, b.max_rounds_to_silence);
@@ -42,10 +47,10 @@ TEST(Sweep, CountsRunsAndCertifiesEfficiency) {
   const Graph g = path(6);
   const ColoringProtocol protocol(g);
   const ColoringProblem problem;
-  SweepOptions options;
-  options.daemons = {"distributed", "enumerator"};
-  options.seeds_per_daemon = 4;
-  const SweepSummary summary = sweep(g, protocol, &problem, options);
+  BatchItem item = item_for(g, protocol, &problem);
+  item.daemons = {"distributed", "enumerator"};
+  item.seeds_per_daemon = 4;
+  const SweepSummary summary = sweep(item);
   EXPECT_EQ(summary.runs, 8);
   EXPECT_EQ(summary.silent_runs, 8);
   EXPECT_EQ(summary.k_measured, 1);  // 1-efficiency across the whole sweep
@@ -56,14 +61,14 @@ TEST(Sweep, CountsRunsAndCertifiesEfficiency) {
 TEST(Sweep, DifferentSeedsChangeTrajectories) {
   const Graph g = cycle(8);
   const ColoringProtocol protocol(g);
-  SweepOptions a;
+  BatchItem a = item_for(g, protocol, nullptr);
   a.base_seed = 1;
   a.daemons = {"distributed"};
   a.seeds_per_daemon = 5;
-  SweepOptions b = a;
+  BatchItem b = a;
   b.base_seed = 777;
-  const SweepSummary sa = sweep(g, protocol, nullptr, a);
-  const SweepSummary sb = sweep(g, protocol, nullptr, b);
+  const SweepSummary sa = sweep(a);
+  const SweepSummary sb = sweep(b);
   // Same protocol, same graph: both silent, but trajectories (and hence
   // step counts) differ with overwhelming probability.
   EXPECT_EQ(sa.silent_runs, sb.silent_runs);
@@ -73,27 +78,22 @@ TEST(Sweep, DifferentSeedsChangeTrajectories) {
 TEST(Sweep, RejectsEmptyPlans) {
   const Graph g = path(4);
   const ColoringProtocol protocol(g);
-  SweepOptions options;
-  options.daemons = {};
-  EXPECT_THROW(sweep(g, protocol, nullptr, options), PreconditionError);
+  BatchItem item = item_for(g, protocol, nullptr);
+  item.daemons = {};
+  EXPECT_THROW(sweep(item), PreconditionError);
 }
 
 TEST(Sweep, MisBoundHoldsAcrossTheSweep) {
   const Graph g = grid(3, 3);
   const MisProtocol protocol(g, greedy_coloring(g));
   const MisProblem problem;
-  SweepOptions options;
-  options.seeds_per_daemon = 3;
-  const SweepSummary summary = sweep(g, protocol, &problem, options);
+  BatchItem item = item_for(g, protocol, &problem);
+  item.seeds_per_daemon = 3;
+  const SweepSummary summary = sweep(item);
   EXPECT_EQ(summary.silent_runs, summary.runs);
   EXPECT_LE(summary.max_rounds_to_silence,
             static_cast<std::uint64_t>(g.max_degree()) *
                 static_cast<std::uint64_t>(protocol.num_colors()));
-}
-
-TEST(Report, FormatVsBound) {
-  EXPECT_EQ(format_vs_bound(5.0, 10.0), "5.0/10.0 (50.0%)");
-  EXPECT_EQ(format_vs_bound(3.0, 0.0), "3.0/0.0");
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "analysis/batch.hpp"
-#include "analysis/experiment.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/matching_protocol.hpp"
 #include "core/mis_protocol.hpp"
@@ -123,12 +122,15 @@ TEST(BatchRunner, SingleItemMatchesAcrossThreadsAndShards) {
   const Graph g = grid(4, 4);
   const MisProtocol protocol(g, greedy_coloring(g));
   const MisProblem problem;
-  SweepOptions options;
-  options.daemons = {"distributed", "synchronous", "central-random"};
-  options.seeds_per_daemon = 3;
-  options.run.max_steps = 20'000;
-  const std::vector<BatchItem> items = {
-      make_batch_item("grid", g, protocol, &problem, options)};
+  BatchItem item;
+  item.label = "grid";
+  item.graph = &g;
+  item.protocol = &protocol;
+  item.problem = &problem;
+  item.daemons = {"distributed", "synchronous", "central-random"};
+  item.seeds_per_daemon = 3;
+  item.run.max_steps = 20'000;
+  const std::vector<BatchItem> items = {item};
 
   BatchOptions serial;
   serial.threads = 1;

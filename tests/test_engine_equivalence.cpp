@@ -17,7 +17,6 @@
 #include <memory>
 
 #include "analysis/batch.hpp"
-#include "analysis/experiment.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/matching_protocol.hpp"
 #include "core/mis_protocol.hpp"
@@ -148,14 +147,16 @@ TEST(SweepEquivalence, ThreadCountDoesNotChangeResults) {
   const Graph g = grid(4, 5);
   const MisProtocol protocol(g, greedy_coloring(g));
   const MisProblem problem;
-  SweepOptions options;
-  options.daemons = {"distributed", "central-rr", "synchronous",
-                     "adversarial"};
-  options.seeds_per_daemon = 3;
-  options.run.max_steps = 20'000;
+  BatchItem item;
+  item.label = "grid";
+  item.graph = &g;
+  item.protocol = &protocol;
+  item.problem = &problem;
+  item.daemons = {"distributed", "central-rr", "synchronous", "adversarial"};
+  item.seeds_per_daemon = 3;
+  item.run.max_steps = 20'000;
 
-  const std::vector<BatchItem> plan = {
-      make_batch_item("grid", g, protocol, &problem, options)};
+  const std::vector<BatchItem> plan = {item};
   BatchOptions batch;
   batch.threads = 1;
   const SweepSummary serial = run_batch(plan, batch).summaries.front();

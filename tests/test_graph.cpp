@@ -309,17 +309,5 @@ TEST(GraphIo, DotContainsVerticesAndEdges) {
   EXPECT_NE(colored.find("label=\"1:2\""), std::string::npos);
 }
 
-TEST(GraphIo, EdgeListRoundTrip) {
-  const Graph g = petersen();
-  const Graph back = parse_edge_list(to_edge_list(g));
-  EXPECT_EQ(back.num_vertices(), g.num_vertices());
-  EXPECT_EQ(back.edges(), g.edges());
-}
-
-TEST(GraphIo, ParseRejectsGarbage) {
-  EXPECT_THROW(parse_edge_list("not a graph"), PreconditionError);
-  EXPECT_THROW(parse_edge_list("3 2\n0 1"), PreconditionError);
-}
-
 }  // namespace
 }  // namespace sss

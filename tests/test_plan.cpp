@@ -441,5 +441,94 @@ TEST(Plan, ComposedManifestRunsEndToEnd) {
   }
 }
 
+/// A churn sweep on one small graph, with `extra` spliced into the sweep
+/// object (or into "defaults" when `in_defaults`).
+std::string churn_manifest(const std::string& extra, bool in_defaults) {
+  return std::string(R"({"name": "churn-combo", "defaults": {)") +
+         (in_defaults ? extra : "") + R"(}, "sweeps": [{
+      "graphs": [{"family": "cycle", "n": 6}],
+      "protocols": [{"name": "coloring"}],
+      "daemons": ["distributed"], "seeds_per_daemon": 1,
+      "churn": {"period": 64})" +
+         (in_defaults ? "" : ", " + extra) + "}]}";
+}
+
+std::string expand_error(const std::string& text) {
+  try {
+    plan_from_manifest_text(text);
+  } catch (const PreconditionError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Plan, RejectsItemsRunBatchWouldReject) {
+  // Each key is legal on its own; the combination is not a runnable item.
+  // Expansion validates every item, so a manifest that expands is one
+  // run_batch accepts — whether the keys meet in a sweep or arrive from
+  // "defaults".
+  for (const bool in_defaults : {false, true}) {
+    const std::string extra_steps =
+        expand_error(churn_manifest(R"("extra_steps": 4)", in_defaults));
+    EXPECT_NE(extra_steps.find("extra_steps and churn windows cannot be "
+                               "combined"),
+              std::string::npos)
+        << extra_steps;
+    EXPECT_NE(extra_steps.find("COLORING/cycle(6)"), std::string::npos)
+        << extra_steps;
+    const std::string threads =
+        expand_error(churn_manifest(R"("parallel_threads": 2)", in_defaults));
+    EXPECT_NE(threads.find("parallel_threads must be 1"), std::string::npos)
+        << threads;
+  }
+  // The same sweep without the extra key expands.
+  EXPECT_EQ(plan_from_manifest_text(churn_manifest(R"("max_steps": 100)",
+                                                   false))
+                .items.size(),
+            1u);
+  // Item ranges are checked once, per item, whatever level set them.
+  for (const char* keys : {R"("seeds_per_daemon": 0)", R"("daemons": [])"}) {
+    EXPECT_NE(expand_error(std::string(R"({"name": "x", "defaults": {)") +
+                           keys + R"(}, "sweeps": [{
+                "graphs": [{"family": "path", "n": 4}],
+                "protocols": [{"name": "coloring"}]}]})")
+                  .find("one daemon and one seed"),
+              std::string::npos)
+        << keys;
+  }
+  // A malformed churn block fails even when every sweep replaces it.
+  EXPECT_NE(expand_error(R"({"name": "x",
+      "defaults": {"churn": {"period": 8, "corruption_weight": 0}},
+      "sweeps": [{"graphs": [{"family": "path", "n": 4}],
+                  "protocols": [{"name": "coloring"}], "churn": null}]})")
+                .find("at least one positive event weight"),
+            std::string::npos);
+  // Integers are range-checked before narrowing, never wrapped.
+  EXPECT_NE(expand_error(churn_manifest(R"("extra_steps": 4294967296)", false))
+                .find("must fit an int"),
+            std::string::npos);
+}
+
+TEST(Plan, EngineOverridesRevalidateEveryItem) {
+  ExperimentPlan churn =
+      plan_from_manifest_text(churn_manifest(R"("max_steps": 100)", false));
+  apply_engine_overrides(churn, 0, "force_bulk");
+  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kForceBulk);
+  EXPECT_EQ(churn.items.front().parallel_threads, 1);
+  apply_engine_overrides(churn, 1, "");
+  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kForceBulk);
+  EXPECT_THROW(apply_engine_overrides(churn, 2, ""), PreconditionError);
+
+  ExperimentPlan plain = plan_from_manifest_text(kSmallManifest);
+  apply_engine_overrides(plain, 3, "");
+  for (const BatchItem& item : plain.items) {
+    EXPECT_EQ(item.parallel_threads, 3) << item.label;
+    EXPECT_EQ(item.sweep_mode, SweepMode::kAuto) << item.label;
+  }
+  EXPECT_THROW(apply_engine_overrides(plain, -1, ""), PreconditionError);
+  EXPECT_THROW(apply_engine_overrides(plain, 1025, ""), PreconditionError);
+  EXPECT_THROW(apply_engine_overrides(plain, 0, "fast"), PreconditionError);
+}
+
 }  // namespace
 }  // namespace sss

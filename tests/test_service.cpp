@@ -492,6 +492,33 @@ TEST(LabService, RejectsUnknownRunsAndBadManifests) {
   EXPECT_THROW(service.resume("/no/such/checkpoint", {}), PreconditionError);
 }
 
+TEST(LabService, SubmitRejectsUnrunnableItemsBeforeWritingAnything) {
+  // Legal key by key, but a churn item runs one single-threaded engine
+  // with no extra steps. Expansion (and the engine overrides) validate
+  // every item, so submit throws before the checkpoint or the sink exist.
+  const auto manifest = [](const std::string& extra) {
+    return R"({"name": "serve-churn", "sweeps": [{
+      "graphs": [{"family": "cycle", "n": 6}],
+      "protocols": [{"name": "coloring"}],
+      "daemons": ["distributed"], "seeds_per_daemon": 1,
+      "churn": {"period": 64})" +
+           extra + "}]}";
+  };
+  LabService service;
+  const std::string sink = temp_stream("unrunnable.jsonl");
+  for (const char* extra :
+       {R"(, "extra_steps": 4)", R"(, "parallel_threads": 2)"}) {
+    EXPECT_THROW(service.submit(manifest(extra), sink, {}), PreconditionError)
+        << extra;
+  }
+  LabService::SubmitOptions threaded;
+  threaded.parallel_threads = 2;
+  EXPECT_THROW(service.submit(manifest(""), sink, threaded),
+               PreconditionError);
+  EXPECT_FALSE(std::filesystem::exists(checkpoint_path_for(sink)));
+  EXPECT_FALSE(std::filesystem::exists(sink));
+}
+
 // ------------------------------------------------------------ ServeSession
 
 /// Runs a scripted session: feeds `lines`, returns every output line.

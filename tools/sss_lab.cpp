@@ -42,6 +42,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -110,6 +111,25 @@ int int_value(const std::string& flag, const std::string& text) {
   return value;
 }
 
+/// Bulk capabilities of protocol entry `name`, the subset of "sweep" and
+/// "execute" it implements. They are instance properties, so the entry's
+/// defaults are built on a tiny cycle; nullopt when they cannot build
+/// there.
+std::optional<std::vector<std::string>> probe_bulk(const std::string& name) {
+  static const Graph probe_graph =
+      GraphFamilyRegistry::instance().build("cycle", {{"n", ParamValue(4.0)}});
+  try {
+    const std::unique_ptr<Protocol> probe =
+        ProtocolRegistry::instance().make(name, probe_graph);
+    std::vector<std::string> bulk;
+    if (probe->has_bulk_sweep()) bulk.push_back("sweep");
+    if (probe->has_bulk_execute()) bulk.push_back("execute");
+    return bulk;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 void print_list() {
   // Families and protocols print their accepted parameters (and the
   // protocol's paired problem / daemon assumption), so a new registry
@@ -126,11 +146,6 @@ void print_list() {
   }
   std::printf("protocols:\n");
   const ProtocolRegistry& protocols = ProtocolRegistry::instance();
-  // Bulk capabilities (has_bulk_sweep / has_bulk_execute) are instance
-  // properties, so probe each entry on a tiny default graph; entries whose
-  // defaults cannot build there just omit the tag.
-  const Graph probe_graph =
-      GraphFamilyRegistry::instance().build("cycle", {{"n", ParamValue(4.0)}});
   for (const std::string& name : protocols.names()) {
     const ProtocolRegistry::Entry& entry = protocols.info(name);
     std::string line = "  " + name;
@@ -139,16 +154,8 @@ void print_list() {
     if (!entry.daemons.empty()) {
       line += "  daemons: " + join(entry.daemons, ", ");
     }
-    try {
-      const std::unique_ptr<Protocol> probe =
-          protocols.make(name, probe_graph);
-      std::vector<std::string> bulk;
-      if (probe->has_bulk_sweep()) bulk.push_back("sweep");
-      if (probe->has_bulk_execute()) bulk.push_back("execute");
-      if (!bulk.empty()) line += "  bulk: " + join(bulk, "+");
-    } catch (const std::exception&) {
-      // Not buildable on the probe graph; capabilities stay unprinted.
-    }
+    const auto bulk = probe_bulk(name);
+    if (bulk && !bulk->empty()) line += "  bulk: " + join(*bulk, "+");
     std::printf("%s\n", line.c_str());
   }
   const auto print = [](const char* title,
@@ -174,9 +181,8 @@ void print_list() {
 ///                   (probed; omitted when defaults cannot build)}],
 ///    "problems":  [names], "daemons": [names]}
 ///
-/// `bulk` mirrors the probe the human listing does: capabilities are
-/// instance properties, so each runnable entry's defaults are built on a
-/// tiny cycle; entries that cannot build there omit the field.
+/// `bulk` is probe_bulk's answer, the same probe the human listing uses;
+/// entries whose defaults cannot build on its cycle omit the field.
 void print_list_json() {
   std::ostringstream out;
   const auto string_array = [](const std::vector<std::string>& names) {
@@ -205,8 +211,6 @@ void print_list_json() {
   out << "\n  ],\n  \"protocols\": [";
 
   const ProtocolRegistry& protocols = ProtocolRegistry::instance();
-  const Graph probe_graph =
-      GraphFamilyRegistry::instance().build("cycle", {{"n", ParamValue(4.0)}});
   const auto kind_label = [](ProtocolRegistry::Entry::Kind kind) {
     switch (kind) {
       case ProtocolRegistry::Entry::Kind::kProtocol:
@@ -234,15 +238,8 @@ void print_list_json() {
       out << ", \"wraps\": " << json_quote(kind_label(entry.wraps));
     }
     if (entry.kind == ProtocolRegistry::Entry::Kind::kProtocol) {
-      try {
-        const std::unique_ptr<Protocol> probe =
-            protocols.make(name, probe_graph);
-        std::vector<std::string> bulk;
-        if (probe->has_bulk_sweep()) bulk.push_back("sweep");
-        if (probe->has_bulk_execute()) bulk.push_back("execute");
-        out << ", \"bulk\": " << string_array(bulk);
-      } catch (const std::exception&) {
-        // Not buildable on the probe graph; the field stays omitted.
+      if (const auto bulk = probe_bulk(name)) {
+        out << ", \"bulk\": " << string_array(*bulk);
       }
     }
     out << "}";
@@ -326,25 +323,12 @@ int run_command(const std::vector<std::string>& args) {
   SSS_REQUIRE(!manifest_path.empty(), "run needs a manifest path");
 
   ExperimentPlan plan = plan_from_manifest_file(manifest_path);
-  if (parallel_threads != 0) {
-    // Post-expansion override: since the intra-trial parallel step is
-    // bit-identical to single-threaded (engine invariant 7), re-running a
-    // manifest at a different thread count must reproduce its output
-    // byte-for-byte — that is exactly what CI's determinism smoke checks.
-    for (BatchItem& item : plan.items) {
-      SSS_REQUIRE(!item.churn_enabled || parallel_threads == 1,
-                  "--parallel-threads > 1 cannot be applied to churn sweeps");
-      item.parallel_threads = parallel_threads;
-    }
-  }
-  if (!sweep_mode.empty()) {
-    // Same post-expansion override shape as --parallel-threads: the bulk
-    // sweep/execute paths are bit-identical to scalar (engine invariants
-    // 5 and 6), so re-running a manifest in any mode must reproduce its
-    // output byte-for-byte — the force modes exist to prove exactly that.
-    const SweepMode mode = parse_sweep_mode(sweep_mode);
-    for (BatchItem& item : plan.items) item.sweep_mode = mode;
-  }
+  // Post-expansion overrides: the intra-trial parallel step and the bulk
+  // sweep/execute paths are bit-identical to the single-threaded scalar
+  // engine (engine invariants 5-7), so re-running a manifest under any
+  // override must reproduce its output byte-for-byte — exactly what CI's
+  // determinism smoke checks.
+  apply_engine_overrides(plan, parallel_threads, sweep_mode);
 
   std::vector<std::unique_ptr<std::ofstream>> files;
   std::vector<std::unique_ptr<ResultSink>> owned;
