@@ -19,29 +19,37 @@ struct TrialRef {
   int index_in_item = 0;
 };
 
+/// Messages are built only on failure; the label names the item in a
+/// manifest that expands to many.
+std::string item_error(const BatchItem& item, const char* what) {
+  return "batch item \"" + item.label + "\": " + what;
+}
+
 }  // namespace
 
-void validate_batch_item(const BatchItem& item) {
-  // Messages are built only on failure; the label names the item in a
-  // manifest that expands to many.
-  const auto bad = [&item](const char* what) {
-    return "batch item \"" + item.label + "\": " + what;
-  };
-  SSS_REQUIRE(item.graph != nullptr && item.protocol != nullptr,
-              bad("needs a graph and a protocol"));
+void validate_item_ranges(const BatchItem& item) {
   SSS_REQUIRE(!item.daemons.empty() && item.seeds_per_daemon >= 1,
-              bad("needs at least one daemon and one seed"));
-  SSS_REQUIRE(item.extra_steps >= 0, bad("extra_steps cannot be negative"));
+              item_error(item, "needs at least one daemon and one seed"));
+  SSS_REQUIRE(item.extra_steps >= 0,
+              item_error(item, "extra_steps cannot be negative"));
   SSS_REQUIRE(item.parallel_threads >= 1 && item.parallel_threads <= 1024,
-              bad("parallel_threads must be in [1, 1024]"));
+              item_error(item, "parallel_threads must be in [1, 1024]"));
+}
+
+void validate_batch_item(const BatchItem& item) {
+  SSS_REQUIRE(item.graph != nullptr && item.protocol != nullptr,
+              item_error(item, "needs a graph and a protocol"));
+  validate_item_ranges(item);
   if (item.churn_enabled) {
-    SSS_REQUIRE(item.extra_steps == 0,
-                bad("extra_steps and churn windows cannot be combined"));
+    SSS_REQUIRE(
+        item.extra_steps == 0,
+        item_error(item, "extra_steps and churn windows cannot be combined"));
     SSS_REQUIRE(item.parallel_threads == 1,
-                bad("churn mode runs single-threaded engines; "
-                    "parallel_threads must be 1"));
+                item_error(item,
+                           "churn mode runs single-threaded engines; "
+                           "parallel_threads must be 1"));
     SSS_REQUIRE(item.churn.topology_weight == 0 || item.protocol_factory,
-                bad("topology churn needs a protocol_factory"));
+                item_error(item, "topology churn needs a protocol_factory"));
     validate_churn_options(item.churn);
   }
 }

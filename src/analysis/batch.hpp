@@ -95,11 +95,17 @@ struct BatchItem {
   ProtocolFactory protocol_factory;
 };
 
+/// Throws PreconditionError unless the sweep-shape ranges of `item` hold:
+/// at least one daemon and one seed, non-negative extra_steps, and
+/// parallel_threads in [1, 1024]. These need no graph or protocol, so the
+/// plan expander checks a sweep's prototype with them before it builds
+/// any graph.
+void validate_item_ranges(const BatchItem& item);
+
 /// Throws PreconditionError unless `item` can run: a graph and a
-/// protocol, at least one daemon and one seed, non-negative extra_steps,
-/// parallel_threads in [1, 1024], and — in churn mode — no extra_steps,
-/// one engine thread, a protocol_factory for topology churn, and churn
-/// options that pass validate_churn_options.
+/// protocol, the ranges of validate_item_ranges, and — in churn mode — no
+/// extra_steps, one engine thread, a protocol_factory for topology churn,
+/// and churn options that pass validate_churn_options.
 void validate_batch_item(const BatchItem& item);
 
 /// Convergence and communication metrics of one item, reduced over its

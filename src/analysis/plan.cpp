@@ -312,6 +312,10 @@ void expand_sweep(const JsonValue& sweep, const BatchItem& manifest_prototype,
 
   BatchItem prototype = manifest_prototype;
   apply_run_keys(sweep, prototype);
+  // The sweep-shape ranges need no graph: check them before the graph
+  // loop builds one. Each item is labeled as it is built below.
+  prototype.label = "sweep at " + sweep.where();
+  validate_item_ranges(prototype);
 
   const Problem* problem = nullptr;
   if (const JsonValue* problem_name = sweep.find("problem")) {

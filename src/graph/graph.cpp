@@ -81,21 +81,6 @@ void Graph::build_csr(const std::vector<std::vector<ProcessId>>& adjacency) {
   }
 }
 
-int Graph::degree(ProcessId p) const {
-  SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
-  return offsets_[static_cast<std::size_t>(p) + 1] -
-         offsets_[static_cast<std::size_t>(p)];
-}
-
-ProcessId Graph::neighbor(ProcessId p, NbrIndex index) const {
-  SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
-  const std::int32_t begin = offsets_[static_cast<std::size_t>(p)];
-  const std::int32_t deg = offsets_[static_cast<std::size_t>(p) + 1] - begin;
-  SSS_REQUIRE(index >= 1 && index <= deg,
-              "local channel index out of range");
-  return neighbors_[static_cast<std::size_t>(begin + index - 1)];
-}
-
 NbrIndex Graph::local_index_of(ProcessId p, ProcessId q) const {
   SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
   // Linear scan: port lists need not be sorted (from_ports), and degrees
@@ -104,13 +89,6 @@ NbrIndex Graph::local_index_of(ProcessId p, ProcessId q) const {
   const auto it = std::find(nbrs.begin(), nbrs.end(), q);
   if (it == nbrs.end()) return 0;
   return static_cast<NbrIndex>(it - nbrs.begin()) + 1;
-}
-
-std::span<const ProcessId> Graph::neighbors(ProcessId p) const {
-  SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
-  const std::int32_t begin = offsets_[static_cast<std::size_t>(p)];
-  const std::int32_t end = offsets_[static_cast<std::size_t>(p) + 1];
-  return {neighbors_.data() + begin, static_cast<std::size_t>(end - begin)};
 }
 
 NbrIndex Graph::mirror_index(ProcessId p, NbrIndex channel) const {

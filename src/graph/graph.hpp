@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/require.hpp"
+
 namespace sss {
 
 /// Global process identifier, 0-based. Protocol code never sees these;
@@ -123,5 +125,29 @@ class Graph {
   std::vector<NbrIndex> mirror_index_;  ///< 2m reverse channel numbers
   std::string name_ = "graph";
 };
+
+// The per-read accessors live here so every scalar neighbor read inlines
+// them; the range checks stay on.
+inline int Graph::degree(ProcessId p) const {
+  SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
+  return offsets_[static_cast<std::size_t>(p) + 1] -
+         offsets_[static_cast<std::size_t>(p)];
+}
+
+inline ProcessId Graph::neighbor(ProcessId p, NbrIndex index) const {
+  SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
+  const std::int32_t begin = offsets_[static_cast<std::size_t>(p)];
+  const std::int32_t deg = offsets_[static_cast<std::size_t>(p) + 1] - begin;
+  SSS_REQUIRE(index >= 1 && index <= deg,
+              "local channel index out of range");
+  return neighbors_[static_cast<std::size_t>(begin + index - 1)];
+}
+
+inline std::span<const ProcessId> Graph::neighbors(ProcessId p) const {
+  SSS_REQUIRE(p >= 0 && p < num_vertices(), "process id out of range");
+  const std::int32_t begin = offsets_[static_cast<std::size_t>(p)];
+  const std::int32_t end = offsets_[static_cast<std::size_t>(p) + 1];
+  return {neighbors_.data() + begin, static_cast<std::size_t>(end - begin)};
+}
 
 }  // namespace sss

@@ -42,8 +42,10 @@
 /// scalar commit loop, so trajectories and metrics stay bit-identical by
 /// construction. The per-process read discipline is load-bearing: a
 /// kernel must interleave reads per process (replay p's guard memo, then
-/// log p's action reads, then move to the next process) because the
-/// parallel path's WorkerReadTally dedups per contiguous reader run.
+/// log p's action reads, then move to the next process) because both read
+/// counters dedup per contiguous reader run — the serial path's
+/// StepReadCounter (which asserts a reader never re-enters a step) and
+/// the parallel path's WorkerReadTally (runtime/metrics.hpp).
 
 #include <algorithm>
 #include <cstdint>

@@ -66,7 +66,9 @@
 ///     selections (synchronous/distributed daemons) this roughly halves
 ///     the per-selected-process cost; metrics stay bit-identical because
 ///     the replayed on_read sequence is the one a live evaluation would
-///     emit.
+///     emit. Replay and action reads of one process form one contiguous
+///     run, which is the contract the O(1) StepReadCounter and the
+///     parallel path's WorkerReadTally dedup on (runtime/metrics.hpp).
 ///
 ///  5. One partitioned refresh. `refresh_enabled` drains the dirty queue
 ///     with one of two range kernels, each recording every outcome through

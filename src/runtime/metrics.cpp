@@ -24,56 +24,50 @@ void ReadLoggerMux::on_read(ProcessId reader, ProcessId subject,
 }
 
 StepReadCounter::StepReadCounter(const Graph& g, const ProtocolSpec& spec)
-    : graph_(g), readers_(static_cast<std::size_t>(g.num_vertices())) {
-  var_bits_.resize(static_cast<std::size_t>(g.num_vertices()));
+    : num_comm_(static_cast<std::size_t>(spec.num_comm())),
+      subjects_(static_cast<std::size_t>(g.num_vertices())),
+      readers_(static_cast<std::size_t>(g.num_vertices())) {
+  SSS_REQUIRE(spec.num_comm() <= 64,
+              "read accounting supports at most 64 communication variables");
+  bits_.reserve(static_cast<std::size_t>(g.num_vertices()) * num_comm_);
   for (ProcessId p = 0; p < g.num_vertices(); ++p) {
-    auto& bits = var_bits_[static_cast<std::size_t>(p)];
-    bits.resize(static_cast<std::size_t>(spec.num_comm()));
-    for (int v = 0; v < spec.num_comm(); ++v) {
-      bits[static_cast<std::size_t>(v)] =
-          spec.comm[static_cast<std::size_t>(v)].domain(g, p).bits();
+    for (const VarSpec& var : spec.comm) {
+      bits_.push_back(var.domain(g, p).bits());
     }
   }
 }
 
-void StepReadCounter::begin_step() {
-  for (ProcessId p : touched_) {
-    auto& reader = readers_[static_cast<std::size_t>(p)];
-    reader.seen.clear();
-    reader.subjects.clear();
-    reader.bits = 0;
-  }
-  touched_.clear();
+void StepReadCounter::start_run(ProcessId reader) {
+  ReaderStamp& stamp = readers_[static_cast<std::size_t>(reader)];
+  SSS_ASSERT(stamp.step != step_,
+             "a reader's reads must be contiguous within one step");
+  stamp.step = step_;
+  stamp.reads = 0;
+  reader_ = reader;
+  ++run_;
+  run_bits_ = 0;
 }
 
-void StepReadCounter::on_read(ProcessId reader_id, ProcessId subject,
+void StepReadCounter::on_read(ProcessId reader, ProcessId subject,
                               int comm_var) {
-  auto& reader = readers_[static_cast<std::size_t>(reader_id)];
-  const std::pair<ProcessId, int> key{subject, comm_var};
-  if (std::find(reader.seen.begin(), reader.seen.end(), key) !=
-      reader.seen.end()) {
-    return;  // the same variable re-read within one atomic step is free
-  }
-  if (reader.seen.empty()) touched_.push_back(reader_id);
-  reader.seen.push_back(key);
-  if (std::find(reader.subjects.begin(), reader.subjects.end(), subject) ==
-      reader.subjects.end()) {
-    reader.subjects.push_back(subject);
+  if (reader != reader_) start_run(reader);
+  SubjectStamp& seen = subjects_[static_cast<std::size_t>(subject)];
+  const std::uint64_t var = std::uint64_t{1} << comm_var;
+  if (seen.run != run_) {
+    seen.run = run_;
+    seen.vars = var;
     ++total_reads_;
-    max_reads_ =
-        std::max(max_reads_, static_cast<int>(reader.subjects.size()));
+    max_reads_ = std::max(
+        max_reads_, ++readers_[static_cast<std::size_t>(reader)].reads);
+  } else if ((seen.vars & var) != 0) {
+    return;  // the same variable re-read within one atomic step is free
+  } else {
+    seen.vars |= var;
   }
-  const int bits =
-      var_bits_[static_cast<std::size_t>(subject)][static_cast<std::size_t>(
-          comm_var)];
-  reader.bits += bits;
+  const int bits = bits_of(subject, comm_var);
+  run_bits_ += bits;
   total_bits_ += static_cast<std::uint64_t>(bits);
-  max_bits_ = std::max(max_bits_, reader.bits);
-}
-
-int StepReadCounter::step_reads_of(ProcessId reader) const {
-  return static_cast<int>(
-      readers_[static_cast<std::size_t>(reader)].subjects.size());
+  max_bits_ = std::max(max_bits_, run_bits_);
 }
 
 void StepReadCounter::absorb(std::uint64_t reads, std::uint64_t bits,
@@ -86,8 +80,7 @@ void StepReadCounter::absorb(std::uint64_t reads, std::uint64_t bits,
 
 void WorkerReadTally::begin_step() {
   current_reader_ = -1;
-  seen.clear();
-  subjects.clear();
+  subjects_.clear();
   bits_ = 0;
   total_reads_ = 0;
   total_bits_ = 0;
@@ -98,24 +91,27 @@ void WorkerReadTally::begin_step() {
 void WorkerReadTally::on_read(ProcessId reader, ProcessId subject,
                               int comm_var) {
   if (reader != current_reader_) {
-    // Selections are strictly ascending and a reader's reads are
-    // contiguous, so a reader change means the previous one is finished
-    // for this step and its scratch can be recycled.
+    // A worker's slice of the selection is strictly ascending and a
+    // reader's reads are contiguous, so a reader change means the previous
+    // one is finished for this step and its scratch can be recycled.
+    SSS_ASSERT(reader > current_reader_,
+               "a worker's readers must arrive in ascending order");
     current_reader_ = reader;
-    seen.clear();
-    subjects.clear();
+    subjects_.clear();
     bits_ = 0;
   }
-  const std::pair<ProcessId, int> key{subject, comm_var};
-  if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-    return;  // the same variable re-read within one atomic step is free
-  }
-  seen.push_back(key);
-  if (std::find(subjects.begin(), subjects.end(), subject) ==
-      subjects.end()) {
-    subjects.push_back(subject);
+  const std::uint64_t var = std::uint64_t{1} << comm_var;
+  const auto seen = std::find_if(
+      subjects_.begin(), subjects_.end(),
+      [subject](const auto& entry) { return entry.first == subject; });
+  if (seen == subjects_.end()) {
+    subjects_.emplace_back(subject, var);
     ++total_reads_;
-    max_reads_ = std::max(max_reads_, static_cast<int>(subjects.size()));
+    max_reads_ = std::max(max_reads_, static_cast<int>(subjects_.size()));
+  } else if ((seen->second & var) != 0) {
+    return;  // the same variable re-read within one atomic step is free
+  } else {
+    seen->second |= var;
   }
   const int bits = source_.bits_of(subject, comm_var);
   bits_ += bits;

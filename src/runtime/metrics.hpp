@@ -33,17 +33,46 @@ class ReadLoggerMux final : public ReadLogger {
   std::vector<ReadLogger*> loggers_;
 };
 
-/// Per-step read statistics with per-(reader,subject,var) deduplication.
-/// The engine calls begin_step() before processing a selection.
+/// Per-step read statistics with per-(reader,subject,var) deduplication,
+/// at O(1) per read.
+///
+/// Contiguity contract: within one step, all of a reader's reads arrive
+/// as one uninterrupted run. The engine's serial slice, the bulk-execute
+/// kernels (runtime/bulk.hpp) and `ReferenceEngine::evaluate_process` all
+/// replay a selected process's guard memo and then its action reads before
+/// moving to the next process, so a step is a sequence of runs, one per
+/// reader. A reader that starts a second run in the same step breaks the
+/// contract and trips an SSS_ASSERT.
+///
+/// The deduplication rests on that contract and on stamps, so no per-step
+/// state is ever cleared:
+///  * a reader change starts a new run with a fresh 64-bit run generation;
+///  * each subject carries the generation of the last run that read it and
+///    a mask of the comm variables that run read (so `num_comm() <= 64`).
+///    A stale stamp means a newly read neighbor (k-efficiency,
+///    Definition 4); an unset mask bit means newly read bits (Definition
+///    5); anything else is a free re-read within the atomic step;
+///  * each reader carries the step generation of its last run and that
+///    run's neighbor count, which is `step_reads_of`. `begin_step` only
+///    bumps the step generation.
+/// 64-bit generations cannot wrap within an engine's lifetime.
 class StepReadCounter final : public ReadLogger {
  public:
   StepReadCounter(const Graph& g, const ProtocolSpec& spec);
 
-  void begin_step();
+  /// Opens a new step: O(1), every reader's stamp goes stale.
+  void begin_step() {
+    ++step_;
+    reader_ = kNoReader;
+  }
   void on_read(ProcessId reader, ProcessId subject, int comm_var) override;
 
-  /// Distinct neighbors read by `reader` in the current step.
-  int step_reads_of(ProcessId reader) const;
+  /// Distinct neighbors read by `reader` in the current step (0 for a
+  /// reader with no reads this step).
+  int step_reads_of(ProcessId reader) const {
+    const ReaderStamp& stamp = readers_[static_cast<std::size_t>(reader)];
+    return stamp.step == step_ ? stamp.reads : 0;
+  }
   /// Max over all processes and all steps so far (the protocol's measured
   /// k-efficiency).
   int max_reads_per_process_step() const { return max_reads_; }
@@ -56,8 +85,8 @@ class StepReadCounter final : public ReadLogger {
   /// Bit width of `comm_var` of `subject` — the per-read cost the counter
   /// charges. Exposed so a WorkerReadTally can charge identically.
   int bits_of(ProcessId subject, int comm_var) const {
-    return var_bits_[static_cast<std::size_t>(subject)]
-                    [static_cast<std::size_t>(comm_var)];
+    return bits_[static_cast<std::size_t>(subject) * num_comm_ +
+                 static_cast<std::size_t>(comm_var)];
   }
 
   /// Merges a worker tally's step contribution (parallel execution path):
@@ -68,17 +97,28 @@ class StepReadCounter final : public ReadLogger {
               int max_bits);
 
  private:
-  struct PerReader {
-    /// (subject, var) pairs seen this step; tiny (<= Delta * vars).
-    std::vector<std::pair<ProcessId, int>> seen;
-    std::vector<ProcessId> subjects;
-    int bits = 0;
+  static constexpr ProcessId kNoReader = -1;
+
+  struct SubjectStamp {
+    std::uint64_t run = 0;   ///< generation of the last run that read it
+    std::uint64_t vars = 0;  ///< comm variables that run read, one bit each
+  };
+  struct ReaderStamp {
+    std::uint64_t step = 0;  ///< generation of the step of its last run
+    int reads = 0;           ///< distinct neighbors read in that run
   };
 
-  const Graph& graph_;
-  std::vector<std::vector<int>> var_bits_;  ///< [process][comm var] bits
-  std::vector<PerReader> readers_;
-  std::vector<ProcessId> touched_;  ///< readers active this step
+  /// Opens `reader`'s run for the current step.
+  void start_run(ProcessId reader);
+
+  std::size_t num_comm_;
+  std::vector<int> bits_;  ///< [subject * num_comm + var] bit widths
+  std::vector<SubjectStamp> subjects_;
+  std::vector<ReaderStamp> readers_;
+  std::uint64_t step_ = 1;  ///< stamps start at 0: stale before any step
+  std::uint64_t run_ = 0;
+  ProcessId reader_ = kNoReader;  ///< reader of the open run
+  int run_bits_ = 0;              ///< bits read in the open run
   int max_reads_ = 0;
   int max_bits_ = 0;
   std::uint64_t total_reads_ = 0;
@@ -87,16 +127,15 @@ class StepReadCounter final : public ReadLogger {
 
 /// Per-worker read accounting for the engine's parallel execution path.
 ///
-/// A StepReadCounter per worker would be exact but carries O(n) PerReader
-/// state per instance — prohibitive at n = 10^6 x 8 workers. The tally
-/// exploits the parallel path's access pattern instead: each worker
-/// processes its slice of the selection one reader at a time, and all of a
-/// reader's reads for the step (memo replay + action-time nbr_comm) are
-/// contiguous in that worker. So one scratch dedup set, recycled per
-/// reader, reproduces StepReadCounter's per-(reader,subject,var)
-/// deduplication exactly, and only the four aggregates survive:
-/// totals (summed into the main counter) and per-process-step maxima
-/// (maxed in). `StepReadCounter::absorb` is the merge.
+/// Per-worker copies of StepReadCounter's n-sized stamp arrays would cost
+/// 16 B x n per worker — prohibitive at n = 10^6 x 8 workers. The tally
+/// relies on the same contiguity contract instead, with degree-bounded
+/// scratch: each worker processes its slice of the selection one reader
+/// at a time in ascending order, so one scratch list of (subject, var
+/// mask) pairs, recycled per reader, reproduces StepReadCounter's
+/// deduplication exactly, and only the four aggregates survive: totals
+/// (summed into the main counter) and per-process-step maxima (maxed in).
+/// `StepReadCounter::absorb` is the merge.
 class WorkerReadTally final : public ReadLogger {
  public:
   explicit WorkerReadTally(const StepReadCounter& source) : source_(source) {}
@@ -113,10 +152,10 @@ class WorkerReadTally final : public ReadLogger {
 
  private:
   const StepReadCounter& source_;  ///< for bits_of only
-  /// Scratch state of the reader currently being processed.
+  /// Scratch state of the reader currently being processed: each subject
+  /// it read with the mask of the comm variables read from it.
   ProcessId current_reader_ = -1;
-  std::vector<std::pair<ProcessId, int>> seen;
-  std::vector<ProcessId> subjects;
+  std::vector<std::pair<ProcessId, std::uint64_t>> subjects_;
   int bits_ = 0;
   /// Step aggregates absorbed into the main counter after the barrier.
   std::uint64_t total_reads_ = 0;

@@ -509,6 +509,25 @@ TEST(Plan, RejectsItemsRunBatchWouldReject) {
             std::string::npos);
 }
 
+TEST(Plan, ItemRangesAreCheckedBeforeAnyGraphIsBuilt) {
+  // random-regular(5, 3) cannot be built (n*d is odd): the range error
+  // must win, because the ranges are checked before the graph loop.
+  const std::string error = expand_error(R"({"name": "x", "sweeps": [{
+      "graphs": [{"family": "random-regular", "n": 5, "d": 3}],
+      "protocols": [{"name": "coloring"}],
+      "seeds_per_daemon": 0}]})");
+  EXPECT_NE(error.find("one daemon and one seed"), std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("must be even"), std::string::npos) << error;
+  // The same sweep with a valid seed count reaches the builder.
+  EXPECT_NE(expand_error(R"({"name": "x", "sweeps": [{
+      "graphs": [{"family": "random-regular", "n": 5, "d": 3}],
+      "protocols": [{"name": "coloring"}],
+      "seeds_per_daemon": 1}]})")
+                .find("must be even"),
+            std::string::npos);
+}
+
 TEST(Plan, EngineOverridesRevalidateEveryItem) {
   ExperimentPlan churn =
       plan_from_manifest_text(churn_manifest(R"("max_steps": 100)", false));
