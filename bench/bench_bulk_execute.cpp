@@ -12,7 +12,8 @@
 ///
 ///  * E16  — whole-engine steps/sec, deployed configuration
 ///    (SweepMode::kAuto, which bulk-executes when >= 1/2 of the network
-///    is selected and bulk-sweeps when >= 3/4 is stale) vs kForceScalar.
+///    is selected and refreshes every dirty guard through the slab
+///    kernel) vs kForceScalar.
 ///    Windows interleave `randomize_state()` with 32-step bursts so
 ///    converging protocols are measured on live convergence work. The
 ///    ratio is the *combined* win of invariants 5 and 6 — what a user
@@ -92,7 +93,7 @@ class CountingSink final : public ReadLogger {
   }
 };
 
-/// Fixture for E16b: one randomized configuration, its guard sweep (the
+/// Fixture for E16b: one randomized configuration, its guard refresh (the
 /// memo the engine would hold), and the all-enabled selection.
 struct ExecuteFixture {
   Configuration config;
@@ -109,7 +110,9 @@ struct ExecuteFixture {
     logs.resize(static_cast<std::size_t>(n));
     BulkGuardContext guard_ctx(g, config, logs);
     bitmap.reset(n);
-    protocol.sweep_enabled(guard_ctx, bitmap);
+    std::vector<ProcessId> all(static_cast<std::size_t>(n));
+    for (ProcessId p = 0; p < n; ++p) all[static_cast<std::size_t>(p)] = p;
+    protocol.sweep_enabled_ids(guard_ctx, bitmap, all);
     for (ProcessId p = 0; p < n; ++p) {
       if (bitmap.enabled(p)) selection.push_back(p);
     }
@@ -231,8 +234,8 @@ int main(int argc, char** argv) {
       "E16: engine steps/sec, auto bulk execute+sweep vs all-scalar "
       "(synchronous daemon)");
   print_note("kAuto bulk-executes when >= 1/2 of the network is selected");
-  print_note("and bulk-sweeps when >= 3/4 of the guards are stale, so the");
-  print_note("ratio is the deployed combined win of invariants 5 and 6.");
+  print_note("and refreshes every dirty guard through the slab kernel, so");
+  print_note("the ratio is the deployed combined win of invariants 5 and 6.");
   TextTable steps_table({"graph", "n", "protocol", "scalar sps", "auto sps",
                          "speedup"});
   Geomean steps_geomean;

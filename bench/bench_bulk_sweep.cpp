@@ -1,25 +1,29 @@
-/// E15 — bulk guard sweep vs scalar probes under the synchronous daemon.
+/// E15 — slab guard-refresh kernels vs scalar probes.
 ///
-/// Not a paper claim: measures the engine's two probe-refresh strategies
+/// Not a paper claim: measures the engine's two guard-refresh strategies
 /// (runtime/bulk.hpp) — per-process scalar `first_enabled` probes vs the
-/// one-pass `sweep_enabled` CSR kernels — for every registry protocol on
-/// graphs at n ~= 2000 and n ~= 20000. The synchronous daemon is the
-/// workload the bulk path exists for: every step co-fires all enabled
-/// processes, so every active step dirties nearly all n guards and the
-/// refresh dominates the step. Two sections:
+/// protocol's `sweep_enabled_ids` CSR kernel over the dirty ids — for
+/// every registry protocol on graphs at n ~= 2000 and n ~= 20000. Three
+/// sections:
 ///
-///  * E15  — whole-engine steps/sec, deployed configuration
-///    (SweepMode::kAuto, which sweeps only when >= 3/4 of the network is
-///    stale) vs kForceScalar. Windows interleave `randomize_state()` with
-///    32-step bursts so converging protocols are measured on live
-///    convergence work, not the post-silence no-op regime.
+///  * E15  — whole-engine steps/sec under the synchronous daemon,
+///    deployed configuration (SweepMode::kAuto) vs kForceScalar. Every
+///    active step co-fires all enabled processes, so it dirties nearly
+///    all n guards and the refresh dominates the step. Windows
+///    interleave `randomize_state()` with 32-step bursts so converging
+///    protocols are measured on live convergence work, not the
+///    post-silence no-op regime.
 ///  * E15b — refresh-only throughput: guard evaluations/sec of one
 ///    all-dirty refresh (the post-perturbation worst case), kForceBulk vs
-///    kForceScalar. This isolates the sweep kernels from action
-///    execution; it is the number the kAuto threshold in
-///    Engine::refresh_enabled is calibrated against. Each measured
-///    iteration pays an identical set_config() to re-stale the probes, so
-///    the printed ratios *understate* the kernels' advantage.
+///    kForceScalar. This isolates the kernels from action execution.
+///    Each measured iteration pays an identical set_config() to re-stale
+///    the probes, so the printed ratios *understate* the kernels'
+///    advantage.
+///  * E15c — the central-daemon refresh: guard evaluations/sec of one
+///    process plus its neighbours (the dirty set a central step leaves
+///    behind), the kernel vs the scalar default of `sweep_enabled_ids`
+///    (what kForceScalar runs). Informational: its `kernel_ratio` field
+///    is not gated.
 ///
 /// Both strategies are bit-identical by construction (asserted here over
 /// a lockstep prefix, proven at scale by tests/test_bulk_sweep.cpp and
@@ -95,6 +99,62 @@ double measure_refreshes_per_sec(Engine& engine, const Configuration& config,
   return static_cast<double>(evals) / elapsed;
 }
 
+/// Guard evaluations/second of `sweep_enabled_ids` over closed
+/// neighbourhoods — a process and its neighbours, the dirty set a central
+/// daemon's step leaves — cycling through `balls` so no single ball stays
+/// cache-hot. Each refresh clears the listed memo logs first, as the
+/// engine does. `scalar` runs the Protocol default (one virtual
+/// first_enabled probe per id) instead of the protocol's kernel.
+double measure_ball_refreshes_per_sec(
+    const Graph& g, const Protocol& protocol, const Configuration& config,
+    const std::vector<std::vector<ProcessId>>& balls, bool scalar,
+    double min_seconds) {
+  using clock = std::chrono::steady_clock;
+  std::vector<BulkGuardContext::ReadLog> logs(
+      static_cast<std::size_t>(g.num_vertices()));
+  EnabledBitmap actions;
+  actions.reset(g.num_vertices());
+  BulkGuardContext ctx(g, config, logs);
+  std::uint64_t evals = 0;
+  const auto refresh_all = [&] {
+    for (const std::vector<ProcessId>& ids : balls) {
+      for (const ProcessId p : ids) logs[static_cast<std::size_t>(p)].clear();
+      if (scalar) {
+        protocol.Protocol::sweep_enabled_ids(ctx, actions, ids);
+      } else {
+        protocol.sweep_enabled_ids(ctx, actions, ids);
+      }
+      evals += ids.size();
+    }
+  };
+  refresh_all();  // warmup
+  evals = 0;
+  const auto begin = clock::now();
+  double elapsed = 0.0;
+  do {
+    refresh_all();
+    elapsed = std::chrono::duration<double>(clock::now() - begin).count();
+  } while (elapsed < min_seconds);
+  return static_cast<double>(evals) / elapsed;
+}
+
+/// Closed neighbourhoods of `count` pseudo-random centres.
+std::vector<std::vector<ProcessId>> central_dirty_sets(const Graph& g,
+                                                       int count) {
+  Rng rng(0xC3A7ULL);
+  std::vector<std::vector<ProcessId>> balls;
+  for (int i = 0; i < count; ++i) {
+    const auto p = static_cast<ProcessId>(
+        rng.below(static_cast<std::uint64_t>(g.num_vertices())));
+    std::vector<ProcessId> ball{p};
+    for (NbrIndex ch = 1; ch <= g.degree(p); ++ch) {
+      ball.push_back(g.neighbor(p, ch));
+    }
+    balls.push_back(std::move(ball));
+  }
+  return balls;
+}
+
 /// Both strategies must walk the same computation; a short lockstep
 /// prefix catches a divergent sweep before it pollutes the timings.
 void require_lockstep(const Graph& g, const Protocol& protocol) {
@@ -147,9 +207,9 @@ int main(int argc, char** argv) {
   print_banner(
       "E15: engine steps/sec, auto bulk sweep vs scalar probes "
       "(synchronous daemon)");
-  print_note("kAuto sweeps only when >= 3/4 of the guards are stale, so");
-  print_note("sparse-activity regimes keep the scalar path: ratios track");
-  print_note("the deployed engine, never a forced pessimisation.");
+  print_note("kAuto refreshes every dirty guard through the kernel and");
+  print_note("bulk-executes when >= 1/2 of the network is selected, so");
+  print_note("the ratios track the deployed engine.");
   TextTable steps_table({"graph", "n", "protocol", "scalar sps", "auto sps",
                          "speedup"});
   Geomean steps_geomean;
@@ -258,6 +318,57 @@ int main(int argc, char** argv) {
                 "%.2fx, max %.2fx over %d cells",
                 refresh_geomean.value(), refresh_geomean.worst,
                 refresh_geomean.best, refresh_geomean.rows);
+  print_note(summary);
+  std::fflush(stdout);
+
+  print_banner("E15c: central-daemon refresh (one process + neighbours), "
+               "kernel vs scalar probes (guard evals/sec)");
+  print_note("informational, not gated: 256 closed neighbourhoods of a");
+  print_note("mid-convergence configuration, refreshed in turn.");
+  TextTable central_table({"graph", "n", "protocol", "scalar evals/s",
+                           "kernel evals/s", "ratio"});
+  Geomean central_geomean;
+  for (const Graph& g : graphs) {
+    const std::vector<std::vector<ProcessId>> balls =
+        central_dirty_sets(g, 256);
+    for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
+      const std::unique_ptr<Protocol> protocol =
+          ProtocolRegistry::instance().make(name, g, {});
+      if (!protocol->has_bulk_sweep()) continue;
+      Engine pilot(g, *protocol, make_synchronous_daemon(), 7);
+      pilot.randomize_state();
+      for (int i = 0; i < 40; ++i) pilot.step();
+      const Configuration& config = pilot.config();
+      const double scalar_eps = measure_ball_refreshes_per_sec(
+          g, *protocol, config, balls, /*scalar=*/true, min_seconds);
+      const double kernel_eps = measure_ball_refreshes_per_sec(
+          g, *protocol, config, balls, /*scalar=*/false, min_seconds);
+      const double ratio = kernel_eps / scalar_eps;
+      central_table.row()
+          .add(g.name())
+          .add(g.num_vertices())
+          .add(name)
+          .add(scalar_eps, 0)
+          .add(kernel_eps, 0)
+          .add(ratio, 2);
+      json.record()
+          .field("graph", g.name())
+          .field("n", g.num_vertices())
+          .field("protocol", name)
+          .field("daemon", "central")
+          .field("regime", "central-refresh")
+          .field("scalar_evals_per_sec", scalar_eps)
+          .field("kernel_evals_per_sec", kernel_eps)
+          .field("kernel_ratio", ratio);
+      central_geomean.add(ratio);
+    }
+  }
+  std::printf("%s\n", central_table.str().c_str());
+  std::snprintf(summary, sizeof(summary),
+                "central-daemon refresh, kernel vs scalar: geomean %.2fx, "
+                "min %.2fx, max %.2fx over %d cells",
+                central_geomean.value(), central_geomean.worst,
+                central_geomean.best, central_geomean.rows);
   print_note(summary);
   std::fflush(stdout);
 

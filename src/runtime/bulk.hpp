@@ -1,36 +1,44 @@
 #pragma once
 /// \file bulk.hpp
-/// Bulk guard evaluation: the one-pass alternative to n per-process probes.
+/// Bulk guard evaluation: the engine's guard refresh without per-process
+/// virtual probes.
 ///
-/// Under co-firing daemons (synchronous, distributed) almost every probe
-/// cache entry is stale after every step, so the engine's refresh degrades
-/// to n virtual `first_enabled` calls, each paying a GuardContext
-/// construction, range-checked neighbor lookups, and a virtual read-logger
-/// call per neighbor read. The bulk path instead evaluates *all* guards in
-/// one `sweep_enabled` pass against the CSR slabs (`Graph::csr_*`) and the
-/// flat configuration rows (`Configuration::row`) — no virtual dispatch
-/// and no per-read bounds checks inside the loop.
+/// Every step dirties some guards — the fired processes and the
+/// neighbours of those whose communication changed: a handful under a
+/// central daemon, nearly all n under co-firing ones. A scalar probe of
+/// one dirty process pays a GuardContext construction, a virtual
+/// `first_enabled`, range-checked neighbour lookups and a virtual
+/// read-logger call per neighbour read. `Protocol::sweep_enabled_ids`
+/// instead evaluates a whole list of dirty guards in one call against the
+/// CSR slabs (`Graph::csr_*`) and the flat configuration rows
+/// (`Configuration::row`), with no virtual dispatch and no per-read
+/// bounds checks inside the loop. The engine hands it exactly the dirty
+/// ids, whatever their number, so the kernel replaces the scalar probe
+/// under every daemon rather than only under mostly-dirty refreshes.
 ///
-/// The sweep owes the engine exactly what n scalar probes would have
-/// produced, because the engine *replays* this data later:
+/// The kernel owes the engine exactly what scalar probes of the same ids
+/// would have produced, because the engine *replays* this data later:
 ///
-///  * the first-enabled action per process (`EnabledBitmap`), which the
-///    engine commits into its probe memo and enabled set; and
-///  * the guard's neighbor-read log per process (`BulkGuardContext::log`),
-///    in the order the scalar guard would have issued the reads — this is
-///    the sequence `Engine::step` replays into the model's read counters
-///    when the process is selected, so any deviation shows up as a read-
-///    metric divergence from `ReferenceEngine`.
+///  * the first-enabled action per listed process (`EnabledBitmap`),
+///    which the engine commits into its probe memo and enabled set; and
+///  * the guard's neighbor-read log per listed process
+///    (`BulkGuardContext::log`), in the order the scalar guard would have
+///    issued the reads — this is the sequence `Engine::step` replays into
+///    the model's read counters when the process is selected, so any
+///    deviation shows up as a read-metric divergence from
+///    `ReferenceEngine`.
 ///
 /// The contexts here are the engine-facing half of that contract. The
 /// protocol-facing half is runtime/rule.hpp: `RuleProtocol` runs each
 /// protocol's single guard/act on slab-row contexts that log through
-/// `BulkGuardContext` / `BulkExecContext`, so a sweep reproduces the lazy,
-/// short-circuited read structure of the scalar guard by construction.
-/// The lockstep suites (tests/test_bulk_sweep.cpp,
-/// tests/test_bulk_execute.cpp, the property harness with
-/// SweepMode::kForceBulk) hold those contexts and the engine paths to the
-/// contract.
+/// `BulkGuardContext` / `BulkExecContext`, so a refresh reproduces the
+/// lazy, short-circuited read structure of the scalar guard by
+/// construction. The scalar default of `sweep_enabled_ids` fills the same
+/// two outputs from `first_enabled` probes; it is the reference the
+/// kernels are held to, and SweepMode::kForceScalar runs it. The lockstep
+/// suites (tests/test_bulk_sweep.cpp, tests/test_bulk_execute.cpp, the
+/// property harness under kForceScalar and kForceBulk) hold those
+/// contexts and the engine paths to the contract.
 ///
 /// Bulk *execution* (`BulkExecContext`, `Protocol::execute_selected`) is
 /// the same idea applied to the other half of a deployed synchronous step:
@@ -59,28 +67,20 @@
 
 namespace sss {
 
-/// Per-process outcome of one whole-network guard sweep: the index of the
-/// first enabled action, or kDisabled. The name reflects what the engine
-/// derives from it — membership of the enabled set — but the action index
-/// itself is kept because the engine's guard memo replays it on selection.
+/// Per-process outcome of a guard refresh: the index of the first enabled
+/// action, or kDisabled. The name reflects what the engine derives from
+/// it — membership of the enabled set — but the action index itself is
+/// kept because the engine's guard memo replays it on selection.
 class EnabledBitmap {
  public:
   /// Matches Protocol::kDisabled (static_assert'd in protocol.cpp).
   static constexpr std::int8_t kDisabled = -1;
 
-  /// Sizes the bitmap to ids [0, universe) with every process disabled;
-  /// a sweep only touches the enabled entries it finds. Reuses capacity.
+  /// Sizes the bitmap to ids [0, universe) with every process disabled.
+  /// A refresh writes every entry it lists, so the engine sizes it once.
+  /// Reuses capacity.
   void reset(int universe) {
     actions_.assign(static_cast<std::size_t>(universe), kDisabled);
-  }
-
-  /// Range variant for partitioned sweeps: disables ids [begin, end) only,
-  /// leaving the rest of the slab untouched. The engine's parallel bulk
-  /// refresh has each worker reset exactly the range it is about to sweep,
-  /// so the whole-slab fill of `reset` is not serialized. The bitmap must
-  /// already be sized (reset(universe) once beforehand).
-  void reset_range(ProcessId begin, ProcessId end) {
-    std::fill(actions_.begin() + begin, actions_.begin() + end, kDisabled);
   }
 
   int universe() const { return static_cast<int>(actions_.size()); }
@@ -95,7 +95,7 @@ class EnabledBitmap {
     return actions_[static_cast<std::size_t>(p)] != kDisabled;
   }
 
-  /// Raw slab for sweep kernels that fill actions in a tight loop.
+  /// Raw slab for refresh kernels that fill actions in a tight loop.
   std::int8_t* actions() { return actions_.data(); }
   const std::int8_t* actions() const { return actions_.data(); }
 
@@ -103,10 +103,11 @@ class EnabledBitmap {
   std::vector<std::int8_t> actions_;
 };
 
-/// Read-only view a sweep evaluates against, plus the per-process read-log
-/// sink. The logs alias the engine's guard memo (`Engine::probe_reads_`),
-/// cleared by the engine before the sweep, so a sweep appends each
-/// process's reads exactly once and in scalar-guard order.
+/// Read-only view a refresh evaluates against, plus the per-process
+/// read-log sink. The logs alias the engine's guard memo
+/// (`Engine::probe_reads_`); the engine clears the listed processes' logs
+/// before the refresh, so it appends each listed process's reads exactly
+/// once and in scalar-guard order.
 class BulkGuardContext {
  public:
   /// One process's guard read log: (neighbor id, comm var) per read.
@@ -120,7 +121,7 @@ class BulkGuardContext {
   const Configuration& config() const { return config_; }
 
   /// Records that p's guard read communication variable `comm_var` of its
-  /// neighbor `subject` — the bulk counterpart of the probe recorder's
+  /// neighbor `subject` — the slab counterpart of a scalar probe's
   /// ReadLogger::on_read.
   void log(ProcessId p, ProcessId subject, int comm_var) {
     logs_[static_cast<std::size_t>(p)].push_back({subject, comm_var});

@@ -39,12 +39,9 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
       config_(g, protocol.spec()),
       enabled_(g.num_vertices()),
       probe_dirty_(static_cast<std::size_t>(g.num_vertices()), 0),
-      bulk_supported_(protocol.has_bulk_sweep()),
       bulk_exec_supported_(protocol.has_bulk_execute()),
       active_(g.num_vertices()),
       frozen_(static_cast<std::size_t>(g.num_vertices()), 0),
-      probe_action_(static_cast<std::size_t>(g.num_vertices()),
-                    Protocol::kDisabled),
       probe_reads_(static_cast<std::size_t>(g.num_vertices())),
       covered_(static_cast<std::size_t>(g.num_vertices()), 0),
       solo_active_(static_cast<std::size_t>(g.num_vertices()), 0),
@@ -53,10 +50,12 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
   SSS_REQUIRE(daemon_ != nullptr, "engine needs a daemon");
   SSS_REQUIRE(g.num_vertices() >= 2 && g.min_degree() >= 1,
               "the model requires a connected network with n >= 2");
+  SSS_REQUIRE(protocol.num_actions() <= 127,
+              "the guard memo stores action indices as int8");
   // Dedup flags bound both queues by n, so one reservation serves forever.
   dirty_queue_.reserve(static_cast<std::size_t>(g.num_vertices()));
   solo_dirty_queue_.reserve(static_cast<std::size_t>(g.num_vertices()));
-  bulk_actions_.reset(g.num_vertices());
+  probe_action_.reset(g.num_vertices());
   protocol_.install_constants(graph_, config_);
   invalidate_all_probes();
   logger_mux_.add(&read_counter_);
@@ -141,8 +140,7 @@ void Engine::cover(ProcessId p) {
 }
 
 inline void Engine::record_probe(ProcessId p, int action,
-                                 RangeDeltas& deltas) {
-  probe_action_[static_cast<std::size_t>(p)] = action;
+                                 RefreshDeltas& deltas) {
   const bool now = action != Protocol::kDisabled;
   deltas.enabled += enabled_.assign_deferred(p, now);
   // A process observed disabled is covered for the current round; this is
@@ -166,42 +164,26 @@ bool Engine::classify_frozen(ProcessId p, int action) {
   return frozen;
 }
 
-Engine::RangeDeltas Engine::probe_range(ProcessId begin, ProcessId end) {
-  // Each range probes only the dirty ids it owns — ranges partition the id
-  // space, so every entry is probed exactly once. Probes are simulator
-  // devices: no rng consumption (guards are deterministic; only actions
-  // may draw randomness) and nothing lands in the model's read counters —
-  // the guard's reads are recorded into the memo instead, to be replayed
-  // if the process is selected. Results are order-independent (the
-  // configuration is fixed for the whole refresh).
-  ProbeRecorder recorder;
-  RangeDeltas deltas;
-  for (const ProcessId p : dirty_queue_) {
-    if (p < begin || p >= end) continue;
-    probe_dirty_[static_cast<std::size_t>(p)] = 0;
-    auto& reads = probe_reads_[static_cast<std::size_t>(p)];
-    reads.clear();
-    recorder.target = &reads;
-    GuardContext guard(graph_, config_, p, &recorder);
-    record_probe(p, protocol_.first_enabled(guard), deltas);
-  }
-  return deltas;
-}
-
-Engine::RangeDeltas Engine::sweep_range(ProcessId begin, ProcessId end) {
-  // The sweep rewrites every memo in the range, clean or dirty: clean
-  // guards see unchanged inputs, so the sweep reproduces their action and
-  // read log byte for byte — recomputation, never divergence.
-  for (ProcessId p = begin; p < end; ++p) {
+Engine::RefreshDeltas Engine::refresh_ids(std::span<const ProcessId> ids) {
+  // Probes are simulator devices: no rng consumption (guards are
+  // deterministic; only actions may draw randomness) and nothing lands in
+  // the model's read counters — each guard's reads are recorded into its
+  // memo instead, to be replayed if the process is selected. Results are
+  // order-independent (the configuration is fixed for the whole refresh),
+  // and concurrent calls on disjoint id lists touch disjoint entries.
+  for (const ProcessId p : ids) {
     probe_reads_[static_cast<std::size_t>(p)].clear();
     probe_dirty_[static_cast<std::size_t>(p)] = 0;
   }
-  bulk_actions_.reset_range(begin, end);
   BulkGuardContext ctx(graph_, config_, probe_reads_);
-  protocol_.sweep_enabled_range(ctx, bulk_actions_, begin, end);
-  const std::int8_t* actions = bulk_actions_.actions();
-  RangeDeltas deltas;
-  for (ProcessId p = begin; p < end; ++p) {
+  if (sweep_mode_ == SweepMode::kForceScalar) {
+    protocol_.Protocol::sweep_enabled_ids(ctx, probe_action_, ids);
+  } else {
+    protocol_.sweep_enabled_ids(ctx, probe_action_, ids);
+  }
+  const std::int8_t* actions = probe_action_.actions();
+  RefreshDeltas deltas;
+  for (const ProcessId p : ids) {
     record_probe(p, actions[static_cast<std::size_t>(p)], deltas);
   }
   return deltas;
@@ -210,42 +192,34 @@ Engine::RangeDeltas Engine::sweep_range(ProcessId begin, ProcessId end) {
 void Engine::refresh_enabled() {
   if (dirty_queue_.empty()) return;
   const auto n = static_cast<std::size_t>(graph_.num_vertices());
-  // Bulk dispatch (invariant 5): one sweep when the protocol opts in and
-  // enough of the network is stale. The 3/4 threshold comes from measured
-  // all-dirty refresh ratios (bench_bulk_sweep E15b): the cheapest sweep
-  // is ~1.3x a scalar probe pass, so sweeping all n only beats refreshing
-  // the dirty subset when that subset covers most of the network. Frozen
-  // exclusion pins the scalar kernel on one range (invariants 5 and 7):
-  // its classifier runs through one shared scratch arena and updates
-  // active_'s count in place.
-  const bool bulk = bulk_supported_ && !exclude_frozen_ &&
-                    (sweep_mode_ == SweepMode::kForceBulk ||
-                     (sweep_mode_ == SweepMode::kAuto &&
-                      dirty_queue_.size() * 4 >= n * 3));
   // Fanning out (invariant 7) wants the dirty set large enough to amortize
-  // the barrier: any sweep, or scalar probes of at least a quarter of the
-  // network. Central daemons dirty O(Delta) processes per step and stay on
-  // the one-range drain. Cost gate only — every split computes identical
-  // state.
-  const bool fan_out =
-      pool_ != nullptr && !exclude_frozen_ &&
-      (bulk || (dirty_queue_.size() >= 2 && dirty_queue_.size() * 4 >= n));
-  const auto kernel = [&](ProcessId begin, ProcessId end) {
-    return bulk ? sweep_range(begin, end) : probe_range(begin, end);
-  };
-  const auto fold = [&](RangeDeltas deltas) {
+  // the barrier: at least a quarter of the network. Central daemons dirty
+  // O(Delta) processes per step and stay on the one-list refresh. Frozen
+  // exclusion pins the one list too: its classifier runs through one
+  // shared scratch arena and updates active_'s count in place. Cost gate
+  // only — every split computes identical state.
+  const bool fan_out = pool_ != nullptr && !exclude_frozen_ &&
+                       dirty_queue_.size() >= 2 &&
+                       dirty_queue_.size() * 4 >= n;
+  const auto fold = [&](RefreshDeltas deltas) {
     enabled_.add_count(deltas.enabled);
     covered_count_ += deltas.covered;
   };
   if (fan_out) {
+    // Each worker refreshes the dirty ids inside its own range — ranges
+    // partition the id space, so every id is refreshed exactly once.
     pool_->run([&](int w) {
       const auto [begin, end] = worker_range(w);
-      worker_states_[static_cast<std::size_t>(w)].deltas =
-          begin < end ? kernel(begin, end) : RangeDeltas{};
+      WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
+      ws.ids.clear();
+      for (const ProcessId p : dirty_queue_) {
+        if (p >= begin && p < end) ws.ids.push_back(p);
+      }
+      ws.deltas = refresh_ids(ws.ids);
     });
     for (const WorkerState& ws : worker_states_) fold(ws.deltas);
   } else {
-    fold(kernel(0, static_cast<ProcessId>(n)));
+    fold(refresh_ids(dirty_queue_));
   }
   dirty_queue_.clear();
 }
@@ -276,35 +250,28 @@ bool Engine::use_bulk_execute(std::size_t selected) const {
   // kAuto cost gate, calibrated from bench_bulk_execute: the kernel wins
   // once the selection is a large fraction of the network (synchronous and
   // heavy distributed daemons); for small selections the scalar loop's
-  // per-process cost is below the kernel's slab-walk overhead. 1/2 is
-  // deliberately lower than the sweep's 3/4 — execution has no dirty-queue
-  // alternative, so the kernel amortizes sooner.
+  // per-process cost is below the kernel's slab-walk and staging overhead.
   return selected * 2 >= static_cast<std::size_t>(graph_.num_vertices());
 }
 
 void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
                             ReadLogger& logger, Rng* rng) {
   if (bulk) {
-    // Mirror the memo actions into the kernel-facing bitmap and the
-    // trace-facing staged slots. probe_action_ is authoritative:
-    // bulk_actions_ may hold a stale sweep result when the refresh ran
-    // scalar probes since the last bulk sweep. Probabilistic protocols
-    // draw from the model stream, and ascending selection order inside the
-    // kernel reproduces the scalar rng consumption bit for bit; everything
-    // else gets a null rng whose random_range asserts — the bulk
-    // counterpart of execute_certified.
+    // The kernel reads the memo actions directly; the commit reads them
+    // from the staged slots. Probabilistic protocols draw from the model
+    // stream, and ascending selection order inside the kernel reproduces
+    // the scalar rng consumption bit for bit; everything else gets a null
+    // rng whose random_range asserts — the bulk counterpart of
+    // execute_certified.
     for (std::size_t i = begin; i < end; ++i) {
-      const ProcessId p = selection_[i];
-      const int action = probe_action_[static_cast<std::size_t>(p)];
-      bulk_actions_.set_action(p, action);
-      staged_[i].action = action;
+      staged_[i].action = probe_action_.action(selection_[i]);
     }
     BulkExecContext ctx(graph_, config_, probe_reads_, logger,
                         bulk_staged_rows_.data(),
                         static_cast<std::size_t>(config_.stride()),
                         protocol_.is_probabilistic() ? rng : nullptr);
     protocol_.execute_selected(
-        ctx, bulk_actions_,
+        ctx, probe_action_,
         std::span<const ProcessId>(selection_.data(), selection_.size()),
         begin, end);
     return;
@@ -326,7 +293,7 @@ void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
          probe_reads_[static_cast<std::size_t>(p)]) {
       logger.on_read(p, subject, var);
     }
-    staged.action = probe_action_[static_cast<std::size_t>(p)];
+    staged.action = probe_action_.action(p);
     if (staged.action == Protocol::kDisabled) continue;
     if (rng == nullptr) {
       execute_certified(p, staged.action, &logger, staged.writes,
@@ -483,6 +450,8 @@ bool Engine::comm_quiescent_cached() {
 }
 
 void Engine::attach_read_logger(ReadLogger* logger) {
+  SSS_REQUIRE(!logger_mux_.contains(logger),
+              "read logger is already attached");
   logger_mux_.add(logger);
   // An external observer sees reads through the order-sensitive mux, so
   // its presence pins the serial scalar execution path (invariants 6, 7).
@@ -490,8 +459,8 @@ void Engine::attach_read_logger(ReadLogger* logger) {
 }
 
 void Engine::detach_read_logger(ReadLogger* logger) {
-  logger_mux_.remove(logger);
-  if (external_loggers_ > 0) --external_loggers_;
+  SSS_REQUIRE(logger_mux_.remove(logger), "read logger is not attached");
+  --external_loggers_;
 }
 
 std::uint64_t Engine::rounds_inclusive() const {

@@ -54,41 +54,39 @@
 ///     original engine happens at most once per run (as a final
 ///     confirmation assert) instead of at every checkpoint.
 ///
-///  4. Guard memo. A probe must run `first_enabled` anyway, so it records
-///     its outcome: the chosen action and the exact sequence of neighbor
-///     reads the guard logged (`probe_action_`, `probe_reads_`). The dirty
-///     invariant that keeps the enabledness bit current keeps the memo
-///     current too — a clean process's guard inputs are unchanged, so a
-///     live re-run would log the same reads and return the same action.
-///     Phase 1 of `step()` therefore *replays* the memo into the read
-///     counters and goes straight to `execute` for enabled processes,
-///     instead of re-evaluating every selected guard. Under large
-///     selections (synchronous/distributed daemons) this roughly halves
-///     the per-selected-process cost; metrics stay bit-identical because
-///     the replayed on_read sequence is the one a live evaluation would
-///     emit. Replay and action reads of one process form one contiguous
-///     run, which is the contract the O(1) StepReadCounter and the
-///     parallel path's WorkerReadTally dedup on (runtime/metrics.hpp).
+///  4. Guard memo. A refresh must evaluate the guard anyway, so it
+///     records the outcome: the chosen action and the exact sequence of
+///     neighbor reads the guard logged (`probe_action_`, `probe_reads_`).
+///     The dirty invariant that keeps the enabledness bit current keeps
+///     the memo current too — a clean process's guard inputs are
+///     unchanged, so a live re-run would log the same reads and return
+///     the same action. Phase 1 of `step()` therefore *replays* the memo
+///     into the read counters and goes straight to `execute` for enabled
+///     processes, instead of re-evaluating every selected guard; metrics
+///     stay bit-identical because the replayed on_read sequence is the
+///     one a live evaluation would emit. Replay and action reads of one
+///     process form one contiguous run, which is the contract the O(1)
+///     StepReadCounter and the parallel path's WorkerReadTally dedup on
+///     (runtime/metrics.hpp). `probe_action_` is an EnabledBitmap, so the
+///     refresh writes actions into it directly and the bulk execute reads
+///     them from it.
 ///
-///  5. One partitioned refresh. `refresh_enabled` drains the dirty queue
-///     with one of two range kernels, each recording every outcome through
-///     the same `record_probe` (memo, EnabledSet, covering): `probe_range`
-///     runs scalar probes of the dirty ids inside [begin, end), and
-///     `sweep_range` runs one `sweep_enabled_range` pass over the range's
-///     CSR slabs that rewrites every memo in it (action + read log) at
-///     once; see runtime/bulk.hpp. The sweep is chosen when the protocol
-///     has one (Protocol::has_bulk_sweep; RuleProtocol supplies it from
-///     the protocol's one guard, runtime/rule.hpp) and the dirty set
-///     covers at least 3/4 of the network (or SweepMode::kForceBulk):
-///     under co-firing daemons the dirty queue holds almost all of n after
-///     every step, and n virtual scalar probes cost more than one sweep.
-///     Clean processes are recomputed too — their inputs are unchanged, so
-///     the sweep reproduces their memos exactly and the dirty-queue
-///     invariant is preserved. The serial engine is the one-range case,
-///     [0, n); invariant 7 splits the same kernels across workers.
-///     Frozen-process exclusion always takes the scalar kernel on one
-///     range: its self-loop classifier shares one scratch arena and
-///     updates `active_`'s count in place.
+///  5. One refresh hook. `refresh_enabled` hands the dirty ids — the
+///     whole dirty queue, or each pool worker's share of it (invariant 7)
+///     — to one `Protocol::sweep_enabled_ids` call and records every
+///     outcome through the same `record_probe` (EnabledSet, covering,
+///     frozen classification). Only dirty guards are evaluated; clean
+///     memos stay as they are. RuleProtocol supplies the hook from the
+///     protocol's one guard, run on slab-row contexts (runtime/rule.hpp,
+///     runtime/bulk.hpp), so no per-process virtual probe runs under any
+///     daemon: a central daemon's handful of dirty ids and a synchronous
+///     daemon's n take the same kernel. Protocols without a kernel
+///     (GENERIC-EFFICIENCY, ROTATING-CHECK, test mocks) inherit the
+///     scalar default, one `first_enabled` probe per id, and
+///     SweepMode::kForceScalar runs that default on every protocol as
+///     the differential suites' reference. Frozen-process exclusion keeps
+///     the one-list refresh: its self-loop classifier shares one scratch
+///     arena and updates `active_`'s count in place.
 ///
 ///  6. One phase pair. A step's execution is `evaluate_slice` (phase 1:
 ///     memo replay + staged actions against the gamma_i snapshot) then
@@ -106,8 +104,9 @@
 ///     their snapshot values). The 1/2 threshold is calibrated from
 ///     bench_bulk_execute: the bulk pass only amortizes its staging and
 ///     dispatch overhead under co-firing selections. Frozen-process
-///     exclusion and attached external read loggers pin per-process
-///     execution exactly as they pin the scalar refresh; probabilistic
+///     exclusion (phase 1 consults the frozen classification per
+///     process) and attached external read loggers (the mux is
+///     order-sensitive) pin per-process execution; probabilistic
 ///     protocols are bulk-executable *serially* (the kernel draws from the
 ///     model rng in ascending selection order, which is the scalar stream
 ///     bit for bit). The serial engine runs one slice over the whole
@@ -117,9 +116,10 @@
 ///  7. Intra-trial parallelism (opt-in via set_parallel_threads). The
 ///     kernels of invariants 5 and 6 fan out over StepPool workers. The
 ///     refresh partitions the network into contiguous 64-aligned process
-///     ranges, so each range owns disjoint EnabledSet words, probe memo
-///     slots, and covered_/probe_dirty_ bytes, and defers its count deltas
-///     to a serial fold; the phase pair partitions the selection into
+///     ranges; each worker refreshes the dirty ids of its own range, so
+///     it owns disjoint EnabledSet words, probe memo slots, and
+///     covered_/probe_dirty_ bytes, and defers its count deltas to a
+///     serial fold; the phase pair partitions the selection into
 ///     contiguous slices, each worker reading into its own tally, with a
 ///     barrier between the phases. Everything order-sensitive — daemon
 ///     selection (it consumes rng_), EnabledSet count deltas, dirty-queue
@@ -134,8 +134,8 @@
 ///     execute_certified's empty random script + assert catches a
 ///     protocol that lies about is_probabilistic), attached external read
 ///     loggers do too (ReadLoggerMux fan-out is order-sensitive and not
-///     thread-safe), and frozen-process exclusion pins the one-range
-///     scalar refresh.
+///     thread-safe), and frozen-process exclusion pins the one-list
+///     refresh.
 ///
 ///  8. Legitimacy tracker (`run`, while the first legitimate
 ///     configuration is pending; the churn window of runtime/churn.hpp
@@ -182,14 +182,17 @@
 
 namespace sss {
 
-/// How the engine runs the bulk-capable halves of a step: guard refresh
-/// (invariant 5 in the file comment) and selection execution (invariant
-/// 6). kAuto picks the bulk sweep when the protocol opts in and the dirty
-/// set covers at least 3/4 of the network, and the bulk execute when the
-/// selection covers at least half; the force modes exist for the
-/// differential suites and the scalar-vs-bulk benches, and govern both
-/// halves at once. Every mode computes the same computation bit for bit —
-/// mode only changes cost, and may be flipped mid-trajectory.
+/// How the engine runs the two halves of a step that have slab kernels:
+/// guard refresh (invariant 5 in the file comment) and selection
+/// execution (invariant 6). kAuto and kForceBulk refresh through the
+/// protocol's `sweep_enabled_ids` (its slab kernel when it has one);
+/// kForceScalar runs the scalar default, one `first_enabled` probe per
+/// dirty id. For execution, kAuto picks the bulk execute when the
+/// protocol has one and the selection covers at least half of the
+/// network, and the force modes pin it on or off. The force modes exist
+/// for the differential suites and the scalar-vs-bulk benches. Every mode
+/// computes the same computation bit for bit — mode only changes cost,
+/// and may be flipped mid-trajectory.
 enum class SweepMode { kAuto, kForceScalar, kForceBulk };
 
 /// Manifest/CLI spelling of a SweepMode ("auto", "force_scalar",
@@ -332,9 +335,9 @@ class Engine {
   /// while exclusion is off.
   bool is_frozen(ProcessId p);
 
-  /// Probe-refresh strategy (see SweepMode). kForceBulk on a protocol
-  /// without a bulk sweep, or with frozen exclusion on, falls back to the
-  /// scalar path — the mode is a preference, the semantics never change.
+  /// Refresh and execute strategy (see SweepMode). On a protocol without
+  /// slab kernels, or with frozen exclusion on, kForceBulk runs what
+  /// kAuto runs — the mode is a preference, the semantics never change.
   void set_sweep_mode(SweepMode mode) { sweep_mode_ = mode; }
   SweepMode sweep_mode() const { return sweep_mode_; }
 
@@ -350,6 +353,8 @@ class Engine {
   bool quiescent() const;
 
   /// Attach an extra read observer (e.g. StabilityTracker). Not owned.
+  /// Attaching a logger twice, or detaching one that is not attached,
+  /// throws PreconditionError.
   void attach_read_logger(ReadLogger* logger);
   void detach_read_logger(ReadLogger* logger);
 
@@ -365,24 +370,24 @@ class Engine {
   void invalidate_all_probes();
   void mark_probe_dirty(ProcessId p);
   void mark_solo_dirty(ProcessId p);
-  /// Drains the dirty queue (invariant 5): picks the scalar or bulk range
-  /// kernel, runs it on [0, n) or once per pool worker range (invariant
-  /// 7), then folds the ranges' deferred count deltas.
+  /// Drains the dirty queue (invariant 5): refreshes all dirty ids at once
+  /// or each pool worker's share (invariant 7), then folds the deferred
+  /// count deltas.
   void refresh_enabled();
-  /// A refresh range's EnabledSet count and covered_count_ deltas, folded
-  /// serially after the kernels.
-  struct RangeDeltas {
+  /// A refresh's EnabledSet count and covered_count_ deltas, folded
+  /// serially after the workers.
+  struct RefreshDeltas {
     int enabled = 0;
     int covered = 0;
   };
-  /// The two refresh kernels over process range [begin, end): scalar
-  /// probes of the dirty ids inside it, or one sweep_enabled_range pass.
-  /// Each returns its range's deferred count deltas.
-  RangeDeltas probe_range(ProcessId begin, ProcessId end);
-  RangeDeltas sweep_range(ProcessId begin, ProcessId end);
-  /// Commits one guard outcome into the memo, EnabledSet, frozen
+  /// Re-evaluates the guards of `ids` through one sweep_enabled_ids call
+  /// (the scalar default under kForceScalar) and records each outcome.
+  /// Returns the deferred count deltas.
+  RefreshDeltas refresh_ids(std::span<const ProcessId> ids);
+  /// Commits one guard outcome into the EnabledSet, frozen
   /// classification, and covering, deferring count deltas into `deltas`.
-  void record_probe(ProcessId p, int action, RangeDeltas& deltas);
+  /// The refresh has already written the action into the memo.
+  void record_probe(ProcessId p, int action, RefreshDeltas& deltas);
   /// Updates p's frozen_/active_ entries for its new first enabled
   /// `action` and returns whether p is frozen. Exclusion on only.
   bool classify_frozen(ProcessId p, int action);
@@ -441,17 +446,11 @@ class Engine {
   std::vector<std::uint8_t> probe_dirty_;
   std::vector<ProcessId> dirty_queue_;
 
-  // Bulk sweep (invariant 5) and bulk execute (invariant 6). The
-  // `*_supported_` flags cache the protocol's opt-ins; `bulk_actions_`,
-  // sized to n once in the constructor so range kernels can reset just
-  // their range, is the sweep's output arena, doubling as the execute
-  // kernel's action input (evaluate_slice re-syncs it from the memo);
+  // Bulk execute (invariant 6). The flag caches the protocol's opt-in;
   // `bulk_staged_rows_` holds one full configuration row per selection
   // index for the kernel's staged writes.
-  bool bulk_supported_ = false;
   bool bulk_exec_supported_ = false;
   SweepMode sweep_mode_ = SweepMode::kAuto;
-  EnabledBitmap bulk_actions_;
   std::vector<Value> bulk_staged_rows_;
 
   // Frozen-process exclusion (see set_exclude_frozen). `active_` is
@@ -463,18 +462,12 @@ class Engine {
   std::vector<std::uint8_t> frozen_;
   std::vector<PendingWrite> frozen_scratch_;
 
-  // Guard memo (invariant 4): per-process action chosen by the last probe
-  // and the neighbor reads its guard evaluation logged, replayed verbatim
-  // when the process is selected while clean.
-  class ProbeRecorder final : public ReadLogger {
-   public:
-    std::vector<std::pair<ProcessId, int>>* target = nullptr;
-    void on_read(ProcessId, ProcessId subject, int comm_var) override {
-      target->push_back({subject, comm_var});
-    }
-  };
-  std::vector<int> probe_action_;
-  std::vector<std::vector<std::pair<ProcessId, int>>> probe_reads_;
+  // Guard memo (invariant 4): per-process action chosen by the last
+  // refresh and the neighbor reads its guard evaluation logged, replayed
+  // verbatim when the process is selected while clean. Both are sized to
+  // n once in the constructor.
+  EnabledBitmap probe_action_;
+  std::vector<BulkGuardContext::ReadLog> probe_reads_;
 
   // Round accounting (invariant 2).
   std::vector<std::uint8_t> covered_;
@@ -506,9 +499,11 @@ class Engine {
   struct WorkerState {
     explicit WorkerState(const StepReadCounter& counter) : tally(counter) {}
     WorkerReadTally tally;
+    /// The dirty ids inside the worker's range, refreshed by it.
+    std::vector<ProcessId> ids;
     /// (process, comm changed) per committed row, in slice order.
     std::vector<std::pair<ProcessId, bool>> commits;
-    RangeDeltas deltas;
+    RefreshDeltas deltas;
   };
   int parallel_threads_ = 1;
   std::unique_ptr<StepPool> pool_;

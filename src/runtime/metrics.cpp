@@ -11,9 +11,16 @@ void ReadLoggerMux::add(ReadLogger* logger) {
   loggers_.push_back(logger);
 }
 
-void ReadLoggerMux::remove(ReadLogger* logger) {
-  loggers_.erase(std::remove(loggers_.begin(), loggers_.end(), logger),
-                 loggers_.end());
+bool ReadLoggerMux::remove(ReadLogger* logger) {
+  const auto kept = std::remove(loggers_.begin(), loggers_.end(), logger);
+  const bool removed = kept != loggers_.end();
+  loggers_.erase(kept, loggers_.end());
+  return removed;
+}
+
+bool ReadLoggerMux::contains(const ReadLogger* logger) const {
+  return std::find(loggers_.begin(), loggers_.end(), logger) !=
+         loggers_.end();
 }
 
 void ReadLoggerMux::on_read(ProcessId reader, ProcessId subject,

@@ -26,7 +26,9 @@ namespace sss {
 class ReadLoggerMux final : public ReadLogger {
  public:
   void add(ReadLogger* logger);
-  void remove(ReadLogger* logger);
+  /// Removes every occurrence of `logger`; returns whether there was one.
+  bool remove(ReadLogger* logger);
+  bool contains(const ReadLogger* logger) const;
   void on_read(ProcessId reader, ProcessId subject, int comm_var) override;
 
  private:

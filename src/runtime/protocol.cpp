@@ -10,16 +10,29 @@ static_assert(EnabledBitmap::kDisabled == Protocol::kDisabled);
 
 void Protocol::install_constants(const Graph&, Configuration&) const {}
 
-void Protocol::sweep_enabled(BulkGuardContext& ctx, EnabledBitmap& out) const {
-  sweep_enabled_range(ctx, out, 0,
-                      static_cast<ProcessId>(ctx.graph().num_vertices()));
-}
+namespace {
 
-void Protocol::sweep_enabled_range(BulkGuardContext&, EnabledBitmap&,
-                                   ProcessId, ProcessId) const {
-  SSS_ASSERT(false,
-             "sweep_enabled_range called on a protocol without a bulk sweep "
-             "(has_bulk_sweep() gates the call)");
+/// Appends a scalar probe's reads to the reader's BulkGuardContext log.
+class GuardLogRecorder final : public ReadLogger {
+ public:
+  explicit GuardLogRecorder(BulkGuardContext& ctx) : ctx_(ctx) {}
+  void on_read(ProcessId reader, ProcessId subject, int comm_var) override {
+    ctx_.log(reader, subject, comm_var);
+  }
+
+ private:
+  BulkGuardContext& ctx_;
+};
+
+}  // namespace
+
+void Protocol::sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
+                                 std::span<const ProcessId> ids) const {
+  GuardLogRecorder recorder(ctx);
+  for (const ProcessId p : ids) {
+    GuardContext guard(ctx.graph(), ctx.config(), p, &recorder);
+    out.set_action(p, first_enabled(guard));
+  }
 }
 
 void Protocol::execute_selected(BulkExecContext&, const EnabledBitmap&,

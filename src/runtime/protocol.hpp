@@ -48,34 +48,27 @@ class Protocol {
   /// protocol's margin plus its own overhead.
   virtual int solo_quiescence_margin() const { return 2; }
 
-  /// Bulk guard evaluation (see runtime/bulk.hpp): true when the protocol
-  /// provides `sweep_enabled_range`, letting the engine refresh every
-  /// guard in one pass over the CSR slabs instead of n virtual probes.
-  /// RuleProtocol (runtime/rule.hpp) supplies it from the protocol's one
-  /// guard; protocols that stay on the scalar path keep the default.
+  /// Guard refresh of the listed processes (see runtime/bulk.hpp): for
+  /// each id in `ids` (distinct, any order), writes its first enabled
+  /// action (kDisabled included) into `out` and appends its guard's
+  /// neighbor reads to its `ctx` log, in the order `first_enabled` would
+  /// issue them. The caller clears the listed logs first; entries of
+  /// unlisted ids are left alone, so disjoint id lists may run
+  /// concurrently. This is the engine's one refresh hook: it passes the
+  /// dirty ids, either all of them or each pool worker's share.
+  ///
+  /// The default runs the scalar `first_enabled` probe per id and is the
+  /// reference every override must equal; SweepMode::kForceScalar calls
+  /// it directly. RuleProtocol (runtime/rule.hpp) overrides it with the
+  /// protocol's one guard on slab-row contexts, so the refresh pays no
+  /// virtual call or context construction per process.
+  virtual void sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
+                                 std::span<const ProcessId> ids) const;
+
+  /// True when `sweep_enabled_ids` is a slab kernel rather than the
+  /// scalar default. Informational (capability listings, benches, tests);
+  /// the engine calls the hook either way.
   virtual bool has_bulk_sweep() const { return false; }
-
-  /// Evaluates every process's guards in one pass: writes the first
-  /// enabled action per process into `out` (pre-reset to all-disabled by
-  /// the caller) and logs each guard's neighbor reads through `ctx`, in
-  /// the exact order the scalar `first_enabled` would log them. Must be
-  /// behaviourally identical to n scalar probes — the engine replays both
-  /// outputs, and the lockstep suites compare against `ReferenceEngine`.
-  /// Only called when `has_bulk_sweep()` is true. Implemented as the
-  /// whole-network case of `sweep_enabled_range`.
-  void sweep_enabled(BulkGuardContext& ctx, EnabledBitmap& out) const;
-
-  /// The sweep restricted to processes [begin, end): touches only `out`
-  /// entries and `ctx` logs of that range (reading any process's
-  /// configuration is fine — guards read neighbors). This is the partition
-  /// primitive of the engine's intra-trial parallel refresh: disjoint
-  /// ranges sweep concurrently, each reproducing exactly the actions and
-  /// read logs the whole-network sweep would produce for its slice.
-  /// RuleProtocol implements it by running the protocol's guard on a
-  /// slab-row context per process. Only called when `has_bulk_sweep()` is
-  /// true; the default asserts.
-  virtual void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                                   ProcessId begin, ProcessId end) const;
 
   /// Bulk action execution (see runtime/bulk.hpp): true when the protocol
   /// provides `execute_selected`, letting the engine run phase-1 memo

@@ -17,14 +17,15 @@
 ///  * on the scalar `GuardContext` / `ActionContext` for
 ///    `first_enabled` / `execute` (what `ReferenceEngine`, the model
 ///    checker and the transformers' overlay contexts see);
-///  * on `SlabGuardContext` for `sweep_enabled_range`, reading the CSR
-///    slabs and flat configuration rows directly and logging into the
-///    engine's guard memo through `BulkGuardContext`;
+///  * on `SlabGuardContext` for `sweep_enabled_ids`, the engine's guard
+///    refresh of the dirty ids, reading the CSR slabs and flat
+///    configuration rows directly and logging into the engine's guard
+///    memo through `BulkGuardContext`;
 ///  * on `SlabActionContext` for `execute_selected`, reading the snapshot,
 ///    writing into the row `BulkExecContext::stage` hands out, logging
 ///    through the step's read sink and drawing through its rng.
 ///
-/// Because the same rule code runs on every path, a slab sweep issues the
+/// Because the same rule code runs on every path, a slab refresh issues the
 /// scalar guard's reads in the scalar order (short-circuits included) and
 /// a slab action writes exactly the scalar action's slots: read-log and
 /// trajectory agreement between the paths hold by construction, and the
@@ -146,8 +147,8 @@ class RuleProtocol : public Protocol {
   void execute(int action, ActionContext& ctx) const final;
 
   bool has_bulk_sweep() const final { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const final;
+  void sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
+                         std::span<const ProcessId> ids) const final;
 
   bool has_bulk_execute() const final { return true; }
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
@@ -169,12 +170,12 @@ void RuleProtocol<P>::execute(int action, ActionContext& ctx) const {
 }
 
 template <class P>
-void RuleProtocol<P>::sweep_enabled_range(BulkGuardContext& ctx,
-                                          EnabledBitmap& out, ProcessId begin,
-                                          ProcessId end) const {
+void RuleProtocol<P>::sweep_enabled_ids(BulkGuardContext& ctx,
+                                        EnabledBitmap& out,
+                                        std::span<const ProcessId> ids) const {
   const SlabView view(ctx.graph(), ctx.config());
   std::int8_t* actions = out.actions();
-  for (ProcessId p = begin; p < end; ++p) {
+  for (const ProcessId p : ids) {
     SlabGuardContext row(view, ctx, p);
     actions[p] = static_cast<std::int8_t>(rule().guard(row));
   }

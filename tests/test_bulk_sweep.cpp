@@ -1,13 +1,18 @@
-/// The bulk guard sweep's contract (runtime/bulk.hpp): for every opted-in
-/// protocol, one `sweep_enabled` pass must reproduce — action for action
-/// and read for read — what n scalar `first_enabled` probes produce, and
-/// an Engine forced onto the bulk path must stay bit-identical to one
-/// forced onto the scalar path. Two layers of checks:
+/// The guard refresh kernel's contract (runtime/bulk.hpp): for every
+/// opted-in protocol, one `sweep_enabled_ids` call over any list of ids
+/// must reproduce — action for action and read for read — what scalar
+/// `first_enabled` probes of those ids produce, and an Engine forced onto
+/// the bulk path must stay bit-identical to one forced onto the scalar
+/// path. Two layers of checks:
 ///
-///  * direct: sweep a randomized configuration and compare per-process
-///    actions and logged read sequences against scalar GuardContext runs
-///    (this is the memo the engine replays into the read counters, so
-///    sequence equality here is metric equality there);
+///  * direct: refresh shuffled id lists of a randomized configuration —
+///    one process, one closed neighbourhood (a central daemon's dirty
+///    set), a quarter of the network and all of it, each whole and split
+///    the way the engine splits it across pool workers — and compare the
+///    listed actions and logged read sequences against scalar
+///    GuardContext runs (this is the memo the engine replays into the read
+///    counters, so sequence equality here is metric equality there), and
+///    check that unlisted entries are left alone;
 ///  * behavioural: kForceBulk vs kForceScalar engine lockstep over every
 ///    registry protocol, daemon, and a graph menagerie — configurations,
 ///    StepInfo, rounds, enabled counts, and read metrics all equal.
@@ -19,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -41,8 +47,35 @@ class RecordingLogger final : public ReadLogger {
   }
 };
 
-/// Sweeps one randomized configuration and compares actions + read logs
-/// against per-process scalar probes.
+/// Shuffled id lists the refresh kernel is held to on `g`: one process,
+/// a max-degree process with its neighbours (1 + Delta ids, the dirty set
+/// a central daemon leaves behind), a quarter of the network, and all of
+/// it.
+std::vector<std::vector<ProcessId>> dirty_id_lists(const Graph& g, Rng& rng) {
+  const int n = g.num_vertices();
+  std::vector<ProcessId> all(static_cast<std::size_t>(n));
+  for (ProcessId p = 0; p < n; ++p) all[static_cast<std::size_t>(p)] = p;
+  shuffle(all, rng);
+  ProcessId hub = 0;
+  for (ProcessId p = 1; p < n; ++p) {
+    if (g.degree(p) > g.degree(hub)) hub = p;
+  }
+  std::vector<ProcessId> ball{hub};
+  for (NbrIndex ch = 1; ch <= g.degree(hub); ++ch) {
+    ball.push_back(g.neighbor(hub, ch));
+  }
+  shuffle(ball, rng);
+  const std::size_t quarter = std::max<std::size_t>(1, all.size() / 4);
+  return {{all.front()},
+          ball,
+          std::vector<ProcessId>(all.begin(), all.begin() + quarter),
+          all};
+}
+
+/// Refreshes `ids` of one randomized configuration — in one call, and
+/// again split into per-worker lists by contiguous id range as the
+/// engine's pool does — and compares each listed action and read log
+/// against a scalar probe. Unlisted entries must keep their sentinels.
 void expect_sweep_matches_scalar(const Graph& g, const Protocol& protocol,
                                  std::uint64_t seed) {
   const int n = g.num_vertices();
@@ -51,22 +84,55 @@ void expect_sweep_matches_scalar(const Graph& g, const Protocol& protocol,
   randomize_configuration(g, protocol.spec(), config, rng);
   protocol.install_constants(g, config);
 
-  std::vector<BulkGuardContext::ReadLog> logs(static_cast<std::size_t>(n));
-  BulkGuardContext ctx(g, config, logs);
-  EnabledBitmap bitmap;
-  bitmap.reset(n);
-  protocol.sweep_enabled(ctx, bitmap);
-
+  std::vector<int> scalar_actions(static_cast<std::size_t>(n));
+  std::vector<BulkGuardContext::ReadLog> scalar_logs(
+      static_cast<std::size_t>(n));
   for (ProcessId p = 0; p < n; ++p) {
     RecordingLogger logger;
     GuardContext guard(g, config, p, &logger);
-    const int scalar_action = protocol.first_enabled(guard);
-    EXPECT_EQ(bitmap.action(p), scalar_action)
-        << protocol.name() << " on " << g.name() << " seed " << seed
-        << ": action of process " << p;
-    EXPECT_EQ(logs[static_cast<std::size_t>(p)], logger.reads)
-        << protocol.name() << " on " << g.name() << " seed " << seed
-        << ": read log of process " << p;
+    scalar_actions[static_cast<std::size_t>(p)] =
+        protocol.first_enabled(guard);
+    scalar_logs[static_cast<std::size_t>(p)] = std::move(logger.reads);
+  }
+
+  constexpr int kUntouched = 99;
+  const BulkGuardContext::ReadLog untouched_log = {{-1, -1}};
+  for (const std::vector<ProcessId>& ids : dirty_id_lists(g, rng)) {
+    for (const int workers : {1, 3}) {
+      std::vector<BulkGuardContext::ReadLog> logs(static_cast<std::size_t>(n),
+                                                  untouched_log);
+      EnabledBitmap bitmap;
+      bitmap.reset(n);
+      for (ProcessId p = 0; p < n; ++p) bitmap.set_action(p, kUntouched);
+      for (const ProcessId p : ids) logs[static_cast<std::size_t>(p)].clear();
+      BulkGuardContext ctx(g, config, logs);
+      const int chunk = (n + workers - 1) / workers;
+      for (int w = 0; w < workers; ++w) {
+        std::vector<ProcessId> share;
+        for (const ProcessId p : ids) {
+          if (p / chunk == w) share.push_back(p);
+        }
+        protocol.sweep_enabled_ids(ctx, bitmap, share);
+      }
+
+      std::vector<std::uint8_t> listed(static_cast<std::size_t>(n), 0);
+      for (const ProcessId p : ids) listed[static_cast<std::size_t>(p)] = 1;
+      for (ProcessId p = 0; p < n; ++p) {
+        const auto i = static_cast<std::size_t>(p);
+        const std::string where = protocol.name() + " on " + g.name() +
+                                  " seed " + std::to_string(seed) + ", " +
+                                  std::to_string(ids.size()) + " ids, " +
+                                  std::to_string(workers) +
+                                  " worker(s): process " + std::to_string(p);
+        if (listed[i]) {
+          EXPECT_EQ(bitmap.action(p), scalar_actions[i]) << where;
+          EXPECT_EQ(logs[i], scalar_logs[i]) << where;
+        } else {
+          EXPECT_EQ(bitmap.action(p), kUntouched) << where;
+          EXPECT_EQ(logs[i], untouched_log) << where;
+        }
+      }
+    }
   }
 }
 
@@ -167,9 +233,10 @@ TEST(BulkSweep, ForcedBulkEngineLockstepsForcedScalarEngine) {
 }
 
 TEST(BulkSweep, AutoModeStaysOnComputationUnderEveryDaemon) {
-  // kAuto flips between the two paths step by step (central daemons keep
-  // the dirty set tiny, co-firing daemons blow it past the threshold);
-  // the trajectory must not care.
+  // kAuto refreshes every dirty set through the kernel, from a central
+  // daemon's handful of ids to a synchronous daemon's n, and flips the
+  // execute half between the paths step by step; the trajectory must not
+  // care.
   const Graph g = grid(3, 4);
   const std::unique_ptr<Protocol> protocol =
       ProtocolRegistry::instance().make("matching", g, {});

@@ -113,11 +113,11 @@ class InstantlySilent final : public Protocol {
   ProtocolSpec spec_;
 };
 
-/// Scalar guard drives X to 1 and goes quiet; the bulk sweep claims the
-/// other action whenever X != 2 — a planted bulk/scalar divergence. On
-/// the scalar path the protocol is well behaved, so only a grid that
-/// actually exercises the bulk path can flag it: the falsifiability
-/// proof for the SweepMode::kForceBulk harness leg.
+/// Scalar guard drives X to 1 and goes quiet; the refresh kernel claims
+/// the other action whenever X != 2 — a planted kernel/scalar divergence.
+/// On the scalar path the protocol is well behaved, so only a grid that
+/// actually runs the kernel can flag it: the falsifiability proof for the
+/// kAuto and kForceBulk harness legs.
 class WrongSweep final : public Protocol {
  public:
   explicit WrongSweep(const Graph&) {
@@ -136,11 +136,11 @@ class WrongSweep final : public Protocol {
     ctx.set_comm(0, action == 0 ? 1 : 2);
   }
   bool has_bulk_sweep() const override { return true; }
-  void sweep_enabled_range(BulkGuardContext& ctx, EnabledBitmap& out,
-                           ProcessId begin, ProcessId end) const override {
+  void sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
+                         std::span<const ProcessId> ids) const override {
     const Configuration& cfg = ctx.config();
-    for (ProcessId p = begin; p < end; ++p) {
-      if (cfg.comm(p, 0) != 2) out.set_action(p, 1);
+    for (const ProcessId p : ids) {
+      out.set_action(p, cfg.comm(p, 0) != 2 ? 1 : kDisabled);
     }
   }
 
@@ -330,7 +330,7 @@ TEST(ProtocolHarnessFalsifiability, FlagsLegitimacyViolation) {
 
 TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkSweep) {
   register_toys();
-  // On the scalar path the planted sweep never runs: the toy converges,
+  // On the scalar path the planted kernel never runs: the toy converges,
   // closes, and lockstep-matches the oracle.
   testing::HarnessOptions options = toy_options();
   options.sweep_mode = SweepMode::kForceScalar;
@@ -338,19 +338,25 @@ TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkSweep) {
       testing::run_protocol_property_suite("wrong-sweep", options);
   EXPECT_TRUE(scalar_report.ok()) << scalar_report.str();
 
-  // Forcing the bulk path must surface the divergence in every trial —
-  // the ReferenceEngine lockstep is the sweep's oracle.
-  options.sweep_mode = SweepMode::kForceBulk;
-  const testing::HarnessReport bulk_report =
-      testing::run_protocol_property_suite("wrong-sweep", options);
-  ASSERT_FALSE(bulk_report.ok())
-      << "the harness certified a protocol whose bulk sweep disagrees "
-         "with its scalar guards";
-  bool saw_equivalence = false;
-  for (const testing::HarnessViolation& violation : bulk_report.violations) {
-    if (violation.check == "equivalence") saw_equivalence = true;
+  // Every refresh outside kForceScalar runs the kernel, under the central
+  // daemon's small dirty sets too, so both modes must surface the
+  // divergence — the ReferenceEngine lockstep is the kernel's oracle.
+  for (const SweepMode mode : {SweepMode::kAuto, SweepMode::kForceBulk}) {
+    options.sweep_mode = mode;
+    const testing::HarnessReport bulk_report =
+        testing::run_protocol_property_suite("wrong-sweep", options);
+    ASSERT_FALSE(bulk_report.ok())
+        << "the harness certified, under " << sweep_mode_name(mode)
+        << ", a protocol whose refresh kernel disagrees with its scalar "
+           "guards";
+    bool saw_equivalence = false;
+    for (const testing::HarnessViolation& violation :
+         bulk_report.violations) {
+      if (violation.check == "equivalence") saw_equivalence = true;
+    }
+    EXPECT_TRUE(saw_equivalence) << sweep_mode_name(mode) << "\n"
+                                 << bulk_report.str();
   }
-  EXPECT_TRUE(saw_equivalence) << bulk_report.str();
 }
 
 TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkExecute) {

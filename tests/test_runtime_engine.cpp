@@ -85,6 +85,33 @@ TEST(Engine, ReadCounterSeesGuardReads) {
   EXPECT_EQ(engine.read_counter().max_reads_per_process_step(), 1);
 }
 
+TEST(Engine, ReadLoggerAttachAndDetachAreChecked) {
+  // Detaching a logger that was never attached must neither throw away
+  // an attached one's reads nor unpin the serial logged path.
+  class Counting final : public ReadLogger {
+   public:
+    std::uint64_t reads = 0;
+    void on_read(ProcessId, ProcessId, int) override { ++reads; }
+  };
+  const Graph g = cycle(8);
+  const ColoringProtocol protocol(g);
+  Engine engine(g, protocol, make_synchronous_daemon(), 3);
+  engine.randomize_state();
+  Counting attached;
+  Counting stranger;
+  engine.attach_read_logger(&attached);
+  EXPECT_THROW(engine.attach_read_logger(&attached), PreconditionError);
+  EXPECT_THROW(engine.detach_read_logger(&stranger), PreconditionError);
+  for (int s = 0; s < 4; ++s) engine.step();
+  EXPECT_GT(attached.reads, 0u);
+  EXPECT_EQ(attached.reads, engine.read_counter().total_reads());
+  engine.detach_read_logger(&attached);
+  EXPECT_THROW(engine.detach_read_logger(&attached), PreconditionError);
+  const std::uint64_t seen = attached.reads;
+  engine.step();
+  EXPECT_EQ(attached.reads, seen);
+}
+
 TEST(Engine, ProbesDoNotPerturbTheRun) {
   const Graph g = cycle(6);
   const ColoringProtocol protocol(g);
