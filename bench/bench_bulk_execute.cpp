@@ -11,9 +11,9 @@
 /// phase runs over nearly the whole network. Two sections:
 ///
 ///  * E16  — whole-engine steps/sec, deployed configuration
-///    (SweepMode::kAuto, which bulk-executes when >= 1/2 of the network
-///    is selected and refreshes every dirty guard through the slab
-///    kernel) vs kForceScalar.
+///    (SweepMode::kAuto, which bulk-executes every selection and
+///    refreshes every dirty guard through the slab kernel) vs
+///    kForceScalar.
 ///    Windows interleave `randomize_state()` with 32-step bursts so
 ///    converging protocols are measured on live convergence work. The
 ///    ratio is the *combined* win of invariants 5 and 6 — what a user
@@ -22,8 +22,7 @@
 ///    all-selected randomized configuration, `execute_selected` vs a
 ///    scalar ActionContext loop, both replaying the same guard-read
 ///    memos into the same logger. This isolates the execute kernels
-///    from guard evaluation and commit; it is the number the kAuto
-///    threshold in Engine::use_bulk_execute is calibrated against.
+///    from guard evaluation and commit.
 ///
 /// Both strategies are bit-identical by construction (asserted here over
 /// a lockstep prefix, proven at scale by tests/test_bulk_execute.cpp and
@@ -233,8 +232,8 @@ int main(int argc, char** argv) {
   print_banner(
       "E16: engine steps/sec, auto bulk execute+sweep vs all-scalar "
       "(synchronous daemon)");
-  print_note("kAuto bulk-executes when >= 1/2 of the network is selected");
-  print_note("and refreshes every dirty guard through the slab kernel, so");
+  print_note("kAuto bulk-executes every selection and refreshes every");
+  print_note("dirty guard through the slab kernel, so");
   print_note("the ratio is the deployed combined win of invariants 5 and 6.");
   TextTable steps_table({"graph", "n", "protocol", "scalar sps", "auto sps",
                          "speedup"});

@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
       "E15: engine steps/sec, auto bulk sweep vs scalar probes "
       "(synchronous daemon)");
   print_note("kAuto refreshes every dirty guard through the kernel and");
-  print_note("bulk-executes when >= 1/2 of the network is selected, so");
+  print_note("bulk-executes every selection, so");
   print_note("the ratios track the deployed engine.");
   TextTable steps_table({"graph", "n", "protocol", "scalar sps", "auto sps",
                          "speedup"});

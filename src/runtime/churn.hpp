@@ -15,7 +15,13 @@
 ///    the problem's local form when one is bound (see below);
 ///  * recovery-time samples — rounds from each disruption to the next
 ///    re-certified silence (exact quiescence check), summarized as
-///    p50/p90/p99 by `summarize_churn`;
+///    p50/p90/p99 by `summarize_churn`. The check runs once per patience
+///    interval of comm-quiet recovering steps, as the full `quiescent()`
+///    on both engines. Engine::run's cached certification (engine
+///    invariant 3) saves nothing here: nearly every recovery checkpoint
+///    succeeds, and a cached success first probes every entry dirtied
+///    since the last one (all n, for a protocol that rotates a pointer
+///    while idle), then runs the same confirming full check;
 ///  * disruptions survived, split by kind, and the reads/bits spent while
 ///    recovering vs while idling at silence.
 ///

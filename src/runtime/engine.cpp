@@ -110,6 +110,9 @@ void Engine::apply_external_corruption(const std::vector<ProcessId>& victims,
 void Engine::invalidate_all_probes() {
   dirty_queue_.clear();
   solo_dirty_queue_.clear();
+  // Every solo entry goes dirty, and a dirty entry holds 0 (invariant 3).
+  std::fill(solo_active_.begin(), solo_active_.end(), 0);
+  solo_active_count_ = 0;
   for (ProcessId p = 0; p < graph_.num_vertices(); ++p) {
     probe_dirty_[static_cast<std::size_t>(p)] = 1;
     dirty_queue_.push_back(p);
@@ -126,9 +129,13 @@ void Engine::mark_probe_dirty(ProcessId p) {
 }
 
 void Engine::mark_solo_dirty(ProcessId p) {
-  if (!solo_dirty_[static_cast<std::size_t>(p)]) {
-    solo_dirty_[static_cast<std::size_t>(p)] = 1;
+  const auto i = static_cast<std::size_t>(p);
+  if (!solo_dirty_[i]) {
+    solo_dirty_[i] = 1;
     solo_dirty_queue_.push_back(p);
+    // A dirty entry holds 0, so the count covers clean entries only.
+    solo_active_count_ -= solo_active_[i];
+    solo_active_[i] = 0;
   }
 }
 
@@ -191,6 +198,8 @@ Engine::RefreshDeltas Engine::refresh_ids(std::span<const ProcessId> ids) {
 
 void Engine::refresh_enabled() {
   if (dirty_queue_.empty()) return;
+  // New memos: the recorded idle-step charge (invariant 4) is stale.
+  idle_charge_valid_ = false;
   const auto n = static_cast<std::size_t>(graph_.num_vertices());
   // Fanning out (invariant 7) wants the dirty set large enough to amortize
   // the barrier: at least a quarter of the network. Central daemons dirty
@@ -238,20 +247,13 @@ std::pair<ProcessId, ProcessId> Engine::worker_range(int worker) const {
   return {begin, end};
 }
 
-bool Engine::use_bulk_execute(std::size_t selected) const {
-  // Hard gates first: no kernel, frozen exclusion (phase 1 must consult
-  // the frozen classification per process), or an external read logger
-  // (order-sensitive mux) all pin the scalar path regardless of mode.
-  if (!bulk_exec_supported_ || exclude_frozen_ || external_loggers_ != 0 ||
-      sweep_mode_ == SweepMode::kForceScalar) {
-    return false;
-  }
-  if (sweep_mode_ == SweepMode::kForceBulk) return true;
-  // kAuto cost gate, calibrated from bench_bulk_execute: the kernel wins
-  // once the selection is a large fraction of the network (synchronous and
-  // heavy distributed daemons); for small selections the scalar loop's
-  // per-process cost is below the kernel's slab-walk and staging overhead.
-  return selected * 2 >= static_cast<std::size_t>(graph_.num_vertices());
+bool Engine::use_bulk_execute() const {
+  // No kernel, frozen exclusion (phase 1 must consult the frozen
+  // classification per process), an external read logger (order-sensitive
+  // mux) or kForceScalar pin the per-process path; every other selection,
+  // whatever its size, runs the kernel.
+  return bulk_exec_supported_ && !exclude_frozen_ && external_loggers_ == 0 &&
+         sweep_mode_ != SweepMode::kForceScalar;
 }
 
 void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
@@ -426,27 +428,32 @@ bool Engine::quiescent() const {
   return is_comm_quiescent(graph_, protocol_, config_);
 }
 
-bool Engine::comm_quiescent_cached() {
-  while (!solo_dirty_queue_.empty()) {
+bool Engine::certified_silent() {
+  // Lazy (invariant 3): one clean active entry already proves the
+  // configuration is not silent, so probing stops at the first one found
+  // and the rest of the queue stays dirty for a later checkpoint.
+  while (solo_active_count_ == 0 && !solo_dirty_queue_.empty()) {
     const ProcessId p = solo_dirty_queue_.back();
     solo_dirty_queue_.pop_back();
     solo_dirty_[static_cast<std::size_t>(p)] = 0;
+    ++solo_probes_;
     // The shared decision procedure of is_comm_quiescent, on this one
     // process; it restores config_ before returning. The margin honors
     // the protocol's own demand (wrapper protocols need deeper probes).
-    const std::uint8_t active =
-        solo_would_write_comm(graph_, protocol_, config_, p, solo_scratch_,
+    if (solo_would_write_comm(graph_, protocol_, config_, p, solo_scratch_,
                               solo_saved_row_,
                               std::max(QuiescenceOptions{}.margin,
-                                       protocol_.solo_quiescence_margin()))
-            ? 1
-            : 0;
-    solo_active_count_ +=
-        static_cast<int>(active) -
-        static_cast<int>(solo_active_[static_cast<std::size_t>(p)]);
-    solo_active_[static_cast<std::size_t>(p)] = active;
+                                       protocol_.solo_quiescence_margin()))) {
+      solo_active_[static_cast<std::size_t>(p)] = 1;
+      ++solo_active_count_;
+    }
   }
-  return solo_active_count_ == 0;
+  if (solo_active_count_ != 0) return false;
+  // The one full solo simulation per certification, so a cache bug can
+  // never mis-certify.
+  SSS_ASSERT(is_comm_quiescent(graph_, protocol_, config_),
+             "solo-quiescence cache certified a non-silent configuration");
+  return true;
 }
 
 void Engine::attach_read_logger(ReadLogger* logger) {
@@ -487,40 +494,15 @@ void Engine::reset_round() {
   steps_at_round_start_ = steps_;
 }
 
-Engine::StepInfo Engine::step() {
-  refresh_enabled();
-
-  selection_.clear();
-  // Frozen exclusion: hand the daemon the active subset, unless that
-  // would empty a non-empty enabled set (all enabled processes frozen) —
-  // selection must stay well-formed, and selecting a frozen self-loop is
-  // harmless.
-  const EnabledSet& sampled =
-      exclude_frozen_ && active_.count() > 0 ? active_ : enabled_;
-  daemon_->select(graph_, sampled, rng_, selection_);
-  SSS_ASSERT(!selection_.empty(), "daemon selected an empty set");
-  // The Daemon contract (strictly ascending, hence distinct) replaces the
-  // old per-step sort+unique normalization. The check is always on — a
-  // duplicate would double-fire a process and silently corrupt metrics —
-  // but O(k), unlike the O(k log k) sort it retired.
-  for (std::size_t i = 1; i < selection_.size(); ++i) {
-    SSS_ASSERT(selection_[i - 1] < selection_[i],
-               "daemon selections must be strictly ascending");
-  }
-
-  read_counter_.begin_step();
-
+void Engine::execute_selection(StepInfo& info) {
   const std::size_t selected = selection_.size();
   if (staged_.size() < selected) staged_.resize(selected);
-  StepInfo info;
-  info.selected = static_cast<int>(selected);
-
   // Phase 1: every selected process evaluates against the gamma_i snapshot
   // — through the bulk-execute kernel (invariant 6) or per process. Phase
   // 2: the simultaneous commit forms gamma_{i+1}. Any fired action may
   // change the process's own state, so its cached enabledness and
   // solo-quiescence answers are stale either way.
-  const bool bulk = use_bulk_execute(selected);
+  const bool bulk = use_bulk_execute();
   if (bulk) {
     const auto stride = static_cast<std::size_t>(config_.stride());
     if (bulk_staged_rows_.size() < selected * stride) {
@@ -587,6 +569,57 @@ Engine::StepInfo Engine::step() {
       for (const auto& [p, changed] : ws.commits) mark_fired(p, changed);
     }
   }
+}
+
+Engine::StepInfo Engine::step() {
+  refresh_enabled();
+
+  selection_.clear();
+  // Frozen exclusion: hand the daemon the active subset, unless that
+  // would empty a non-empty enabled set (all enabled processes frozen) —
+  // selection must stay well-formed, and selecting a frozen self-loop is
+  // harmless.
+  const EnabledSet& sampled =
+      exclude_frozen_ && active_.count() > 0 ? active_ : enabled_;
+  daemon_->select(graph_, sampled, rng_, selection_);
+  SSS_ASSERT(!selection_.empty(), "daemon selected an empty set");
+  // The Daemon contract (strictly ascending, hence distinct) replaces the
+  // old per-step sort+unique normalization. The check is always on — a
+  // duplicate would double-fire a process and silently corrupt metrics —
+  // but O(k), unlike the O(k log k) sort it retired.
+  for (std::size_t i = 1; i < selection_.size(); ++i) {
+    SSS_ASSERT(selection_[i - 1] < selection_[i],
+               "daemon selections must be strictly ascending");
+  }
+
+  read_counter_.begin_step();
+
+  const std::size_t selected = selection_.size();
+  StepInfo info;
+  info.selected = static_cast<int>(selected);
+
+  // Idle charge (invariant 4): a whole-network selection with nothing
+  // enabled fires nobody, and until the next refresh its memo replay
+  // charges exactly what the last such replay charged, so the replay runs
+  // once and every repetition adds the recorded delta. The repeated step
+  // already set the maxima. An external logger must see every read, so it
+  // pins the replay.
+  const bool idle =
+      selected == static_cast<std::size_t>(graph_.num_vertices()) &&
+      enabled_.count() == 0;
+  const bool charged = idle && idle_charge_valid_ && external_loggers_ == 0;
+  if (charged) {
+    read_counter_.absorb(idle_reads_, idle_bits_, 0, 0);
+  } else {
+    const std::uint64_t reads_before = read_counter_.total_reads();
+    const std::uint64_t bits_before = read_counter_.total_bits();
+    execute_selection(info);
+    if (idle) {
+      idle_reads_ = read_counter_.total_reads() - reads_before;
+      idle_bits_ = read_counter_.total_bits() - bits_before;
+      idle_charge_valid_ = true;
+    }
+  }
 
   ++steps_;
 
@@ -610,7 +643,8 @@ Engine::StepInfo Engine::step() {
     event.selected = selection_;
     event.actions.reserve(selected);
     for (std::size_t i = 0; i < selected; ++i) {
-      event.actions.push_back(staged_[i].action);
+      event.actions.push_back(charged ? Protocol::kDisabled
+                                      : staged_[i].action);
     }
     event.comm_changed = info.comm_changed;
     trace_->record(std::move(event));
@@ -674,16 +708,6 @@ RunStats Engine::run(const RunOptions& options) {
       stats.steps_to_legitimate = steps_ - base_steps;
       stats.rounds_to_legitimate = rounds_inclusive() - base_rounds;
     }
-  };
-
-  // Certification is the cached check (exact, cost O(stale entries)); the
-  // one silence it reports per run is re-confirmed against the full solo
-  // simulation so a cache bug can never mis-certify.
-  auto certified_silent = [&]() {
-    if (!comm_quiescent_cached()) return false;
-    SSS_ASSERT(is_comm_quiescent(graph_, protocol_, config_),
-               "solo-quiescence cache certified a non-silent configuration");
-    return true;
   };
 
   check_legitimate(/*stepped=*/false);

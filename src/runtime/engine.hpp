@@ -46,13 +46,21 @@
 ///  3. Solo-quiescence cache. `solo_active_[p]` caches "would p, run solo
 ///     against the frozen communication state, attempt a communication
 ///     write within degree(p) + margin activations" — exactly the per-
-///     process question `is_comm_quiescent` answers; `solo_active_count_`
-///     counts the 1s, and the configuration is certified silent iff it
-///     drains to zero. The cache goes stale under the same two events as
-///     enabledness and is refreshed lazily only when `run` reaches a
-///     quiescence checkpoint, so the O(n*Delta) full solo simulation of the
-///     original engine happens at most once per run (as a final
-///     confirmation assert) instead of at every checkpoint.
+///     process question `is_comm_quiescent` answers. An entry goes stale
+///     (dirty, queued in `solo_dirty_queue_`) under the same two events as
+///     enabledness, and a dirty entry holds 0, so `solo_active_count_`
+///     counts the clean active entries only. The configuration is silent
+///     iff the count is zero with the queue drained. The check is lazy:
+///     while the count is positive a clean entry already proves "not
+///     silent" and nothing is probed; otherwise the queue is drained only
+///     until the first active process (`solo_probes` counts the probes).
+///     Each dirtying therefore costs at most one probe, and a checkpoint
+///     that cannot certify usually costs none. `run` calls
+///     `certified_silent` at its quiescence checkpoints. Each positive
+///     answer is confirmed by the O(n*Delta) full solo simulation of the
+///     original engine under SSS_ASSERT, once per certification instead
+///     of at every checkpoint. The churn window keeps the full check
+///     (runtime/churn.hpp says why).
 ///
 ///  4. Guard memo. A refresh must evaluate the guard anyway, so it
 ///     records the outcome: the chosen action and the exact sequence of
@@ -70,6 +78,17 @@
 ///     (runtime/metrics.hpp). `probe_action_` is an EnabledBitmap, so the
 ///     refresh writes actions into it directly and the bulk execute reads
 ///     them from it.
+///     Idle charge: a step that selects the whole network while nothing
+///     is enabled (the synchronous daemon after silence) fires nobody, so
+///     its only effect is the replay of all n memos, and until the next
+///     refresh every such step replays the same memos. The first one
+///     after a refresh replays them and records the (reads, bits) it
+///     charged; each repetition adds that delta through
+///     `StepReadCounter::absorb` in O(1). The maxima need nothing, since
+///     the identical step already set them. On that path, as on the pooled
+///     path, the engine's own counter does not maintain `step_reads_of`.
+///     An attached external logger pins the replay, and an attached trace
+///     still records every step.
 ///
 ///  5. One refresh hook. `refresh_enabled` hands the dirty ids — the
 ///     whole dirty queue, or each pool worker's share of it (invariant 7)
@@ -92,21 +111,20 @@
 ///     memo replay + staged actions against the gamma_i snapshot) then
 ///     `commit_slice` (phase 2: rows committed, each fired process handed
 ///     to the dirty-queue/covering/solo-cache treatment), over selection
-///     index slices. Each slice runs per process or, when the protocol
-///     has a bulk execute (Protocol::has_bulk_execute; RuleProtocol
-///     supplies it from the protocol's one act) and the selection covers
-///     at least half of the network (or SweepMode::kForceBulk), through
+///     index slices. When the protocol has a bulk execute
+///     (Protocol::has_bulk_execute; RuleProtocol supplies it from the
+///     protocol's one act), every slice, whatever the selection size, is
 ///     one `execute_selected` pass over the CSR slabs: the kernel replays
 ///     each selected guard memo into the read counters and stages each
 ///     fired process's post-state as a full configuration row, and the
 ///     commit compares the staged comm prefix against the live row
 ///     (equivalent to the pending-write flag because unwritten slots keep
-///     their snapshot values). The 1/2 threshold is calibrated from
-///     bench_bulk_execute: the bulk pass only amortizes its staging and
-///     dispatch overhead under co-firing selections. Frozen-process
-///     exclusion (phase 1 consults the frozen classification per
-///     process) and attached external read loggers (the mux is
-///     order-sensitive) pin per-process execution; probabilistic
+///     their snapshot values). The per-process path (one ActionContext
+///     and virtual `execute` per fired process) remains for protocols
+///     without a kernel (GENERIC-EFFICIENCY, ROTATING-CHECK, test mocks),
+///     SweepMode::kForceScalar, frozen-process exclusion (phase 1
+///     consults the frozen classification per process) and attached
+///     external read loggers (the mux is order-sensitive); probabilistic
 ///     protocols are bulk-executable *serially* (the kernel draws from the
 ///     model rng in ascending selection order, which is the scalar stream
 ///     bit for bit). The serial engine runs one slice over the whole
@@ -187,9 +205,9 @@ namespace sss {
 /// execution (invariant 6). kAuto and kForceBulk refresh through the
 /// protocol's `sweep_enabled_ids` (its slab kernel when it has one);
 /// kForceScalar runs the scalar default, one `first_enabled` probe per
-/// dirty id. For execution, kAuto picks the bulk execute when the
-/// protocol has one and the selection covers at least half of the
-/// network, and the force modes pin it on or off. The force modes exist
+/// dirty id. For execution, kAuto and kForceBulk run the bulk execute
+/// whenever the protocol has one, and kForceScalar pins the per-process
+/// execute. The force modes exist
 /// for the differential suites and the scalar-vs-bulk benches. Every mode
 /// computes the same computation bit for bit — mode only changes cost,
 /// and may be flipped mid-trajectory.
@@ -352,6 +370,20 @@ class Engine {
   /// Exact silence check of the current configuration.
   bool quiescent() const;
 
+  /// Certifies silence through the solo-quiescence cache (invariant 3 in
+  /// the file comment), the incremental equivalent of is_comm_quiescent:
+  /// false at once while a clean entry is active, otherwise probes dirty
+  /// entries (via the shared solo_would_write_comm procedure) until the
+  /// first active one. A positive answer is confirmed by the full
+  /// `is_comm_quiescent` check under SSS_ASSERT. `run` calls it at its
+  /// quiescence checkpoints.
+  bool certified_silent();
+
+  /// Solo probes the cache has run over the engine's lifetime (one
+  /// `solo_would_write_comm` per dirty entry drained). A plain count for
+  /// tests and profiling; no result depends on it.
+  std::uint64_t solo_probes() const { return solo_probes_; }
+
   /// Attach an extra read observer (e.g. StabilityTracker). Not owned.
   /// Attaching a logger twice, or detaching one that is not attached,
   /// throws PreconditionError.
@@ -392,8 +424,12 @@ class Engine {
   /// `action` and returns whether p is frozen. Exclusion on only.
   bool classify_frozen(ProcessId p, int action);
   /// Invariant-6 dispatch: does this step's execution run the protocol's
-  /// bulk kernel? A pure cost gate — both paths are bit-identical.
-  bool use_bulk_execute(std::size_t selected) const;
+  /// bulk kernel? Both paths are bit-identical.
+  bool use_bulk_execute() const;
+  /// The phase pair over `selection_` (invariants 6, 7): one serial slice
+  /// or the pool's slices plus the ascending merge. Counts fired processes
+  /// and comm changes into `info`.
+  void execute_selection(StepInfo& info);
   /// Phase 1 for selection indices [begin, end): memo replay into
   /// `logger` plus staged actions — per process, or one execute_selected
   /// call when `bulk`. `rng` is the model stream on the serial slice and
@@ -428,11 +464,6 @@ class Engine {
   void note_comm_changed(ProcessId p);
   void cover(ProcessId p);
   void reset_round();
-  /// Incremental equivalent of is_comm_quiescent on the current
-  /// configuration: refreshes stale solo_active_ entries (via the shared
-  /// solo_would_write_comm procedure), then answers from
-  /// solo_active_count_.
-  bool comm_quiescent_cached();
 
   const Graph& graph_;
   const Protocol& protocol_;
@@ -479,7 +510,14 @@ class Engine {
   std::vector<std::uint8_t> solo_active_;
   std::vector<std::uint8_t> solo_dirty_;
   std::vector<ProcessId> solo_dirty_queue_;
-  int solo_active_count_ = 0;
+  int solo_active_count_ = 0;  ///< clean active entries
+  std::uint64_t solo_probes_ = 0;
+
+  // Idle charge (invariant 4): what one whole-network all-disabled step
+  // charged, valid until the next refresh.
+  bool idle_charge_valid_ = false;
+  std::uint64_t idle_reads_ = 0;
+  std::uint64_t idle_bits_ = 0;
 
   // Lifetime counters.
   std::uint64_t steps_ = 0;

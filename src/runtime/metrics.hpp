@@ -94,7 +94,9 @@ class StepReadCounter final : public ReadLogger {
   /// Merges a worker tally's step contribution (parallel execution path):
   /// totals sum, per-process-step maxima max. Exact because the maxima are
   /// per (reader, step) and each selected reader's reads all land in one
-  /// worker's tally; note step_reads_of is not maintained by this path.
+  /// worker's tally. The engine's idle charge (engine invariant 4) adds a
+  /// repeated step's totals the same way. Note step_reads_of is not
+  /// maintained by this path.
   void absorb(std::uint64_t reads, std::uint64_t bits, int max_reads,
               int max_bits);
 

@@ -7,20 +7,29 @@
 ///  * step-for-step: configurations, StepInfo, round counts, read metrics,
 ///    and enabledness probes across all six daemons x seeds x the graph
 ///    menagerie, for deterministic and randomized protocols alike;
-///  * run-level: full RunStats equality, exercising the cached quiescence
-///    certification against the original O(n*Delta)-per-checkpoint check;
+///  * run-level: full RunStats equality over every registry protocol and
+///    its generic-efficiency composition, at patience 1 and the default,
+///    across a mid-run corruption and a rerun from silence, exercising the
+///    lazy quiescence certification against the original
+///    O(n*Delta)-per-checkpoint check;
 ///  * sweep-level: a one-item run_batch sweep is identical at 1 and N
 ///    threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "analysis/batch.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/matching_protocol.hpp"
 #include "core/mis_protocol.hpp"
+#include "core/problem_registry.hpp"
 #include "core/problems.hpp"
+#include "core/protocol_registry.hpp"
+#include "graph/builders.hpp"
 #include "graph/coloring.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/reference_engine.hpp"
@@ -106,30 +115,91 @@ void expect_same_stats(const RunStats& a, const RunStats& b,
       << context;
 }
 
+/// One run sequence on both engines, compared field for field after each
+/// run: a partial run that stops short of silence, a mid-run corruption
+/// of two victims, a run to silence, and a rerun from the silent point.
+/// Patience 1 puts a quiescence checkpoint after every comm-quiet step,
+/// so the lazy cache's early return and partial drain are exercised at
+/// every such step against the oracle's full check.
+void expect_run_sequence_matches(const Graph& g, const Protocol& protocol,
+                                 const LegitimacyPredicate& legitimacy,
+                                 const std::string& daemon_name,
+                                 std::uint64_t seed, std::uint64_t patience,
+                                 const std::string& context) {
+  Engine fast(g, protocol, make_daemon(daemon_name), seed);
+  ReferenceEngine oracle(g, protocol, make_daemon(daemon_name), seed);
+  fast.randomize_state();
+  oracle.randomize_state();
+  RunOptions options;
+  options.quiescence_patience = patience;
+  options.legitimacy = legitimacy;
+  options.max_steps = 7;
+  expect_same_stats(fast.run(options), oracle.run(options),
+                    context + "/partial");
+  Rng fast_faults(seed ^ 0xc0ffeeULL);
+  Rng oracle_faults(seed ^ 0xc0ffeeULL);
+  const std::vector<ProcessId> victims = {0, g.num_vertices() - 1};
+  fast.apply_external_corruption(victims, fast_faults);
+  oracle.apply_external_corruption(victims, oracle_faults);
+  options.max_steps = 30'000;
+  const RunStats a = fast.run(options);
+  expect_same_stats(a, oracle.run(options), context);
+  EXPECT_TRUE(fast.config() == oracle.config()) << context;
+  // A second run from the silent point must certify instantly on both.
+  const RunStats a2 = fast.run(options);
+  expect_same_stats(a2, oracle.run(options), context + "/rerun");
+  if (a.silent) EXPECT_EQ(a2.steps, 0u) << context;
+}
+
 TEST(EngineEquivalence, RunStatsMatchIncludingQuiescenceCertification) {
   const ColoringProblem problem;
   for (const auto& named : testing::sweep_graphs()) {
     const ColoringProtocol protocol(named.graph);
     for (const std::string& daemon_name : daemon_names()) {
-      const std::uint64_t seed = 900 + named.graph.num_vertices();
-      Engine fast(named.graph, protocol, make_daemon(daemon_name), seed);
-      ReferenceEngine oracle(named.graph, protocol, make_daemon(daemon_name),
-                             seed);
-      fast.randomize_state();
-      oracle.randomize_state();
-      RunOptions options;
-      options.max_steps = 30'000;
-      options.legitimacy = problem.predicate();
-      const RunStats a = fast.run(options);
-      const RunStats b = oracle.run(options);
-      expect_same_stats(a, b, named.label + "/" + daemon_name);
-      EXPECT_TRUE(fast.config() == oracle.config());
-      // A second run from the silent point must certify instantly on both.
-      const RunStats a2 = fast.run(options);
-      const RunStats b2 = oracle.run(options);
-      expect_same_stats(a2, b2, named.label + "/" + daemon_name + "/rerun");
+      for (const std::uint64_t patience : {1u, 0u}) {
+        expect_run_sequence_matches(
+            named.graph, protocol, problem.predicate(), daemon_name,
+            900 + named.graph.num_vertices(), patience,
+            named.label + "/" + daemon_name + "/patience " +
+                std::to_string(patience));
+      }
     }
   }
+  // Every registry protocol and its generic-efficiency composition, under
+  // each daemon its entry allows.
+  const ProtocolRegistry& registry = ProtocolRegistry::instance();
+  const std::vector<Graph> graphs = {petersen(), grid_of_clusters(2, 2, 4)};
+  int compared = 0;
+  for (const std::string& name : registry.protocol_names()) {
+    for (const ProtocolSelection& selection :
+         {ProtocolSelection::base(name),
+          ProtocolSelection::wrap("generic-efficiency",
+                                  ProtocolSelection::base(name))}) {
+      const ProtocolRegistry::ComposedInfo info = registry.resolve(selection);
+      const std::unique_ptr<Problem> problem =
+          ProblemRegistry::instance().make(info.problem);
+      for (const Graph& g : graphs) {
+        const std::unique_ptr<Protocol> protocol = registry.make(selection, g);
+        for (const std::string& daemon_name : daemon_names()) {
+          if (!info.daemons.empty() &&
+              std::find(info.daemons.begin(), info.daemons.end(),
+                        daemon_name) == info.daemons.end()) {
+            continue;
+          }
+          for (const std::uint64_t patience : {1u, 0u}) {
+            expect_run_sequence_matches(
+                g, *protocol, problem->predicate(), daemon_name,
+                700 + static_cast<std::uint64_t>(compared), patience,
+                info.label + "/" + g.name() + "/" + daemon_name +
+                    "/patience " + std::to_string(patience));
+            if (HasFailure()) return;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 void expect_same_summary(const Summary& a, const Summary& b,

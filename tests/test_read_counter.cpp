@@ -5,7 +5,9 @@
 /// it identically. Here the counter answers to NaiveReadCounter instead,
 /// the definitions written the obvious way with std::set per step, on
 /// hand-written read streams and on every registry protocol (and its
-/// generic-efficiency composition) driven by the engine.
+/// generic-efficiency composition) driven by the engine. The engine's
+/// O(1) charge for repeated whole-network idle steps answers to it too,
+/// against a twin engine whose attached naive logger pins the replay.
 
 #include <gtest/gtest.h>
 
@@ -268,6 +270,160 @@ TEST(ReadCounter, EveryRegistryProtocolMatchesTheNaiveCounter) {
         }
       }
     }
+  }
+}
+
+/// Steps `engine` (its own counter only, so repeated idle steps take the
+/// O(1) charge of engine invariant 4) and `twin` (pinned to the memo
+/// replay by the attached `naive` logger) in lockstep, comparing the
+/// engine's totals and maxima with the naive ones after every step.
+void step_twins(Engine& engine, Engine& twin, NaiveReadCounter& naive,
+                int steps, const std::string& where) {
+  for (int s = 0; s < steps; ++s) {
+    naive.begin_step();
+    engine.step();
+    twin.step();
+    const std::string at = where + " step " + std::to_string(s);
+    ASSERT_TRUE(engine.config() == twin.config()) << at;
+    const StepReadCounter& own = engine.read_counter();
+    ASSERT_EQ(own.total_reads(), naive.total_reads()) << at;
+    ASSERT_EQ(own.total_bits(), naive.total_bits()) << at;
+    ASSERT_EQ(own.max_reads_per_process_step(), naive.max_reads()) << at;
+    ASSERT_EQ(own.max_bits_per_process_step(), naive.max_bits()) << at;
+    ASSERT_EQ(twin.read_counter().total_reads(), naive.total_reads()) << at;
+  }
+}
+
+/// Steps the twins until nothing is enabled, then 2n whole-network
+/// all-disabled synchronous steps.
+void settle_then_idle(Engine& engine, Engine& twin, NaiveReadCounter& naive,
+                      const std::string& where) {
+  for (int s = 0; s < 10'000 && engine.num_enabled() > 0; ++s) {
+    step_twins(engine, twin, naive, 1, where + " settling");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  ASSERT_EQ(engine.num_enabled(), 0) << where;
+  const int n = engine.graph().num_vertices();
+  step_twins(engine, twin, naive, 2 * n, where + " idle");
+  if (::testing::Test::HasFatalFailure()) return;
+  if (engine.parallel_threads() == 1) {
+    // The last idle step was charged, not replayed: the serial replay
+    // maintains step_reads_of, the O(1) charge does not.
+    for (ProcessId p = 0; p < n; ++p) {
+      ASSERT_EQ(engine.read_counter().step_reads_of(p), 0) << where;
+    }
+    ASSERT_GT(naive.total_reads(), 0u) << where;
+  }
+}
+
+/// The synchronous idle sequence on a registry protocol that goes all
+/// disabled at silence, with a corruption and a set_config mid-sequence.
+void expect_idle_charge_matches(const std::string& name, int threads) {
+  const Graph g = grid_of_clusters(2, 2, 4);
+  const std::unique_ptr<Protocol> protocol =
+      ProtocolRegistry::instance().make(ProtocolSelection::base(name), g);
+  Engine engine(g, *protocol, make_daemon("synchronous"), 41);
+  Engine twin(g, *protocol, make_daemon("synchronous"), 41);
+  engine.set_parallel_threads(threads);
+  twin.set_parallel_threads(threads);
+  NaiveReadCounter naive(g, protocol->spec());
+  twin.attach_read_logger(&naive);
+  engine.randomize_state();
+  twin.randomize_state();
+  const std::string where = name + " threads " + std::to_string(threads);
+  settle_then_idle(engine, twin, naive, where);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  Rng engine_faults(42);
+  Rng twin_faults(42);
+  engine.apply_external_corruption({0, 7, 12}, engine_faults);
+  twin.apply_external_corruption({0, 7, 12}, twin_faults);
+  settle_then_idle(engine, twin, naive, where + " after corruption");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  Engine other(g, *protocol, make_daemon("synchronous"), 43);
+  other.randomize_state();
+  other.run(RunOptions{});
+  engine.set_config(other.config());
+  twin.set_config(other.config());
+  settle_then_idle(engine, twin, naive, where + " after set_config");
+}
+
+TEST(ReadCounter, RepeatedIdleStepsMatchTheNaiveCounter) {
+  for (const char* name : {"full-read-mis", "full-read-bfs-tree"}) {
+    for (const int threads : {1, 2, 8}) {
+      expect_idle_charge_matches(name, threads);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+/// Never enabled; its guard reads neighbours in channel order until one
+/// holds 1, so what an idle step reads depends on the configuration.
+class LazyIdleReader final : public Protocol {
+ public:
+  LazyIdleReader() { spec_.comm.emplace_back("B", VarDomain{0, 1}); }
+  const std::string& name() const override {
+    static const std::string kName = "LAZY-IDLE-READER";
+    return kName;
+  }
+  const ProtocolSpec& spec() const override { return spec_; }
+  int num_actions() const override { return 1; }
+  int first_enabled(GuardContext& ctx) const override {
+    for (NbrIndex ch = 1; ch <= ctx.degree(); ++ch) {
+      if (ctx.nbr_comm(ch, 0) == 1) break;
+    }
+    return kDisabled;
+  }
+  void execute(int, ActionContext&) const override {}
+
+ private:
+  ProtocolSpec spec_;
+};
+
+TEST(ReadCounter, ConfigurationChangesInvalidateTheIdleCharge) {
+  // Every step of LAZY-IDLE-READER is idle, and its charge changes with
+  // the configuration: all zeros reads every channel, all ones reads one
+  // per process. A stale charge after set_config or a corruption would
+  // show up as a total the naive counter does not reach.
+  const Graph g = grid_of_clusters(2, 2, 4);
+  const LazyIdleReader protocol;
+  for (const int threads : {1, 2, 8}) {
+    Engine engine(g, protocol, make_daemon("synchronous"), 51);
+    Engine twin(g, protocol, make_daemon("synchronous"), 51);
+    engine.set_parallel_threads(threads);
+    twin.set_parallel_threads(threads);
+    NaiveReadCounter naive(g, protocol.spec());
+    twin.attach_read_logger(&naive);
+    const std::string where = "threads " + std::to_string(threads);
+    const auto per_step = [&](const std::string& phase) {
+      const std::uint64_t before = naive.total_reads();
+      step_twins(engine, twin, naive, 3, where + " " + phase);
+      return (naive.total_reads() - before) / 3;
+    };
+    Configuration zeros = engine.config();
+    Configuration ones = engine.config();
+    for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+      zeros.set_comm(p, 0, 0);
+      ones.set_comm(p, 0, 1);
+    }
+    engine.set_config(zeros);
+    twin.set_config(zeros);
+    const std::uint64_t all_channels = per_step("zeros");
+    engine.set_config(ones);
+    twin.set_config(ones);
+    const std::uint64_t one_each = per_step("ones");
+    ASSERT_EQ(all_channels, static_cast<std::uint64_t>(2 * g.num_edges()))
+        << where;
+    ASSERT_EQ(one_each, static_cast<std::uint64_t>(g.num_vertices()))
+        << where;
+    Rng engine_faults(52);
+    Rng twin_faults(52);
+    const std::vector<ProcessId> victims = {0, 1, 2, 3, 4, 5, 6, 7};
+    engine.apply_external_corruption(victims, engine_faults);
+    twin.apply_external_corruption(victims, twin_faults);
+    EXPECT_NE(per_step("corrupted"), one_each) << where;
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/full_read_mis.hpp"
 #include "core/coloring_protocol.hpp"
 #include "core/mis_protocol.hpp"
 #include "core/problems.hpp"
@@ -191,6 +192,77 @@ TEST(Engine, RunStopsAtMaxStepsWhenNeverSilent) {
   const RunStats stats = engine.run(options);
   EXPECT_FALSE(stats.silent);
   EXPECT_EQ(stats.steps, 500u);
+}
+
+TEST(Engine, SoloProbesStopAtTheFirstActiveProcess) {
+  // Every ALWAYS-FLIP process would write its comm variable solo, so the
+  // first checkpoint finds an active process with its first probe and
+  // leaves the other entries dirty; while that clean active entry stands,
+  // later checkpoints probe nothing.
+  const Graph g = path(6);
+  const AlwaysFlip protocol(g);
+  Engine engine(g, protocol, make_central_round_robin_daemon(), 21);
+  EXPECT_EQ(engine.solo_probes(), 0u);
+  EXPECT_FALSE(engine.certified_silent());
+  EXPECT_EQ(engine.solo_probes(), 1u);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(engine.certified_silent());
+  EXPECT_EQ(engine.solo_probes(), 1u);
+}
+
+TEST(Engine, EachSoloDirtyingCostsAtMostOneProbe) {
+  // Checkpoint after every step: a fired process dirties itself and, when
+  // its comm changed, its neighbours, so the probes stay within the
+  // initial n plus sum(1 + degree) over the selections (and a corruption
+  // victim's closed neighbourhood). Once silence is certified, further
+  // checkpoints probe nothing.
+  const Graph g = grid(4, 4);
+  const ColoringProtocol protocol(g);
+  Engine engine(g, protocol, make_central_round_robin_daemon(), 22);
+  engine.randomize_state();
+  std::uint64_t dirtyings = static_cast<std::uint64_t>(g.num_vertices());
+  const auto step_to_silence = [&] {
+    for (int s = 0; s < 20'000 && !engine.certified_silent(); ++s) {
+      ASSERT_LE(engine.solo_probes(), dirtyings) << "step " << s;
+      engine.step();
+      for (const ProcessId p : engine.last_selection()) {
+        dirtyings += 1 + static_cast<std::uint64_t>(g.degree(p));
+      }
+    }
+    ASSERT_TRUE(engine.certified_silent());
+    ASSERT_LE(engine.solo_probes(), dirtyings);
+  };
+  step_to_silence();
+  if (HasFatalFailure()) return;
+  const std::uint64_t settled = engine.solo_probes();
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(engine.certified_silent());
+  EXPECT_EQ(engine.solo_probes(), settled);
+  Rng faults(23);
+  const ProcessId victim = 5;
+  engine.apply_external_corruption({victim}, faults);
+  dirtyings += 1 + static_cast<std::uint64_t>(g.degree(victim));
+  step_to_silence();
+}
+
+TEST(Engine, TraceRecordsRepeatedIdleSteps) {
+  // After silence FULL-READ-MIS is disabled everywhere and the
+  // synchronous daemon selects every process. The repeated idle steps are
+  // charged without a replay, and the trace still records each of them
+  // with every action disabled.
+  const Graph g = cycle(6);
+  const FullReadMis protocol(g, greedy_coloring(g));
+  Engine engine(g, protocol, make_synchronous_daemon(), 24);
+  engine.randomize_state();
+  for (int s = 0; s < 1000 && engine.num_enabled() > 0; ++s) engine.step();
+  ASSERT_EQ(engine.num_enabled(), 0);
+  TraceRecorder trace(16);
+  engine.set_trace(&trace);
+  for (int s = 0; s < 4; ++s) engine.step();
+  ASSERT_EQ(trace.events().size(), 4u);
+  for (const TraceEvent& event : trace.events()) {
+    EXPECT_EQ(event.selected.size(), 6u);
+    EXPECT_EQ(event.actions, std::vector<int>(6, Protocol::kDisabled));
+    EXPECT_FALSE(event.comm_changed);
+  }
 }
 
 TEST(Engine, TraceRecordsSelectionsAndActions) {
