@@ -26,7 +26,7 @@
 ///
 /// Both strategies are bit-identical by construction (asserted here over
 /// a lockstep prefix, proven at scale by tests/test_bulk_execute.cpp and
-/// the forced-bulk property grid), so every ratio is a pure
+/// the default property grid), so every ratio is a pure
 /// implementation win. The `speedup` fields are gated by the bench-diff
 /// CI job. Pass --quick for a CI-sized run.
 
@@ -185,7 +185,6 @@ double measure_bulk_actions_per_sec(const Graph& g, const Protocol& protocol,
 void require_lockstep(const Graph& g, const Protocol& protocol) {
   Engine bulk(g, protocol, make_synchronous_daemon(), 0xB01D);
   Engine scalar(g, protocol, make_synchronous_daemon(), 0xB01D);
-  bulk.set_sweep_mode(SweepMode::kForceBulk);
   scalar.set_sweep_mode(SweepMode::kForceScalar);
   bulk.randomize_state();
   scalar.randomize_state();

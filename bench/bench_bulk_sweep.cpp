@@ -14,7 +14,7 @@
 ///    protocols are measured on live convergence work, not the
 ///    post-silence no-op regime.
 ///  * E15b — refresh-only throughput: guard evaluations/sec of one
-///    all-dirty refresh (the post-perturbation worst case), kForceBulk vs
+///    all-dirty refresh (the post-perturbation worst case), kAuto vs
 ///    kForceScalar. This isolates the kernels from action execution.
 ///    Each measured iteration pays an identical set_config() to re-stale
 ///    the probes, so the printed ratios *understate* the kernels'
@@ -27,7 +27,7 @@
 ///
 /// Both strategies are bit-identical by construction (asserted here over
 /// a lockstep prefix, proven at scale by tests/test_bulk_sweep.cpp and
-/// the forced-bulk property grid), so every ratio is a pure
+/// the default property grid), so every ratio is a pure
 /// implementation win. The `speedup` fields are gated by the bench-diff
 /// CI job. Pass --quick for a CI-sized run.
 
@@ -160,7 +160,6 @@ std::vector<std::vector<ProcessId>> central_dirty_sets(const Graph& g,
 void require_lockstep(const Graph& g, const Protocol& protocol) {
   Engine bulk(g, protocol, make_synchronous_daemon(), 0xB01D);
   Engine scalar(g, protocol, make_synchronous_daemon(), 0xB01D);
-  bulk.set_sweep_mode(SweepMode::kForceBulk);
   scalar.set_sweep_mode(SweepMode::kForceScalar);
   bulk.randomize_state();
   scalar.randomize_state();
@@ -289,7 +288,7 @@ int main(int argc, char** argv) {
       }
       {
         Engine engine(g, *protocol, make_synchronous_daemon(), 7);
-        engine.set_sweep_mode(SweepMode::kForceBulk);
+        engine.set_sweep_mode(SweepMode::kAuto);
         bulk_eps = measure_refreshes_per_sec(engine, config, min_seconds);
       }
       const double speedup = bulk_eps / scalar_eps;

@@ -75,9 +75,9 @@ struct BatchItem {
   /// mode requires 1; ChurnRunner owns its engines and is not plumbed.
   int parallel_threads = 1;
   /// Forwarded to Engine::set_sweep_mode for every trial (and to
-  /// ChurnOptions::sweep_mode in churn mode): auto / force_scalar /
-  /// force_bulk for the bulk sweep and bulk execute halves (engine
-  /// invariants 5 and 6). Mode changes cost only, never results.
+  /// ChurnOptions::sweep_mode in churn mode): auto / force_scalar for the
+  /// bulk sweep and bulk execute halves (engine invariants 5 and 6). Mode
+  /// changes cost only, never results.
   SweepMode sweep_mode = SweepMode::kAuto;
 
   /// Churn-window mode (runtime/churn.hpp): each trial stabilizes first

@@ -55,9 +55,10 @@
 /// parallel step is bit-identical to single-threaded, so this key changes
 /// wall-clock only — it is deliberately NOT a sink column. Churn sweeps
 /// require 1), and
-/// "sweep_mode" ("auto" | "force_scalar" | "force_bulk", default "auto":
-/// the engine's bulk sweep/execute dispatch. Like "parallel_threads" it
-/// changes cost, never results, and is NOT a sink column).
+/// "sweep_mode" ("auto" | "force_scalar", default "auto"; "force_bulk"
+/// still parses, as "auto": the engine's bulk sweep/execute dispatch.
+/// Like "parallel_threads" it changes cost, never results, and is NOT a
+/// sink column).
 ///
 /// The "churn" key switches a sweep's trials into churn-window mode
 /// (runtime/churn.hpp): every trial stabilizes first, then runs a measured

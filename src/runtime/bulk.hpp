@@ -37,7 +37,7 @@
 /// two outputs from `first_enabled` probes; it is the reference the
 /// kernels are held to, and SweepMode::kForceScalar runs it. The lockstep
 /// suites (tests/test_bulk_sweep.cpp, tests/test_bulk_execute.cpp, the
-/// property harness under kForceScalar and kForceBulk) hold those
+/// property harness under kAuto and kForceScalar) hold those
 /// contexts and the engine paths to the contract.
 ///
 /// Bulk *execution* (`BulkExecContext`, `Protocol::execute_selected`) is

@@ -9,25 +9,18 @@
 namespace sss {
 
 SweepMode parse_sweep_mode(const std::string& name) {
-  if (name == "auto") return SweepMode::kAuto;
+  // "force_bulk" named a mode that ran what auto runs; older manifests
+  // and checkpoints still carry it.
+  if (name == "auto" || name == "force_bulk") return SweepMode::kAuto;
   if (name == "force_scalar") return SweepMode::kForceScalar;
-  if (name == "force_bulk") return SweepMode::kForceBulk;
   throw PreconditionError("unknown sweep mode \"" + name +
-                          "\" (accepted: auto, force_scalar, force_bulk)");
+                          "\" (accepted: auto, force_scalar)");
 }
 
 const std::string& sweep_mode_name(SweepMode mode) {
   static const std::string kAuto = "auto";
   static const std::string kScalar = "force_scalar";
-  static const std::string kBulk = "force_bulk";
-  switch (mode) {
-    case SweepMode::kForceScalar:
-      return kScalar;
-    case SweepMode::kForceBulk:
-      return kBulk;
-    default:
-      return kAuto;
-  }
+  return mode == SweepMode::kForceScalar ? kScalar : kAuto;
 }
 
 Engine::Engine(const Graph& g, const Protocol& protocol,
@@ -610,6 +603,7 @@ Engine::StepInfo Engine::step() {
   const bool charged = idle && idle_charge_valid_ && external_loggers_ == 0;
   if (charged) {
     read_counter_.absorb(idle_reads_, idle_bits_, 0, 0);
+    ++idle_charges_;
   } else {
     const std::uint64_t reads_before = read_counter_.total_reads();
     const std::uint64_t bits_before = read_counter_.total_bits();

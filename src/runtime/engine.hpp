@@ -84,7 +84,8 @@
 ///     refresh every such step replays the same memos. The first one
 ///     after a refresh replays them and records the (reads, bits) it
 ///     charged; each repetition adds that delta through
-///     `StepReadCounter::absorb` in O(1). The maxima need nothing, since
+///     `StepReadCounter::absorb` in O(1) (`idle_charges` counts them).
+///     The maxima need nothing, since
 ///     the identical step already set them. On that path, as on the pooled
 ///     path, the engine's own counter does not maintain `step_reads_of`.
 ///     An attached external logger pins the replay, and an attached trace
@@ -202,19 +203,19 @@ namespace sss {
 
 /// How the engine runs the two halves of a step that have slab kernels:
 /// guard refresh (invariant 5 in the file comment) and selection
-/// execution (invariant 6). kAuto and kForceBulk refresh through the
-/// protocol's `sweep_enabled_ids` (its slab kernel when it has one);
-/// kForceScalar runs the scalar default, one `first_enabled` probe per
-/// dirty id. For execution, kAuto and kForceBulk run the bulk execute
-/// whenever the protocol has one, and kForceScalar pins the per-process
-/// execute. The force modes exist
-/// for the differential suites and the scalar-vs-bulk benches. Every mode
-/// computes the same computation bit for bit — mode only changes cost,
-/// and may be flipped mid-trajectory.
-enum class SweepMode { kAuto, kForceScalar, kForceBulk };
+/// execution (invariant 6). kAuto refreshes through the protocol's
+/// `sweep_enabled_ids` (its slab kernel when it has one) and runs the
+/// bulk execute whenever the protocol has one; kForceScalar runs the
+/// scalar default, one `first_enabled` probe per dirty id, and pins the
+/// per-process execute. kForceScalar exists for the differential suites
+/// and the scalar-vs-bulk benches. Both modes compute the same
+/// computation bit for bit — mode only changes cost, and may be flipped
+/// mid-trajectory.
+enum class SweepMode { kAuto, kForceScalar };
 
-/// Manifest/CLI spelling of a SweepMode ("auto", "force_scalar",
-/// "force_bulk"); throws PreconditionError on anything else.
+/// Manifest/CLI spelling of a SweepMode ("auto", "force_scalar");
+/// "force_bulk", the spelling of a retired mode that ran what kAuto runs,
+/// still parses, as kAuto. Throws PreconditionError on anything else.
 SweepMode parse_sweep_mode(const std::string& name);
 const std::string& sweep_mode_name(SweepMode mode);
 
@@ -353,9 +354,8 @@ class Engine {
   /// while exclusion is off.
   bool is_frozen(ProcessId p);
 
-  /// Refresh and execute strategy (see SweepMode). On a protocol without
-  /// slab kernels, or with frozen exclusion on, kForceBulk runs what
-  /// kAuto runs — the mode is a preference, the semantics never change.
+  /// Refresh and execute strategy (see SweepMode). The mode is a
+  /// preference: the semantics never change.
   void set_sweep_mode(SweepMode mode) { sweep_mode_ = mode; }
   SweepMode sweep_mode() const { return sweep_mode_; }
 
@@ -383,6 +383,10 @@ class Engine {
   /// `solo_would_write_comm` per dirty entry drained). A plain count for
   /// tests and profiling; no result depends on it.
   std::uint64_t solo_probes() const { return solo_probes_; }
+
+  /// Idle steps charged in O(1) instead of replayed (invariant 4). A plain
+  /// count for tests and profiling; no result depends on it.
+  std::uint64_t idle_charges() const { return idle_charges_; }
 
   /// Attach an extra read observer (e.g. StabilityTracker). Not owned.
   /// Attaching a logger twice, or detaching one that is not attached,
@@ -518,6 +522,7 @@ class Engine {
   bool idle_charge_valid_ = false;
   std::uint64_t idle_reads_ = 0;
   std::uint64_t idle_bits_ = 0;
+  std::uint64_t idle_charges_ = 0;
 
   // Lifetime counters.
   std::uint64_t steps_ = 0;

@@ -59,9 +59,9 @@ struct HarnessOptions {
   std::vector<Graph> menagerie;
   /// Probe-refresh strategy applied to every (fast) Engine the grid
   /// drives — the convergence/closure runner and the lockstep engine
-  /// alike. kForceBulk pins opted-in protocols to the bulk guard sweep,
-  /// so the whole property grid doubles as a sweep-correctness oracle
-  /// against the scalar-path ReferenceEngine.
+  /// alike. kAuto runs opted-in protocols' slab kernels, so the whole
+  /// property grid doubles as a kernel-correctness oracle against the
+  /// scalar-path ReferenceEngine; kForceScalar pins the scalar defaults.
   SweepMode sweep_mode = SweepMode::kAuto;
   /// Victim-set size of the fault-closure suite (clamped to the graph's
   /// process count per cell).

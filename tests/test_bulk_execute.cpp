@@ -1,9 +1,9 @@
 /// The bulk execute hook's contract (runtime/bulk.hpp): for every opted-in
 /// protocol, one `execute_selected` pass over a selection must reproduce —
 /// write for write, logged read for logged read, random draw for random
-/// draw — what the per-process scalar `execute` calls produce, and an
-/// Engine forced onto the bulk path must stay bit-identical to one forced
-/// onto the scalar path. SweepMode governs both the guard-sweep half
+/// draw — what the per-process scalar `execute` calls produce, and a
+/// kAuto Engine (the bulk path at every selection size) must stay
+/// bit-identical to one forced onto the scalar path. SweepMode governs both the guard-sweep half
 /// (invariant 5) and this execute half (invariant 6), so the checks here
 /// deliberately stress the execute-specific corners the sweep suite
 /// cannot: probabilistic protocols replaying the engine RNG stream,
@@ -11,7 +11,7 @@
 /// mode flips.
 ///
 /// The registry-wide harness additionally runs the full property grid
-/// with the bulk path forced on (tests/test_protocol_properties.cpp) and
+/// under kAuto and under kForceScalar (tests/test_protocol_properties.cpp) and
 /// proves falsifiability with a deliberately wrong execute kernel
 /// (tests/test_protocol_harness.cpp).
 
@@ -28,7 +28,7 @@
 namespace sss {
 namespace {
 
-/// Forced-bulk vs forced-scalar engines from the same seed must produce
+/// kAuto (bulk) vs kForceScalar engines from the same seed must produce
 /// identical computations and metrics. `bulk_threads` > 1 additionally
 /// routes the bulk engine through the parallel step, exercising the
 /// per-worker bulk kernel slices and the two-barrier commit.
@@ -37,7 +37,6 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
                           int steps, int bulk_threads = 1) {
   Engine bulk(g, protocol, make_daemon(daemon_name), seed);
   Engine scalar(g, protocol, make_daemon(daemon_name), seed);
-  bulk.set_sweep_mode(SweepMode::kForceBulk);
   bulk.set_parallel_threads(bulk_threads);
   scalar.set_sweep_mode(SweepMode::kForceScalar);
   bulk.randomize_state();
@@ -78,7 +77,7 @@ TEST(BulkExecute, EveryRegistryProtocolOptsIn) {
   }
 }
 
-TEST(BulkExecute, ForcedBulkEngineLockstepsForcedScalarEngine) {
+TEST(BulkExecute, AutoEngineLockstepsForcedScalarEngine) {
   // Deliberately a different menagerie slice and seed than the bulk-sweep
   // lockstep, so together the two suites cover six graphs. Probabilistic
   // protocols ride the serial bulk path here, proving the engine-RNG
@@ -129,8 +128,8 @@ TEST(BulkExecute, SweepModeCanChangeMidTrajectory) {
   // and the bulk kernel's direct engine-RNG draws — same stream either
   // way, so the colors must not care.
   const Graph g = grid(3, 4);
-  const SweepMode schedule[] = {SweepMode::kAuto,        SweepMode::kForceBulk,
-                                SweepMode::kForceScalar, SweepMode::kForceBulk,
+  const SweepMode schedule[] = {SweepMode::kAuto,        SweepMode::kForceScalar,
+                                SweepMode::kForceScalar, SweepMode::kAuto,
                                 SweepMode::kAuto,        SweepMode::kForceScalar};
   for (const std::string& name : {std::string("mis"), std::string("coloring"),
                                   std::string("full-read-matching")}) {
@@ -151,24 +150,6 @@ TEST(BulkExecute, SweepModeCanChangeMidTrajectory) {
                 shifting.read_counter().total_reads())
           << name << " step " << s;
     }
-  }
-}
-
-TEST(BulkExecute, ForceBulkOnScalarOnlyProtocolFallsBack) {
-  // A protocol without an execute kernel ignores the preference — no
-  // assert, same behaviour.
-  const Graph g = path(5);
-  const testing::CopyChannelOne protocol(g);
-  ASSERT_FALSE(protocol.has_bulk_execute());
-  Engine forced(g, protocol, make_synchronous_daemon(), 11);
-  Engine plain(g, protocol, make_synchronous_daemon(), 11);
-  forced.set_sweep_mode(SweepMode::kForceBulk);
-  forced.randomize_state();
-  plain.randomize_state();
-  for (int s = 0; s < 32; ++s) {
-    forced.step();
-    plain.step();
-    ASSERT_EQ(forced.config(), plain.config()) << "step " << s;
   }
 }
 

@@ -13,13 +13,13 @@
 ///    GuardContext runs (this is the memo the engine replays into the read
 ///    counters, so sequence equality here is metric equality there), and
 ///    check that unlisted entries are left alone;
-///  * behavioural: kForceBulk vs kForceScalar engine lockstep over every
+///  * behavioural: kAuto vs kForceScalar engine lockstep over every
 ///    registry protocol, daemon, and a graph menagerie — configurations,
 ///    StepInfo, rounds, enabled counts, and read metrics all equal.
 ///
 /// The registry-wide harness additionally runs the full property grid
-/// with the bulk path forced on (tests/test_protocol_properties.cpp) and
-/// proves falsifiability with a deliberately wrong sweep
+/// under kAuto and under kForceScalar (tests/test_protocol_properties.cpp)
+/// and proves falsifiability with a deliberately wrong sweep
 /// (tests/test_protocol_harness.cpp).
 
 #include <gtest/gtest.h>
@@ -181,7 +181,7 @@ TEST(BulkSweep, SweepMatchesScalarForNonDefaultParameters) {
   }
 }
 
-/// Forced-bulk vs forced-scalar engines from the same seed must produce
+/// kAuto (bulk) vs kForceScalar engines from the same seed must produce
 /// identical computations and metrics: the two refresh strategies are two
 /// implementations of the same semantics.
 void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
@@ -189,7 +189,6 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
                           int steps) {
   Engine bulk(g, protocol, make_daemon(daemon_name), seed);
   Engine scalar(g, protocol, make_daemon(daemon_name), seed);
-  bulk.set_sweep_mode(SweepMode::kForceBulk);
   scalar.set_sweep_mode(SweepMode::kForceScalar);
   bulk.randomize_state();
   scalar.randomize_state();
@@ -218,7 +217,7 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
   }
 }
 
-TEST(BulkSweep, ForcedBulkEngineLockstepsForcedScalarEngine) {
+TEST(BulkSweep, AutoEngineLockstepsForcedScalarEngine) {
   const std::vector<testing::NamedGraph> graphs = testing::sweep_graphs();
   for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
     for (const auto& named : {graphs[0], graphs[4], graphs[6]}) {
@@ -229,49 +228,6 @@ TEST(BulkSweep, ForcedBulkEngineLockstepsForcedScalarEngine) {
         expect_mode_lockstep(named.graph, *protocol, daemon_name, 909, 64);
       }
     }
-  }
-}
-
-TEST(BulkSweep, AutoModeStaysOnComputationUnderEveryDaemon) {
-  // kAuto refreshes every dirty set through the kernel, from a central
-  // daemon's handful of ids to a synchronous daemon's n, and flips the
-  // execute half between the paths step by step; the trajectory must not
-  // care.
-  const Graph g = grid(3, 4);
-  const std::unique_ptr<Protocol> protocol =
-      ProtocolRegistry::instance().make("matching", g, {});
-  for (const std::string& daemon_name : daemon_names()) {
-    Engine auto_mode(g, *protocol, make_daemon(daemon_name), 4242);
-    Engine scalar(g, *protocol, make_daemon(daemon_name), 4242);
-    scalar.set_sweep_mode(SweepMode::kForceScalar);
-    auto_mode.randomize_state();
-    scalar.randomize_state();
-    for (int s = 0; s < 128; ++s) {
-      auto_mode.step();
-      scalar.step();
-      ASSERT_EQ(auto_mode.config(), scalar.config())
-          << daemon_name << " step " << s;
-    }
-    ASSERT_EQ(auto_mode.read_counter().total_reads(),
-              scalar.read_counter().total_reads());
-  }
-}
-
-TEST(BulkSweep, ForceBulkOnScalarOnlyProtocolFallsBack) {
-  // A protocol without a sweep ignores the preference — no assert, same
-  // behaviour.
-  const Graph g = path(5);
-  const testing::CopyChannelOne protocol(g);
-  ASSERT_FALSE(protocol.has_bulk_sweep());
-  Engine forced(g, protocol, make_synchronous_daemon(), 11);
-  Engine plain(g, protocol, make_synchronous_daemon(), 11);
-  forced.set_sweep_mode(SweepMode::kForceBulk);
-  forced.randomize_state();
-  plain.randomize_state();
-  for (int s = 0; s < 32; ++s) {
-    forced.step();
-    plain.step();
-    ASSERT_EQ(forced.config(), plain.config()) << "step " << s;
   }
 }
 

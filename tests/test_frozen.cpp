@@ -36,7 +36,7 @@ TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
   // bit-identical to the reference (non-excluding) engine. Frozen
   // exclusion pins the one-range scalar refresh and per-process execution
   // whatever the engine's worker count and sweep mode, so a pool and
-  // force_bulk must change nothing; grid(12, 12) spans three 64-aligned
+  // force_scalar must change nothing; grid(12, 12) spans three 64-aligned
   // worker ranges.
   const std::vector<Graph> graphs = {star(7), grid(3, 4), caterpillar(4, 3),
                                      grid(12, 12)};
@@ -50,7 +50,8 @@ TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
         protocol = std::make_unique<MisProtocol>(g, colors);
       }
       for (const int workers : {1, 3}) {
-        for (const SweepMode mode : {SweepMode::kAuto, SweepMode::kForceBulk}) {
+        for (const SweepMode mode :
+             {SweepMode::kAuto, SweepMode::kForceScalar}) {
           Engine engine(g, *protocol, make_synchronous_daemon(), 99);
           engine.set_exclude_frozen(true);
           engine.set_parallel_threads(workers);

@@ -11,7 +11,7 @@
 ///  * Engine (tracking the local form) vs ReferenceEngine (calling the
 ///    opaque predicate after every step) — identical RunStats over
 ///    registry x daemons x seeds, serial, at 3 engine workers, and under
-///    SweepMode::kForceBulk;
+///    SweepMode::kForceScalar;
 ///  * planted faults — a form whose declared radius is too small is caught
 ///    by the radius audit and by the engine comparison, a form that reads
 ///    cur but declares comm-only by the read-set audit, and every
@@ -356,8 +356,8 @@ TEST(LegitimacyTracking, EngineMatchesReferenceAtThreeWorkers) {
   run_engine_grid(/*threads=*/3, SweepMode::kAuto, /*seeds=*/1);
 }
 
-TEST(LegitimacyTracking, EngineMatchesReferenceUnderForcedBulk) {
-  run_engine_grid(/*threads=*/1, SweepMode::kForceBulk, /*seeds=*/1);
+TEST(LegitimacyTracking, EngineMatchesReferenceUnderForcedScalar) {
+  run_engine_grid(/*threads=*/1, SweepMode::kForceScalar, /*seeds=*/1);
 }
 
 TEST(LegitimacyTracking, BatchRowsMatchTheOpaquePredicate) {

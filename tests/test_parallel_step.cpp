@@ -150,20 +150,17 @@ TEST(ParallelStep, LockstepAcrossRegistryDaemonsAndThreadCounts) {
   }
 }
 
-TEST(ParallelStep, LockstepUnderForcedScalarAndForcedBulkRefresh) {
-  // Both parallel refresh strategies (range-partitioned scalar drain,
-  // range-partitioned bulk sweep) must independently match their serial
-  // twins; kAuto above flips between them but never pins either.
+TEST(ParallelStep, LockstepUnderForcedScalarRefresh) {
+  // kAuto above runs the range-partitioned bulk sweep; the
+  // range-partitioned scalar drain must match its serial twin too.
   Rng rng(0x90bULL);
   const Graph g = preferential_attachment(300, 3, rng);
   for (const std::string& name : {"mis", "matching", "bfs-tree"}) {
     const std::unique_ptr<Protocol> protocol =
         ProtocolRegistry::instance().make(name, g, {});
-    for (const SweepMode mode :
-         {SweepMode::kForceScalar, SweepMode::kForceBulk}) {
-      for (const std::string& daemon_name : {"synchronous", "distributed"}) {
-        expect_thread_lockstep(g, *protocol, daemon_name, 881, 32, 4, mode);
-      }
+    for (const std::string& daemon_name : {"synchronous", "distributed"}) {
+      expect_thread_lockstep(g, *protocol, daemon_name, 881, 32, 4,
+                             SweepMode::kForceScalar);
     }
   }
 }

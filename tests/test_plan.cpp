@@ -531,11 +531,14 @@ TEST(Plan, ItemRangesAreCheckedBeforeAnyGraphIsBuilt) {
 TEST(Plan, EngineOverridesRevalidateEveryItem) {
   ExperimentPlan churn =
       plan_from_manifest_text(churn_manifest(R"("max_steps": 100)", false));
-  apply_engine_overrides(churn, 0, "force_bulk");
-  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kForceBulk);
+  apply_engine_overrides(churn, 0, "force_scalar");
+  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kForceScalar);
   EXPECT_EQ(churn.items.front().parallel_threads, 1);
   apply_engine_overrides(churn, 1, "");
-  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kForceBulk);
+  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kForceScalar);
+  // The retired "force_bulk" spelling still parses, as auto.
+  apply_engine_overrides(churn, 1, "force_bulk");
+  EXPECT_EQ(churn.items.front().sweep_mode, SweepMode::kAuto);
   EXPECT_THROW(apply_engine_overrides(churn, 2, ""), PreconditionError);
 
   ExperimentPlan plain = plan_from_manifest_text(kSmallManifest);

@@ -117,7 +117,7 @@ class InstantlySilent final : public Protocol {
 /// the other action whenever X != 2 — a planted kernel/scalar divergence.
 /// On the scalar path the protocol is well behaved, so only a grid that
 /// actually runs the kernel can flag it: the falsifiability proof for the
-/// kAuto and kForceBulk harness legs.
+/// kAuto harness leg.
 class WrongSweep final : public Protocol {
  public:
   explicit WrongSweep(const Graph&) {
@@ -153,7 +153,7 @@ class WrongSweep final : public Protocol {
 /// half (the guards are untouched, so the bulk sweep fallback stays
 /// correct). On the scalar path the protocol is well behaved; only a grid
 /// that actually runs the bulk execute path can flag it: the
-/// falsifiability proof for invariant 6 under SweepMode::kForceBulk.
+/// falsifiability proof for invariant 6 under SweepMode::kAuto.
 class WrongExecute final : public Protocol {
  public:
   explicit WrongExecute(const Graph&) {
@@ -338,25 +338,20 @@ TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkSweep) {
       testing::run_protocol_property_suite("wrong-sweep", options);
   EXPECT_TRUE(scalar_report.ok()) << scalar_report.str();
 
-  // Every refresh outside kForceScalar runs the kernel, under the central
-  // daemon's small dirty sets too, so both modes must surface the
-  // divergence — the ReferenceEngine lockstep is the kernel's oracle.
-  for (const SweepMode mode : {SweepMode::kAuto, SweepMode::kForceBulk}) {
-    options.sweep_mode = mode;
-    const testing::HarnessReport bulk_report =
-        testing::run_protocol_property_suite("wrong-sweep", options);
-    ASSERT_FALSE(bulk_report.ok())
-        << "the harness certified, under " << sweep_mode_name(mode)
-        << ", a protocol whose refresh kernel disagrees with its scalar "
-           "guards";
-    bool saw_equivalence = false;
-    for (const testing::HarnessViolation& violation :
-         bulk_report.violations) {
-      if (violation.check == "equivalence") saw_equivalence = true;
-    }
-    EXPECT_TRUE(saw_equivalence) << sweep_mode_name(mode) << "\n"
-                                 << bulk_report.str();
+  // Every kAuto refresh runs the kernel, under the central daemon's small
+  // dirty sets too, so kAuto must surface the divergence — the
+  // ReferenceEngine lockstep is the kernel's oracle.
+  options.sweep_mode = SweepMode::kAuto;
+  const testing::HarnessReport bulk_report =
+      testing::run_protocol_property_suite("wrong-sweep", options);
+  ASSERT_FALSE(bulk_report.ok())
+      << "the harness certified a protocol whose refresh kernel disagrees "
+         "with its scalar guards";
+  bool saw_equivalence = false;
+  for (const testing::HarnessViolation& violation : bulk_report.violations) {
+    if (violation.check == "equivalence") saw_equivalence = true;
   }
+  EXPECT_TRUE(saw_equivalence) << bulk_report.str();
 }
 
 TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkExecute) {
@@ -369,9 +364,9 @@ TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkExecute) {
       testing::run_protocol_property_suite("wrong-execute", options);
   EXPECT_TRUE(scalar_report.ok()) << scalar_report.str();
 
-  // Forcing the bulk path must surface the divergence — the
-  // ReferenceEngine lockstep is the execute kernel's oracle.
-  options.sweep_mode = SweepMode::kForceBulk;
+  // kAuto runs the execute kernel for every selection, so it must surface
+  // the divergence — the ReferenceEngine lockstep is the kernel's oracle.
+  options.sweep_mode = SweepMode::kAuto;
   const testing::HarnessReport bulk_report =
       testing::run_protocol_property_suite("wrong-execute", options);
   ASSERT_FALSE(bulk_report.ok())

@@ -70,15 +70,17 @@ TEST(ProtocolPropertySuite, ConvergenceClosureSilenceEquivalenceGrid) {
   EXPECT_EQ(total_trials, 1008 - 28);
 }
 
-TEST(ProtocolPropertySuite, BulkSweepForcedGridStaysInLockstep) {
-  // The same registry-wide grid with every engine pinned to the bulk
-  // guard sweep: convergence/legitimacy/closure prove the sweep drives
-  // real computations correctly, and the per-trial ReferenceEngine
-  // lockstep proves bulk refreshes are bit-identical to scalar probes —
-  // configs, rounds, and read metrics alike. Falsifiability of this leg
-  // is proven by the wrong-sweep toy in tests/test_protocol_harness.cpp.
+TEST(ProtocolPropertySuite, ScalarForcedGridStaysInLockstep) {
+  // The default grid above runs every opted-in protocol's slab kernels
+  // (kAuto refreshes and executes through them at every dirty-set and
+  // selection size; the wrong-sweep and wrong-execute toys in
+  // tests/test_protocol_harness.cpp prove that leg falsifiable). This
+  // leg pins every engine to the scalar defaults — one first_enabled
+  // probe per dirty id, one virtual execute per fired process — so the
+  // per-process paths keep their own ReferenceEngine lockstep: configs,
+  // rounds, and read metrics alike.
   testing::HarnessOptions options;
-  options.sweep_mode = SweepMode::kForceBulk;
+  options.sweep_mode = SweepMode::kForceScalar;
   options.seeds_per_daemon = 1;
   const std::vector<testing::HarnessReport> reports =
       testing::run_registry_property_suite(options);

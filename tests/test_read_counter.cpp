@@ -295,7 +295,9 @@ void step_twins(Engine& engine, Engine& twin, NaiveReadCounter& naive,
 }
 
 /// Steps the twins until nothing is enabled, then 2n whole-network
-/// all-disabled synchronous steps.
+/// all-disabled synchronous steps: the first replays the memos after the
+/// settling refresh, every later one takes the O(1) charge, and the
+/// pinned twin takes none.
 void settle_then_idle(Engine& engine, Engine& twin, NaiveReadCounter& naive,
                       const std::string& where) {
   for (int s = 0; s < 10'000 && engine.num_enabled() > 0; ++s) {
@@ -304,16 +306,14 @@ void settle_then_idle(Engine& engine, Engine& twin, NaiveReadCounter& naive,
   }
   ASSERT_EQ(engine.num_enabled(), 0) << where;
   const int n = engine.graph().num_vertices();
+  const std::uint64_t charges_before = engine.idle_charges();
   step_twins(engine, twin, naive, 2 * n, where + " idle");
   if (::testing::Test::HasFatalFailure()) return;
-  if (engine.parallel_threads() == 1) {
-    // The last idle step was charged, not replayed: the serial replay
-    // maintains step_reads_of, the O(1) charge does not.
-    for (ProcessId p = 0; p < n; ++p) {
-      ASSERT_EQ(engine.read_counter().step_reads_of(p), 0) << where;
-    }
-    ASSERT_GT(naive.total_reads(), 0u) << where;
-  }
+  ASSERT_EQ(engine.idle_charges() - charges_before,
+            static_cast<std::uint64_t>(2 * n - 1))
+      << where;
+  ASSERT_EQ(twin.idle_charges(), 0u) << where;
+  ASSERT_GT(naive.total_reads(), 0u) << where;
 }
 
 /// The synchronous idle sequence on a registry protocol that goes all
@@ -398,7 +398,11 @@ TEST(ReadCounter, ConfigurationChangesInvalidateTheIdleCharge) {
     const std::string where = "threads " + std::to_string(threads);
     const auto per_step = [&](const std::string& phase) {
       const std::uint64_t before = naive.total_reads();
+      const std::uint64_t charges_before = engine.idle_charges();
       step_twins(engine, twin, naive, 3, where + " " + phase);
+      // The change invalidated the charge: one replay, then two charges.
+      EXPECT_EQ(engine.idle_charges() - charges_before, 2u)
+          << where << " " << phase;
       return (naive.total_reads() - before) / 3;
     };
     Configuration zeros = engine.config();

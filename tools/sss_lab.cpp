@@ -81,7 +81,7 @@ int usage() {
       "      --parallel-threads <n>\n"
       "                        intra-trial engine threads for every item\n"
       "                        (bit-identical output at any value)\n"
-      "      --sweep-mode <auto|force_scalar|force_bulk>\n"
+      "      --sweep-mode <auto|force_scalar>\n"
       "                        engine bulk sweep/execute dispatch for every\n"
       "                        item (bit-identical output in any mode)\n"
       "      --quiet           suppress the summary table\n"
