@@ -21,7 +21,17 @@
 /// BENCH_transformer_efficiency.json: wrapped reads stay at 1 while the
 /// baseline column tracks Delta, so the bench gate catches any regression
 /// that reintroduces degree-proportional stabilized reads.
+///
+/// A second section times the composed rule kernels (transformer/generic_efficiency.hpp):
+/// generic-efficiency(X) for every base X, run to certified silence from
+/// randomized states under a central daemon, in engine steps/sec with
+/// SweepMode::kAuto (the composition's slab refresh and execute, the inner
+/// rule inlined over the mirror bank) against kForceScalar (one virtual
+/// probe and one ActionContext per process) in the same run. Both sides
+/// must produce identical run statistics. Its `kernel_ratio` field is
+/// informational, not gated.
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -76,6 +86,59 @@ int guard_evaluation_reads(const Graph& g, const Protocol& protocol,
     worst = std::max(worst, counter.step_reads_of(p));
   }
   return worst;
+}
+
+/// One run to certified silence from a fresh randomized state, timed.
+RunStats timed_run(Engine& engine, double& seconds) {
+  using clock = std::chrono::steady_clock;
+  engine.randomize_state();
+  RunOptions options;
+  options.max_steps = 2'000'000;
+  const auto begin = clock::now();
+  const RunStats stats = engine.run(options);
+  seconds += std::chrono::duration<double>(clock::now() - begin).count();
+  SSS_REQUIRE(stats.silent, engine.protocol().name() + " on " +
+                                engine.graph().name() +
+                                " failed to stabilize");
+  return stats;
+}
+
+/// Steps/sec of `protocol` under kForceScalar and kAuto: two engines from
+/// one seed, run to silence alternately (so host drift hits both sides)
+/// until the scalar side has taken `min_seconds`. Every run's statistics
+/// must agree between the sides.
+struct KernelTiming {
+  std::uint64_t steps = 0;
+  double scalar_steps_per_sec = 0.0;
+  double auto_steps_per_sec = 0.0;
+};
+
+KernelTiming time_kernels(const Graph& g, const Protocol& protocol,
+                          double min_seconds) {
+  Engine scalar(g, protocol, make_daemon("central-random"), 0x16d);
+  Engine kernel(g, protocol, make_daemon("central-random"), 0x16d);
+  scalar.set_sweep_mode(SweepMode::kForceScalar);
+  KernelTiming timing;
+  double scalar_seconds = 0.0;
+  double kernel_seconds = 0.0;
+  for (int run = 0; run < 2 || scalar_seconds < min_seconds; ++run) {
+    const RunStats a = timed_run(scalar, scalar_seconds);
+    const RunStats b = timed_run(kernel, kernel_seconds);
+    SSS_REQUIRE(a.steps == b.steps && a.rounds == b.rounds &&
+                    a.steps_to_silence == b.steps_to_silence &&
+                    a.total_reads == b.total_reads &&
+                    a.total_read_bits == b.total_read_bits &&
+                    a.max_reads_per_process_step ==
+                        b.max_reads_per_process_step,
+                protocol.name() + " on " + g.name() +
+                    ": kernel and scalar runs disagree on run statistics");
+    timing.steps += a.steps;
+  }
+  timing.scalar_steps_per_sec =
+      static_cast<double>(timing.steps) / scalar_seconds;
+  timing.auto_steps_per_sec =
+      static_cast<double>(timing.steps) / kernel_seconds;
+  return timing;
 }
 
 }  // namespace
@@ -174,6 +237,43 @@ int main() {
   std::printf("%s\n", table.str().c_str());
   print_note("claim check: wrapped reads <= 1 on every graph (constant in "
              "Delta); bare reads == Delta everywhere.");
+  std::fflush(stdout);
+
+  print_banner("E16: generic-efficiency(X) engine steps/sec, composed "
+               "kernels (auto) vs force_scalar");
+  print_note("informational, not gated: randomized runs to certified");
+  print_note("silence under central-random, identical run statistics "
+             "required.");
+  Rng graph_rng(0x2009ULL);
+  const Graph lab_graph = random_regular(256, 4, graph_rng);
+  TextTable kernel_table({"base", "graph", "steps", "scalar steps/s",
+                          "auto steps/s", "ratio"});
+  for (const std::string& base : registry.protocol_names()) {
+    const std::unique_ptr<Protocol> composed = registry.make(
+        ProtocolSelection::wrap("generic-efficiency",
+                                ProtocolSelection::base(base)),
+        lab_graph);
+    const KernelTiming timing = time_kernels(lab_graph, *composed, 0.1);
+    const double ratio =
+        timing.auto_steps_per_sec / timing.scalar_steps_per_sec;
+    kernel_table.row()
+        .add(base)
+        .add(lab_graph.name())
+        .add(static_cast<std::int64_t>(timing.steps))
+        .add(timing.scalar_steps_per_sec, 0)
+        .add(timing.auto_steps_per_sec, 0)
+        .add(ratio, 2);
+    json.record()
+        .field("base", base)
+        .field("graph", lab_graph.name())
+        .field("daemon", "central-random")
+        .field("regime", "composed-kernel")
+        .field("steps", static_cast<std::int64_t>(timing.steps))
+        .field("scalar_steps_per_sec", timing.scalar_steps_per_sec)
+        .field("auto_steps_per_sec", timing.auto_steps_per_sec)
+        .field("kernel_ratio", ratio);
+  }
+  std::printf("%s\n", kernel_table.str().c_str());
   std::fflush(stdout);
   json.write();
   return 0;

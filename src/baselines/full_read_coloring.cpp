@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -52,5 +53,6 @@ void FullReadColoring::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<FullReadColoring>;
+template class RuleProtocol<GenericEfficiency<FullReadColoring>>;
 
 }  // namespace sss

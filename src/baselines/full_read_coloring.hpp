@@ -40,5 +40,6 @@ class FullReadColoring final : public RuleProtocol<FullReadColoring> {
 };
 
 extern template class RuleProtocol<FullReadColoring>;
+extern template class RuleProtocol<GenericEfficiency<FullReadColoring>>;
 
 }  // namespace sss

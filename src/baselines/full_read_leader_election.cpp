@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -119,5 +120,6 @@ void FullReadLeaderElection::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<FullReadLeaderElection>;
+template class RuleProtocol<GenericEfficiency<FullReadLeaderElection>>;
 
 }  // namespace sss

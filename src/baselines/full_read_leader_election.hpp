@@ -52,5 +52,6 @@ class FullReadLeaderElection final : public RuleProtocol<FullReadLeaderElection>
 };
 
 extern template class RuleProtocol<FullReadLeaderElection>;
+extern template class RuleProtocol<GenericEfficiency<FullReadLeaderElection>>;
 
 }  // namespace sss

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -121,5 +122,6 @@ bool MutualPrMatchingProblem::holds(const Graph& g,
 }
 
 template class RuleProtocol<FullReadMatching>;
+template class RuleProtocol<GenericEfficiency<FullReadMatching>>;
 
 }  // namespace sss

@@ -63,6 +63,7 @@ class FullReadMatching final : public RuleProtocol<FullReadMatching> {
 };
 
 extern template class RuleProtocol<FullReadMatching>;
+extern template class RuleProtocol<GenericEfficiency<FullReadMatching>>;
 
 /// Legitimacy for the baseline's layout: the mutually-pointing PR pairs
 /// form a maximal matching. (The cur-based predicate of Section 5.3 does

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -53,5 +54,6 @@ void FullReadMis::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<FullReadMis>;
+template class RuleProtocol<GenericEfficiency<FullReadMis>>;
 
 }  // namespace sss

@@ -47,5 +47,6 @@ class FullReadMis final : public RuleProtocol<FullReadMis> {
 };
 
 extern template class RuleProtocol<FullReadMis>;
+extern template class RuleProtocol<GenericEfficiency<FullReadMis>>;
 
 }  // namespace sss

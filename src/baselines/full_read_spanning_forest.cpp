@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -85,5 +86,6 @@ void FullReadSpanningForest::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<FullReadSpanningForest>;
+template class RuleProtocol<GenericEfficiency<FullReadSpanningForest>>;
 
 }  // namespace sss

@@ -56,5 +56,6 @@ class FullReadSpanningForest final : public RuleProtocol<FullReadSpanningForest>
 };
 
 extern template class RuleProtocol<FullReadSpanningForest>;
+extern template class RuleProtocol<GenericEfficiency<FullReadSpanningForest>>;
 
 }  // namespace sss

@@ -1,6 +1,7 @@
 #include "core/coloring_protocol.hpp"
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -48,5 +49,6 @@ void ColoringProtocol::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<ColoringProtocol>;
+template class RuleProtocol<GenericEfficiency<ColoringProtocol>>;
 
 }  // namespace sss

@@ -53,5 +53,6 @@ class ColoringProtocol final : public RuleProtocol<ColoringProtocol> {
 };
 
 extern template class RuleProtocol<ColoringProtocol>;
+extern template class RuleProtocol<GenericEfficiency<ColoringProtocol>>;
 
 }  // namespace sss

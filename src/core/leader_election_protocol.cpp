@@ -6,6 +6,7 @@
 
 #include "support/require.hpp"
 #include "support/rng.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -147,5 +148,6 @@ std::vector<Value> make_id_assignment(const Graph& g,
 }
 
 template class RuleProtocol<LeaderElectionProtocol>;
+template class RuleProtocol<GenericEfficiency<LeaderElectionProtocol>>;
 
 }  // namespace sss

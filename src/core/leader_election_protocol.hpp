@@ -90,6 +90,7 @@ class LeaderElectionProtocol final : public RuleProtocol<LeaderElectionProtocol>
 };
 
 extern template class RuleProtocol<LeaderElectionProtocol>;
+extern template class RuleProtocol<GenericEfficiency<LeaderElectionProtocol>>;
 
 /// Identifier assignments for the registry's `id_scheme` parameter:
 ///   "identity"  ID.p = p

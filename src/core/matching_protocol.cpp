@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -127,5 +128,6 @@ void MatchingProtocol::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<MatchingProtocol>;
+template class RuleProtocol<GenericEfficiency<MatchingProtocol>>;
 
 }  // namespace sss

@@ -67,5 +67,6 @@ class MatchingProtocol final : public RuleProtocol<MatchingProtocol> {
 };
 
 extern template class RuleProtocol<MatchingProtocol>;
+extern template class RuleProtocol<GenericEfficiency<MatchingProtocol>>;
 
 }  // namespace sss

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -88,5 +89,6 @@ void MisProtocol::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<MisProtocol>;
+template class RuleProtocol<GenericEfficiency<MisProtocol>>;
 
 }  // namespace sss

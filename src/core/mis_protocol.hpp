@@ -74,5 +74,6 @@ class MisProtocol final : public RuleProtocol<MisProtocol> {
 };
 
 extern template class RuleProtocol<MisProtocol>;
+extern template class RuleProtocol<GenericEfficiency<MisProtocol>>;
 
 }  // namespace sss

@@ -217,13 +217,20 @@ ProtocolRegistry& ProtocolRegistry::instance() {
     // Transformers: higher-order entries whose selection nests another
     // entry. Problems and daemon claims resolve through the nesting
     // (inherit / intersect; see resolve()).
+    // Every rule protocol is listed, so its composition runs on the slab
+    // kernels its .cpp instantiates; a nested transformer falls through to
+    // the per-process GenericEfficiency<Protocol>.
     fresh->add({.name = "generic-efficiency",
                 .kind = Kind::kTransformer,
                 .wraps = Kind::kProtocol,
                 .wrap = [](const Graph& g, const ParamMap&,
                            const ProtocolSelection& inner)
                     -> std::unique_ptr<Protocol> {
-                  return std::make_unique<GenericEfficiency>(
+                  return make_generic_efficiency<
+                      ColoringProtocol, FullReadColoring, MisProtocol,
+                      FullReadMis, MatchingProtocol, FullReadMatching,
+                      SpanningForestProtocol, FullReadSpanningForest,
+                      LeaderElectionProtocol, FullReadLeaderElection>(
                       g, ProtocolRegistry::instance().make(inner, g));
                 }});
     // Rotating-check's repair draws among the values the neighbors do not

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/require.hpp"
+#include "transformer/generic_efficiency.hpp"
 
 namespace sss {
 
@@ -105,5 +106,6 @@ void SpanningForestProtocol::act(int action, Ctx& ctx) const {
 }
 
 template class RuleProtocol<SpanningForestProtocol>;
+template class RuleProtocol<GenericEfficiency<SpanningForestProtocol>>;
 
 }  // namespace sss

@@ -94,5 +94,6 @@ class SpanningForestProtocol final : public RuleProtocol<SpanningForestProtocol>
 };
 
 extern template class RuleProtocol<SpanningForestProtocol>;
+extern template class RuleProtocol<GenericEfficiency<SpanningForestProtocol>>;
 
 }  // namespace sss

@@ -66,10 +66,13 @@ class GuardContext {
   /// `overlay[(ch - 1) * stride + var]` instead of the neighbor's real
   /// communication row, and the read is NOT logged — an overlay read
   /// touches local memory only. This is how the generic efficiency
-  /// transformer evaluates the wrapped protocol's guards against its
+  /// transformer evaluates a wrapped protocol it can reach only through
+  /// the virtual `first_enabled` (GenericEfficiency<Protocol>) against its
   /// *mirrored* neighbor states (its own internal variables) at zero
-  /// communication cost. `overlay` must hold degree() * stride values
-  /// laid out channel-major and outlive the context.
+  /// communication cost; over a rule protocol, MirrorContext
+  /// (runtime/rule.hpp) does the same without a GuardContext. `overlay`
+  /// must hold degree() * stride values laid out channel-major and
+  /// outlive the context.
   void set_nbr_overlay(const Value* overlay, int stride) {
     nbr_overlay_ = overlay;
     overlay_stride_ = stride;

@@ -100,9 +100,12 @@
 ///     protocol's one guard, run on slab-row contexts (runtime/rule.hpp,
 ///     runtime/bulk.hpp), so no per-process virtual probe runs under any
 ///     daemon: a central daemon's handful of dirty ids and a synchronous
-///     daemon's n take the same kernel. Protocols without a kernel
-///     (GENERIC-EFFICIENCY, ROTATING-CHECK, test mocks) inherit the
-///     scalar default, one `first_enabled` probe per id, and
+///     daemon's n take the same kernel. That includes generic-efficiency
+///     over a rule protocol, a rule protocol itself with the inner rule
+///     inlined over its mirror bank. Protocols without a kernel
+///     (ROTATING-CHECK, generic-efficiency over anything else — a nested
+///     transformer — and test mocks) inherit the scalar default, one
+///     `first_enabled` probe per id, and
 ///     SweepMode::kForceScalar runs that default on every protocol as
 ///     the differential suites' reference. Frozen-process exclusion keeps
 ///     the one-list refresh: its self-loop classifier shares one scratch
@@ -122,7 +125,8 @@
 ///     (equivalent to the pending-write flag because unwritten slots keep
 ///     their snapshot values). The per-process path (one ActionContext
 ///     and virtual `execute` per fired process) remains for protocols
-///     without a kernel (GENERIC-EFFICIENCY, ROTATING-CHECK, test mocks),
+///     without a kernel (the same ROTATING-CHECK, nested generic-efficiency
+///     and test mocks as invariant 5),
 ///     SweepMode::kForceScalar, frozen-process exclusion (phase 1
 ///     consults the frozen classification per process) and attached
 ///     external read loggers (the mux is order-sensitive); probabilistic

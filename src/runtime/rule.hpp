@@ -16,7 +16,7 @@
 ///
 ///  * on the scalar `GuardContext` / `ActionContext` for
 ///    `first_enabled` / `execute` (what `ReferenceEngine`, the model
-///    checker and the transformers' overlay contexts see);
+///    checker and a per-process GenericEfficiency<Protocol> wrapper see);
 ///  * on `SlabGuardContext` for `sweep_enabled_ids`, the engine's guard
 ///    refresh of the dirty ids, reading the CSR slabs and flat
 ///    configuration rows directly and logging into the engine's guard
@@ -32,10 +32,29 @@
 /// lockstep suites test the two slab contexts and the engine paths rather
 /// than per-protocol transcriptions.
 ///
+/// A composition reuses the rule rather than copying it. GENERIC-EFFICIENCY
+/// of P (transformer/generic_efficiency.hpp) is itself a rule protocol,
+/// `RuleProtocol<GenericEfficiency<P>>`: its guard runs P's guard on
+/// `MirrorContext<Ctx>` (neighbour reads answered from the process's own
+/// mirror bank, unlogged) and again on the real context to confirm, and
+/// its act runs P's act, both through `RuleProtocol<P>::rule_guard` /
+/// `rule_act`. So P's rule is inlined into the composition's refresh and
+/// execute kernels as well, with no virtual call per process.
+///
 /// Build layout: a protocol declares `guard`/`act` with SSS_RULE, defines
-/// them in its .cpp, explicitly instantiates `RuleProtocol<P>` there, and
-/// declares it `extern template` in its header, so each kernel is compiled
-/// once with the rule inlined.
+/// them in its .cpp, and there explicitly instantiates both rule protocols
+/// its rule drives:
+///
+///   template class RuleProtocol<P>;
+///   template class RuleProtocol<GenericEfficiency<P>>;
+///
+/// declaring both `extern template` in its header, so each kernel is
+/// compiled once, in the one file that sees the rule's body. All ten rule
+/// classes behind the twelve registry protocols carry both lines. The
+/// registry's
+/// generic-efficiency wrap lists P to pick the second instantiation
+/// (core/protocol_registry.cpp); any inner it does not list is wrapped by
+/// the per-process `GenericEfficiency<Protocol>`.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,6 +70,9 @@
 #define SSS_RULE [[gnu::always_inline]] inline
 
 namespace sss {
+
+template <class Inner>
+class GenericEfficiency;
 
 /// The CSR and flat-row pointers slab contexts read through, hoisted once
 /// per kernel call.
@@ -136,6 +158,41 @@ class SlabActionContext final : public SlabReadContext<BulkExecContext> {
   Value* out_;
 };
 
+/// The wrapped rule's view of a process under GENERIC-EFFICIENCY: a
+/// neighbour read returns the process's own mirror of that variable, an
+/// internal variable of the bank that starts at internal index `bank` and
+/// holds `stride` values per channel, channel-major. The read is not
+/// logged, since the mirror is local memory. Every other call passes
+/// straight through to the wrapped context, so the same mirror evaluation
+/// runs on GuardContext (the scalar probe) and SlabGuardContext (the
+/// refresh kernel).
+template <class Ctx>
+class MirrorContext {
+ public:
+  MirrorContext(Ctx& ctx, int bank, int stride)
+      : ctx_(ctx), bank_(bank), stride_(stride) {}
+
+  int degree() const { return ctx_.degree(); }
+  Value self_comm(int var) const { return ctx_.self_comm(var); }
+  Value self_internal(int var) const { return ctx_.self_internal(var); }
+  Value nbr_comm(NbrIndex channel, int var) const {
+    return ctx_.self_internal(bank_ + (channel - 1) * stride_ + var);
+  }
+  NbrIndex self_index_at(NbrIndex channel) const {
+    return ctx_.self_index_at(channel);
+  }
+
+  /// The wrapped context, for an inner reachable only through a virtual
+  /// `first_enabled` (GenericEfficiency<Protocol> hands it an overlay
+  /// GuardContext over the same bank).
+  Ctx& real() const { return ctx_; }
+
+ private:
+  Ctx& ctx_;
+  int bank_;
+  int stride_;
+};
+
 /// CRTP base supplying every rule-driven Protocol hook from P's
 /// `guard`/`act` (P befriends this base; the rule stays private). Member
 /// bodies are defined out of class so that `extern template` in P's
@@ -154,6 +211,17 @@ class RuleProtocol : public Protocol {
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
                         std::span<const ProcessId> selection, std::size_t begin,
                         std::size_t end) const final;
+
+  /// P's rule on any context, for a composition that inlines it into its
+  /// own rule (GenericEfficiency<P>).
+  template <class Ctx>
+  SSS_RULE int rule_guard(Ctx& ctx) const {
+    return rule().guard(ctx);
+  }
+  template <class Ctx>
+  SSS_RULE void rule_act(int action, Ctx& ctx) const {
+    rule().act(action, ctx);
+  }
 
  private:
   const P& rule() const { return static_cast<const P&>(*this); }

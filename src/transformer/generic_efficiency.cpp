@@ -1,41 +1,38 @@
 #include "transformer/generic_efficiency.hpp"
 
-#include <utility>
-
 #include "support/require.hpp"
 
 namespace sss {
 
-GenericEfficiency::GenericEfficiency(const Graph& g,
-                                     std::unique_ptr<Protocol> inner)
-    : inner_(std::move(inner)) {
-  SSS_REQUIRE(inner_ != nullptr, "GENERIC-EFFICIENCY needs a protocol");
+namespace detail {
+
+ProtocolSpec generic_efficiency_spec(const Graph& g, const Protocol* inner) {
+  SSS_REQUIRE(inner != nullptr, "GENERIC-EFFICIENCY needs a protocol");
   SSS_REQUIRE(g.num_vertices() >= 2 && g.min_degree() >= 1,
               "GENERIC-EFFICIENCY requires a connected network with n >= 2");
-  name_ = "GENERIC-EFFICIENCY(" + inner_->name() + ")";
-  const ProtocolSpec& base = inner_->spec();
-  num_comm_ = base.num_comm();
-  tcur_index_ = base.num_internal();
-  SSS_REQUIRE(num_comm_ >= 1,
+  const ProtocolSpec& base = inner->spec();
+  const int num_comm = base.num_comm();
+  SSS_REQUIRE(num_comm >= 1,
               "GENERIC-EFFICIENCY wraps protocols with communication state");
   // The wrapped protocol's variables keep their indices: comm vars are
   // shared (the legitimacy predicate applies unchanged), inner internals
   // come first in the internal section so pass-through reads and writes
   // need no translation.
-  spec_.comm = base.comm;
-  spec_.internal = base.internal;
-  spec_.internal.emplace_back("tcur", domain_channel());
+  ProtocolSpec spec;
+  spec.comm = base.comm;
+  spec.internal = base.internal;
+  spec.internal.emplace_back("tcur", domain_channel());
   // The mirror bank: one slot per (channel, comm var) up to the network's
   // maximum degree, channel-major so a process's mirror of one neighbor
-  // is a contiguous row the guard overlay can point at. A slot past the
-  // process's degree has the degenerate domain {0} — arbitrary
-  // initialization cannot put noise where no neighbor exists. An in-range
-  // slot ranges over the *neighbor's* domain of that variable (domains
-  // may be per-process, e.g. a PR pointer's [0..delta.q]).
+  // is a contiguous row MirrorContext indexes. A slot past the process's
+  // degree has the degenerate domain {0} — arbitrary initialization
+  // cannot put noise where no neighbor exists. An in-range slot ranges
+  // over the *neighbor's* domain of that variable (domains may be
+  // per-process, e.g. a PR pointer's [0..delta.q]).
   for (NbrIndex ch = 1; ch <= g.max_degree(); ++ch) {
-    for (int v = 0; v < num_comm_; ++v) {
+    for (int v = 0; v < num_comm; ++v) {
       const VarSpec mirrored = base.comm[static_cast<std::size_t>(v)];
-      spec_.internal.emplace_back(
+      spec.internal.emplace_back(
           "m" + std::to_string(ch) + "." + mirrored.name(),
           [mirrored, ch](const Graph& graph, ProcessId p) -> VarDomain {
             if (ch > graph.degree(p)) return VarDomain{0, 0};
@@ -43,68 +40,19 @@ GenericEfficiency::GenericEfficiency(const Graph& g,
           });
     }
   }
+  return spec;
 }
 
-int GenericEfficiency::first_enabled(GuardContext& ctx) const {
-  const auto cur = static_cast<NbrIndex>(ctx.self_internal(tcur_index_));
-  // Audit: the step's only unconditional communication reads — the
-  // variables of the single neighbor the pointer names.
-  for (int v = 0; v < num_comm_; ++v) {
-    if (ctx.nbr_comm(cur, v) != ctx.self_internal(mirror_index(cur, v))) {
-      return collect_action();
-    }
-  }
-  // Evaluate the wrapped protocol's guards against the mirror bank: local
-  // memory only, nothing read from the network. The bank is contiguous in
-  // the configuration row right behind the audit pointer.
-  const Value* mirror =
-      ctx.config().row(ctx.self()) + num_comm_ + tcur_index_ + 1;
-  GuardContext mirror_ctx(ctx.graph(), ctx.config(), ctx.self(), nullptr);
-  mirror_ctx.set_nbr_overlay(mirror, num_comm_);
-  if (inner_->first_enabled(mirror_ctx) == kDisabled) {
-    return advance_action();
-  }
-  // Confirm against the real neighborhood before acting: a genuine inner
-  // guard must hold on the real state for the move to be a genuine inner
-  // move. A mirror that fired where the real state does not is stale in a
-  // way the single-channel audit missed — refresh it.
-  const int confirmed = inner_->first_enabled(ctx);
-  return confirmed == kDisabled ? collect_action() : confirmed;
+int ErasedInnerHooks::first_enabled(GuardContext& ctx) const {
+  return static_cast<const GenericEfficiency<Protocol>&>(*this).guard(ctx);
 }
 
-void GenericEfficiency::execute(int action, ActionContext& ctx) const {
-  // Every action rotates the audit pointer, so each neighbor is audited
-  // within delta.p activations.
-  const auto cur = static_cast<Value>(ctx.self_internal(tcur_index_));
-  const Value next = (cur % static_cast<Value>(ctx.degree())) + 1;
-  if (action == collect_action()) {
-    // Full mirror refresh (the stabilizing-phase full-width read): one
-    // collect leaves every channel fresh, so a solo process spends at
-    // most one activation here before behaving as the wrapped protocol.
-    for (NbrIndex ch = 1; ch <= ctx.degree(); ++ch) {
-      for (int v = 0; v < num_comm_; ++v) {
-        ctx.set_internal(mirror_index(ch, v), ctx.nbr_comm(ch, v));
-      }
-    }
-    ctx.set_internal(tcur_index_, next);
-    return;
-  }
-  if (action == advance_action()) {
-    ctx.set_internal(tcur_index_, next);
-    return;
-  }
-  SSS_ASSERT(action >= 0 && action < inner_->num_actions(),
-             "GENERIC-EFFICIENCY action out of range");
-  inner_->execute(action, ctx);
-  ctx.set_internal(tcur_index_, next);
+void ErasedInnerHooks::execute(int action, ActionContext& ctx) const {
+  static_cast<const GenericEfficiency<Protocol>&>(*this).act(action, ctx);
 }
 
-void GenericEfficiency::install_constants(const Graph& g,
-                                          Configuration& config) const {
-  // Shared comm indices: the wrapped protocol writes its own constants.
-  // Mirror slots are NOT constants — arbitrary initialization corrupts
-  // them and the audit/collect pair repairs them.
-  inner_->install_constants(g, config);
-}
+}  // namespace detail
+
+template class GenericEfficiency<Protocol>;
 
 }  // namespace sss

@@ -3,12 +3,14 @@
 /// write for write, logged read for logged read, random draw for random
 /// draw — what the per-process scalar `execute` calls produce, and a
 /// kAuto Engine (the bulk path at every selection size) must stay
-/// bit-identical to one forced onto the scalar path. SweepMode governs both the guard-sweep half
-/// (invariant 5) and this execute half (invariant 6), so the checks here
-/// deliberately stress the execute-specific corners the sweep suite
-/// cannot: probabilistic protocols replaying the engine RNG stream,
-/// composition with the parallel step (invariant 7), and mid-trajectory
-/// mode flips.
+/// bit-identical to one forced onto the scalar path. SweepMode governs
+/// both the guard-sweep half (invariant 5) and this execute half
+/// (invariant 6), so the checks here deliberately stress the
+/// execute-specific corners the sweep suite cannot: probabilistic
+/// protocols replaying the engine RNG stream, composition with the
+/// parallel step (invariant 7), and mid-trajectory mode flips. The
+/// lockstep grids run over testing::kernel_selections(): the registry,
+/// generic-efficiency over each entry, and a depth-2 composition.
 ///
 /// The registry-wide harness additionally runs the full property grid
 /// under kAuto and under kForceScalar (tests/test_protocol_properties.cpp) and
@@ -67,13 +69,21 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
 }
 
 TEST(BulkExecute, EveryRegistryProtocolOptsIn) {
-  // The whole registry is covered by the fast execute path; a protocol
-  // that stays scalar should be a deliberate choice, visible here.
+  // The whole registry is covered by the fast execute path, and so is
+  // generic-efficiency over each of its rule protocols; a protocol that
+  // stays scalar should be a deliberate choice, visible here.
   for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
     const Graph g = path(4);
     const std::unique_ptr<Protocol> protocol =
         ProtocolRegistry::instance().make(name, g, {});
     EXPECT_TRUE(protocol->has_bulk_execute()) << name;
+    const std::unique_ptr<Protocol> composed =
+        ProtocolRegistry::instance().make(
+            ProtocolSelection::wrap("generic-efficiency",
+                                    ProtocolSelection::base(name)),
+            g);
+    EXPECT_TRUE(composed->has_bulk_execute()) << "generic-efficiency("
+                                              << name << ")";
   }
 }
 
@@ -83,11 +93,10 @@ TEST(BulkExecute, AutoEngineLockstepsForcedScalarEngine) {
   // protocols ride the serial bulk path here, proving the engine-RNG
   // draw order is replayed bit-for-bit.
   const std::vector<testing::NamedGraph> graphs = testing::sweep_graphs();
-  for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
+  for (const ProtocolSelection& selection : testing::kernel_selections()) {
     for (const auto& named : {graphs[1], graphs[3], graphs[5]}) {
       const std::unique_ptr<Protocol> protocol =
-          ProtocolRegistry::instance().make(name, named.graph, {});
-      if (!protocol->has_bulk_execute()) continue;
+          ProtocolRegistry::instance().make(selection, named.graph);
       for (const std::string& daemon_name : daemon_names()) {
         expect_mode_lockstep(named.graph, *protocol, daemon_name, 1337, 64);
       }
@@ -105,11 +114,10 @@ TEST(BulkExecute, ParallelWorkersComposeWithBulkExecute) {
   std::vector<testing::NamedGraph> graphs;
   graphs.push_back({"grid3x4", grid(3, 4)});
   graphs.push_back({"pa200", preferential_attachment(200, 3, graph_rng)});
-  for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
+  for (const ProtocolSelection& selection : testing::kernel_selections()) {
     for (const auto& named : graphs) {
       const std::unique_ptr<Protocol> protocol =
-          ProtocolRegistry::instance().make(name, named.graph, {});
-      if (!protocol->has_bulk_execute()) continue;
+          ProtocolRegistry::instance().make(selection, named.graph);
       for (int threads : {2, 3, 8}) {
         for (const std::string& daemon_name :
              {std::string("synchronous"), std::string("distributed")}) {

@@ -14,8 +14,13 @@
 ///    counters, so sequence equality here is metric equality there), and
 ///    check that unlisted entries are left alone;
 ///  * behavioural: kAuto vs kForceScalar engine lockstep over every
-///    registry protocol, daemon, and a graph menagerie — configurations,
-///    StepInfo, rounds, enabled counts, and read metrics all equal.
+///    daemon and a graph menagerie — configurations, StepInfo, rounds,
+///    enabled counts, and read metrics all equal.
+///
+/// Both layers run over testing::kernel_selections(): every registry
+/// protocol, generic-efficiency over each of them (the composed kernels,
+/// with the inner rule inlined over the mirror bank) and one depth-2
+/// composition, which keeps the scalar default.
 ///
 /// The registry-wide harness additionally runs the full property grid
 /// under kAuto and under kForceScalar (tests/test_protocol_properties.cpp)
@@ -137,22 +142,30 @@ void expect_sweep_matches_scalar(const Graph& g, const Protocol& protocol,
 }
 
 TEST(BulkSweep, EveryRegistryProtocolOptsIn) {
-  // The whole registry is covered by the fast path; a new protocol that
-  // stays scalar should be a deliberate choice, visible here.
+  // The whole registry is covered by the fast path, and so is
+  // generic-efficiency over each of its rule protocols (the composed
+  // kernel); a new protocol that stays scalar should be a deliberate
+  // choice, visible here.
   for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
     const Graph g = path(4);
     const std::unique_ptr<Protocol> protocol =
         ProtocolRegistry::instance().make(name, g, {});
     EXPECT_TRUE(protocol->has_bulk_sweep()) << name;
+    const std::unique_ptr<Protocol> composed =
+        ProtocolRegistry::instance().make(
+            ProtocolSelection::wrap("generic-efficiency",
+                                    ProtocolSelection::base(name)),
+            g);
+    EXPECT_TRUE(composed->has_bulk_sweep()) << "generic-efficiency(" << name
+                                            << ")";
   }
 }
 
 TEST(BulkSweep, SweepMatchesScalarProbesAcrossRegistryAndMenagerie) {
-  for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
+  for (const ProtocolSelection& selection : testing::kernel_selections()) {
     for (const auto& named : testing::sweep_graphs()) {
       const std::unique_ptr<Protocol> protocol =
-          ProtocolRegistry::instance().make(name, named.graph, {});
-      if (!protocol->has_bulk_sweep()) continue;
+          ProtocolRegistry::instance().make(selection, named.graph);
       for (std::uint64_t seed : {101u, 102u, 103u, 104u}) {
         expect_sweep_matches_scalar(named.graph, *protocol, seed);
       }
@@ -219,11 +232,10 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
 
 TEST(BulkSweep, AutoEngineLockstepsForcedScalarEngine) {
   const std::vector<testing::NamedGraph> graphs = testing::sweep_graphs();
-  for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
+  for (const ProtocolSelection& selection : testing::kernel_selections()) {
     for (const auto& named : {graphs[0], graphs[4], graphs[6]}) {
       const std::unique_ptr<Protocol> protocol =
-          ProtocolRegistry::instance().make(name, named.graph, {});
-      if (!protocol->has_bulk_sweep()) continue;
+          ProtocolRegistry::instance().make(selection, named.graph);
       for (const std::string& daemon_name : daemon_names()) {
         expect_mode_lockstep(named.graph, *protocol, daemon_name, 909, 64);
       }

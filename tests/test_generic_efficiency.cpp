@@ -1,7 +1,10 @@
 /// The generic communication-efficiency transformer (arXiv:2307.06635,
 /// the paper's Section 6 open question): unit tests for the mirror-bank
 /// spec and the audit / collect / confirm step semantics, the stabilized
-/// one-read-per-step certificate, and the registry-wide property grid
+/// one-read-per-step certificate, the registry's choice between the
+/// composed rule kernel (GenericEfficiency<P>) and the per-process
+/// wrapper (GenericEfficiency<Protocol>), which must run the same rule,
+/// and the registry-wide property grid
 /// over generic-efficiency(X) for every eligible base protocol X —
 /// including a fault-closure leg and a depth-2 composition.
 
@@ -9,9 +12,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/full_read_coloring.hpp"
+#include "core/coloring_protocol.hpp"
 #include "core/protocol_registry.hpp"
 #include "graph/builders.hpp"
 #include "protocol_harness.hpp"
@@ -22,12 +27,17 @@
 namespace sss {
 namespace {
 
+/// The Delta-read coloring under the transformer, on the composed rule.
+using WrappedColoring = GenericEfficiency<FullReadColoring>;
+
 TEST(GenericEfficiency, SpecAddsTheAuditPointerAndTheMirrorBank) {
   // path(3) with the Delta-read coloring inside: the smallest instance
   // where the mirror bank has both an in-range and a degenerate slot.
   const Graph g = path(3);  // Delta = 2, palette 3
-  const GenericEfficiency transformed(g,
-                                      std::make_unique<FullReadColoring>(g));
+  auto inner = std::make_unique<FullReadColoring>(g);
+  const FullReadColoring* wrapped = inner.get();
+  const WrappedColoring transformed(g, std::move(inner));
+  EXPECT_EQ(&transformed.inner(), wrapped);
   // Comm vars are exactly the inner's (legitimacy applies unchanged).
   EXPECT_EQ(transformed.spec().num_comm(), 1);
   // Internal: tcur + Delta * num_comm mirror slots (inner has none).
@@ -53,7 +63,7 @@ TEST(GenericEfficiency, SpecAddsTheAuditPointerAndTheMirrorBank) {
 
 /// A properly colored path(3) with every mirror fresh and tcur = 1.
 Configuration fresh_silent_config(const Graph& g,
-                                  const GenericEfficiency& transformed) {
+                                  const WrappedColoring& transformed) {
   Configuration config(g, transformed.spec());
   const Value colors[] = {1, 2, 1};
   for (ProcessId p = 0; p < 3; ++p) {
@@ -69,8 +79,8 @@ Configuration fresh_silent_config(const Graph& g,
 
 TEST(GenericEfficiency, QuietStepAuditsOneNeighborAndAdvances) {
   const Graph g = path(3);
-  const GenericEfficiency transformed(g,
-                                      std::make_unique<FullReadColoring>(g));
+  const WrappedColoring transformed(g,
+                                    std::make_unique<FullReadColoring>(g));
   Configuration config = fresh_silent_config(g, transformed);
   Rng rng(1);
   StepReadCounter counter(g, transformed.spec());
@@ -87,12 +97,14 @@ TEST(GenericEfficiency, QuietStepAuditsOneNeighborAndAdvances) {
 
 TEST(GenericEfficiency, AuditMismatchTriggersCollect) {
   const Graph g = path(3);
-  const GenericEfficiency transformed(g,
-                                      std::make_unique<FullReadColoring>(g));
+  const WrappedColoring transformed(g,
+                                    std::make_unique<FullReadColoring>(g));
   Configuration config = fresh_silent_config(g, transformed);
   // Stale mirror of the audited channel (tcur = 1): the audit must see
-  // the discrepancy and refresh the whole bank.
+  // the discrepancy and refresh the whole bank, the unaudited last
+  // channel included.
   config.set_internal(1, transformed.mirror_index(1, 0), 3);
+  config.set_internal(1, transformed.mirror_index(2, 0), 3);
   Rng rng(2);
   const ProcessStep step = apply_solo_step(g, transformed, config, 1, rng);
   EXPECT_EQ(step.action, transformed.collect_action());
@@ -104,8 +116,8 @@ TEST(GenericEfficiency, AuditMismatchTriggersCollect) {
 
 TEST(GenericEfficiency, MirrorFiringWithoutRealEvidenceCollects) {
   const Graph g = path(3);
-  const GenericEfficiency transformed(g,
-                                      std::make_unique<FullReadColoring>(g));
+  const WrappedColoring transformed(g,
+                                    std::make_unique<FullReadColoring>(g));
   Configuration config = fresh_silent_config(g, transformed);
   // A stale mirror on the channel the audit does NOT visit this step
   // (tcur = 1, stale channel 2) that makes the inner guard fire against
@@ -122,8 +134,8 @@ TEST(GenericEfficiency, MirrorFiringWithoutRealEvidenceCollects) {
 
 TEST(GenericEfficiency, ConfirmedInnerGuardExecutesTheInnerAction) {
   const Graph g = path(3);
-  const GenericEfficiency transformed(g,
-                                      std::make_unique<FullReadColoring>(g));
+  const WrappedColoring transformed(g,
+                                    std::make_unique<FullReadColoring>(g));
   Configuration config = fresh_silent_config(g, transformed);
   // A genuine conflict, visible in both the (fresh) mirror and the real
   // state: recolor vertex 2 to vertex 1's color.
@@ -184,6 +196,62 @@ TEST(GenericEfficiency, StabilizingPhaseMayReadFullWidth) {
   const RunStats stats = engine.run({});
   ASSERT_TRUE(stats.silent);
   EXPECT_GT(stats.max_reads_per_process_step, 1);
+}
+
+TEST(GenericEfficiency, RegistryComposesRuleProtocolsOnTheirKernels) {
+  // A rule protocol's composition is GenericEfficiency<P>, with the slab
+  // kernels its .cpp instantiates; a nested transformer is wrapped by the
+  // per-process GenericEfficiency<Protocol>.
+  const Graph g = cycle(5);
+  ProtocolRegistry& registry = ProtocolRegistry::instance();
+  const std::unique_ptr<Protocol> composed = registry.make(
+      ProtocolSelection::wrap("generic-efficiency",
+                              ProtocolSelection::base("full-read-coloring")),
+      g);
+  EXPECT_NE(dynamic_cast<const WrappedColoring*>(composed.get()), nullptr);
+
+  const std::unique_ptr<Protocol> nested = registry.make(
+      ProtocolSelection::wrap(
+          "generic-efficiency",
+          ProtocolSelection::wrap("generic-efficiency",
+                                  ProtocolSelection::base("coloring"))),
+      g);
+  const auto* outer =
+      dynamic_cast<const GenericEfficiency<Protocol>*>(nested.get());
+  ASSERT_NE(outer, nullptr);
+  EXPECT_FALSE(outer->has_bulk_sweep());
+  EXPECT_FALSE(outer->has_bulk_execute());
+  EXPECT_NE(dynamic_cast<const GenericEfficiency<ColoringProtocol>*>(
+                &outer->inner()),
+            nullptr);
+}
+
+TEST(GenericEfficiency, ErasedInnerRunsTheSameRule) {
+  // GenericEfficiency<Protocol> runs the one rule through the inner's
+  // virtual hooks (its mirror evaluation on an overlay GuardContext);
+  // over the same inner it must reproduce GenericEfficiency<P> step for
+  // step: configurations, reads and bits.
+  const Graph g = grid(3, 4);
+  const GenericEfficiency<Protocol> erased(
+      g, std::make_unique<FullReadColoring>(g));
+  const WrappedColoring composed(g, std::make_unique<FullReadColoring>(g));
+  ASSERT_FALSE(erased.has_bulk_sweep());
+  Engine slow(g, erased, make_daemon("distributed"), 31);
+  Engine fast(g, composed, make_daemon("distributed"), 31);
+  slow.randomize_state();
+  fast.randomize_state();
+  for (int s = 0; s < 300; ++s) {
+    const Engine::StepInfo a = slow.step();
+    const Engine::StepInfo b = fast.step();
+    ASSERT_EQ(a.selected, b.selected) << "step " << s;
+    ASSERT_EQ(slow.config(), fast.config()) << "step " << s;
+    ASSERT_EQ(slow.read_counter().total_reads(),
+              fast.read_counter().total_reads())
+        << "step " << s;
+    ASSERT_EQ(slow.read_counter().total_bits(),
+              fast.read_counter().total_bits())
+        << "step " << s;
+  }
 }
 
 TEST(GenericEfficiencyGrid, EveryEligibleBaseSurvivesThePropertyGrid) {

@@ -11,6 +11,7 @@
 
 #include "core/coloring_protocol.hpp"
 #include "core/problems.hpp"
+#include "core/protocol_registry.hpp"
 #include "graph/builders.hpp"
 #include "graph/coloring.hpp"
 #include "runtime/protocol.hpp"
@@ -113,6 +114,29 @@ inline std::vector<NamedGraph> sweep_graphs() {
   graphs.push_back({"gnp12", erdos_renyi_connected(12, 0.3, rng)});
   graphs.push_back({"rtree11", random_tree(11, rng)});
   return graphs;
+}
+
+/// What the kernel suites hold to the scalar reference: every base
+/// registry protocol, each of them wrapped in generic-efficiency (the
+/// composed rule kernels), and the depth-2 composition
+/// generic-efficiency(generic-efficiency(coloring)), whose outer layer
+/// keeps the per-process path.
+inline std::vector<ProtocolSelection> kernel_selections() {
+  const std::vector<std::string> bases =
+      ProtocolRegistry::instance().protocol_names();
+  std::vector<ProtocolSelection> selections;
+  for (const std::string& base : bases) {
+    selections.push_back(ProtocolSelection::base(base));
+  }
+  for (const std::string& base : bases) {
+    selections.push_back(ProtocolSelection::wrap(
+        "generic-efficiency", ProtocolSelection::base(base)));
+  }
+  selections.push_back(ProtocolSelection::wrap(
+      "generic-efficiency",
+      ProtocolSelection::wrap("generic-efficiency",
+                              ProtocolSelection::base("coloring"))));
+  return selections;
 }
 
 /// Vertex coloring with process 0's pointer off channel 1: a predicate
