@@ -18,11 +18,11 @@
 ///    converging protocols are measured on live convergence work. The
 ///    ratio is the *combined* win of invariants 5 and 6 — what a user
 ///    flipping force_scalar -> auto observes.
-///  * E16b — execute-only throughput: actions/sec of one pass over an
+///  * E16b — phase-1 throughput: actions/sec of one pass over an
 ///    all-selected randomized configuration, `execute_selected` vs a
-///    scalar ActionContext loop, both replaying the same guard-read
-///    memos into the same logger. This isolates the execute kernels
-///    from guard evaluation and commit.
+///    scalar GuardContext + ActionContext loop, both re-running each
+///    guard and running its action, logging into the same logger. This
+///    isolates phase 1 from the refresh and the commit.
 ///
 /// Both strategies are bit-identical by construction (asserted here over
 /// a lockstep prefix, proven at scale by tests/test_bulk_execute.cpp and
@@ -77,13 +77,12 @@ double measure_steps_per_sec(Engine& engine, double min_seconds) {
   return static_cast<double>(steps) / elapsed;
 }
 
-/// Minimal read sink for E16b: every replayed or action-time read costs
-/// one (non-inlinable) call plus an add on *both* paths, so the replay
-/// volume is represented without the metrics accounting — identical on
-/// both sides by construction — drowning the kernel difference. noinline
-/// keeps the compiler from devirtualizing the scalar replay loop into
-/// nothing, which would bill the bulk path for calls the scalar path
-/// skipped.
+/// Minimal read sink for E16b: every guard or action read costs one
+/// (non-inlinable) call plus an add on *both* paths, so the read volume
+/// is represented without the metrics accounting — identical on both
+/// sides by construction — drowning the kernel difference. noinline
+/// keeps the compiler from devirtualizing either side's calls into
+/// nothing, which would bill one path for calls the other skipped.
 class CountingSink final : public ReadLogger {
  public:
   std::uint64_t reads = 0;
@@ -93,10 +92,9 @@ class CountingSink final : public ReadLogger {
 };
 
 /// Fixture for E16b: one randomized configuration, its guard refresh (the
-/// memo the engine would hold), and the all-enabled selection.
+/// actions the engine would hold), and the all-enabled selection.
 struct ExecuteFixture {
   Configuration config;
-  std::vector<BulkGuardContext::ReadLog> logs;
   EnabledBitmap bitmap;
   std::vector<ProcessId> selection;
 
@@ -106,8 +104,7 @@ struct ExecuteFixture {
     Rng rng(seed);
     randomize_configuration(g, protocol.spec(), config, rng);
     protocol.install_constants(g, config);
-    logs.resize(static_cast<std::size_t>(n));
-    BulkGuardContext guard_ctx(g, config, logs);
+    BulkGuardContext guard_ctx(g, config);
     bitmap.reset(n);
     std::vector<ProcessId> all(static_cast<std::size_t>(n));
     for (ProcessId p = 0; p < n; ++p) all[static_cast<std::size_t>(p)] = p;
@@ -118,9 +115,9 @@ struct ExecuteFixture {
   }
 };
 
-/// Actions/second of scalar ActionContext execution over the fixture's
-/// selection: memo replay, then execute into a reused write arena — the
-/// engine's scalar phase 1 without the commit.
+/// Actions/second of scalar execution over the fixture's selection: the
+/// guard re-run on a GuardContext, then execute into a reused write arena
+/// — the engine's per-process phase 1 without the commit.
 double measure_scalar_actions_per_sec(const Graph& g, const Protocol& protocol,
                                       const ExecuteFixture& fix,
                                       double min_seconds) {
@@ -131,10 +128,10 @@ double measure_scalar_actions_per_sec(const Graph& g, const Protocol& protocol,
   std::vector<PendingWrite> writes;
   auto pass = [&] {
     for (ProcessId p : fix.selection) {
-      const auto& log = fix.logs[static_cast<std::size_t>(p)];
-      for (const auto& read : log) logger.on_read(p, read.first, read.second);
+      GuardContext guard(g, fix.config, p, &logger);
+      const int action = protocol.first_enabled(guard);
       ActionContext ctx(g, fix.config, p, rng, &logger, &writes);
-      protocol.execute(fix.bitmap.action(p), ctx);
+      protocol.execute(action, ctx);
     }
   };
   for (int i = 0; i < 4; ++i) pass();  // warmup
@@ -149,9 +146,9 @@ double measure_scalar_actions_per_sec(const Graph& g, const Protocol& protocol,
   return static_cast<double>(actions) / elapsed;
 }
 
-/// Actions/second of the bulk execute kernel over the same selection,
-/// staging into a reused row arena — the engine's bulk phase 1 without
-/// the commit.
+/// Actions/second of the bulk execute kernel over the same selection
+/// (guard re-runs included), staging into a reused row arena — the
+/// engine's bulk phase 1 without the commit.
 double measure_bulk_actions_per_sec(const Graph& g, const Protocol& protocol,
                                     const ExecuteFixture& fix,
                                     double min_seconds) {
@@ -161,7 +158,7 @@ double measure_bulk_actions_per_sec(const Graph& g, const Protocol& protocol,
   const std::size_t stride = fix.config.stride();
   std::vector<Value> staged(fix.selection.size() * stride);
   auto pass = [&] {
-    BulkExecContext ctx(g, fix.config, fix.logs, counter, staged.data(),
+    BulkExecContext ctx(g, fix.config, ReadSink(counter), staged.data(),
                         stride, &rng);
     protocol.execute_selected(
         ctx, fix.bitmap,
@@ -289,7 +286,7 @@ int main(int argc, char** argv) {
       "E16b: all-selected execute phase, bulk kernels vs scalar "
       "ActionContexts (actions/sec)");
   print_note("one pass over every enabled process of a randomized");
-  print_note("configuration: memo replay + action execution, commit");
+  print_note("configuration: guard re-run + action execution, commit");
   print_note("excluded on both sides.");
   TextTable exec_table({"graph", "n", "protocol", "scalar acts/s",
                         "bulk acts/s", "speedup"});

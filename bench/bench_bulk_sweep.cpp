@@ -102,23 +102,19 @@ double measure_refreshes_per_sec(Engine& engine, const Configuration& config,
 /// Guard evaluations/second of `sweep_enabled_ids` over closed
 /// neighbourhoods — a process and its neighbours, the dirty set a central
 /// daemon's step leaves — cycling through `balls` so no single ball stays
-/// cache-hot. Each refresh clears the listed memo logs first, as the
-/// engine does. `scalar` runs the Protocol default (one virtual
+/// cache-hot. `scalar` runs the Protocol default (one virtual
 /// first_enabled probe per id) instead of the protocol's kernel.
 double measure_ball_refreshes_per_sec(
     const Graph& g, const Protocol& protocol, const Configuration& config,
     const std::vector<std::vector<ProcessId>>& balls, bool scalar,
     double min_seconds) {
   using clock = std::chrono::steady_clock;
-  std::vector<BulkGuardContext::ReadLog> logs(
-      static_cast<std::size_t>(g.num_vertices()));
   EnabledBitmap actions;
   actions.reset(g.num_vertices());
-  BulkGuardContext ctx(g, config, logs);
+  BulkGuardContext ctx(g, config);
   std::uint64_t evals = 0;
   const auto refresh_all = [&] {
     for (const std::vector<ProcessId>& ids : balls) {
-      for (const ProcessId p : ids) logs[static_cast<std::size_t>(p)].clear();
       if (scalar) {
         protocol.Protocol::sweep_enabled_ids(ctx, actions, ids);
       } else {

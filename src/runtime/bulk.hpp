@@ -7,62 +7,50 @@
 /// neighbours of those whose communication changed: a handful under a
 /// central daemon, nearly all n under co-firing ones. A scalar probe of
 /// one dirty process pays a GuardContext construction, a virtual
-/// `first_enabled`, range-checked neighbour lookups and a virtual
-/// read-logger call per neighbour read. `Protocol::sweep_enabled_ids`
-/// instead evaluates a whole list of dirty guards in one call against the
-/// CSR slabs (`Graph::csr_*`) and the flat configuration rows
-/// (`Configuration::row`), with no virtual dispatch and no per-read
-/// bounds checks inside the loop. The engine hands it exactly the dirty
-/// ids, whatever their number, so the kernel replaces the scalar probe
-/// under every daemon rather than only under mostly-dirty refreshes.
+/// `first_enabled` and range-checked neighbour lookups.
+/// `Protocol::sweep_enabled_ids` instead evaluates a whole list of dirty
+/// guards in one call against the CSR slabs (`Graph::csr_*`) and the flat
+/// configuration rows (`Configuration::row`), with no virtual dispatch
+/// and no per-read bounds checks inside the loop. The engine hands it
+/// exactly the dirty ids, whatever their number, so the kernel replaces
+/// the scalar probe under every daemon rather than only under mostly-dirty
+/// refreshes.
 ///
-/// The kernel owes the engine exactly what scalar probes of the same ids
-/// would have produced, because the engine *replays* this data later:
+/// The kernel owes the engine the first-enabled action per listed process
+/// (`EnabledBitmap`), exactly what a scalar probe returns. A refresh is a
+/// simulator probe and charges no reads (`BulkGuardContext::log` discards
+/// them): phase 1 of the step that selects a process re-runs its guard on
+/// the same snapshot and charges them there (engine invariant 4).
 ///
-///  * the first-enabled action per listed process (`EnabledBitmap`),
-///    which the engine commits into its probe memo and enabled set; and
-///  * the guard's neighbor-read log per listed process
-///    (`BulkGuardContext::log`), in the order the scalar guard would have
-///    issued the reads — this is the sequence `Engine::step` replays into
-///    the model's read counters when the process is selected, so any
-///    deviation shows up as a read-metric divergence from
-///    `ReferenceEngine`.
-///
-/// The contexts here are the engine-facing half of that contract. The
-/// protocol-facing half is runtime/rule.hpp: `RuleProtocol` runs each
-/// protocol's single guard/act on slab-row contexts that log through
-/// `BulkGuardContext` / `BulkExecContext`, so a refresh reproduces the
-/// lazy, short-circuited read structure of the scalar guard by
-/// construction. The scalar default of `sweep_enabled_ids` fills the same
-/// two outputs from `first_enabled` probes; it is the reference the
-/// kernels are held to, and SweepMode::kForceScalar runs it. The lockstep
-/// suites (tests/test_bulk_sweep.cpp, tests/test_bulk_execute.cpp, the
-/// property harness under kAuto and kForceScalar) hold those
-/// contexts and the engine paths to the contract.
+/// `RuleProtocol` (runtime/rule.hpp) runs each protocol's single
+/// guard/act on slab-row contexts over these two contexts, so a refresh
+/// and a phase-1 re-run reproduce the lazy, short-circuited reads of the
+/// scalar guard by construction. The scalar default of
+/// `sweep_enabled_ids` is the reference the kernels are held to
+/// (SweepMode::kForceScalar runs it), by tests/test_bulk_sweep.cpp,
+/// tests/test_bulk_execute.cpp and the property harness.
 ///
 /// Bulk *execution* (`BulkExecContext`, `Protocol::execute_selected`) is
-/// the same idea applied to the other half of a deployed synchronous step:
-/// phase-1 memo replay plus action execution for a whole selection in one
-/// pass over the slabs, instead of one ActionContext + virtual `execute`
-/// per selected process. The kernel stages each fired process's
-/// post-state as a full configuration row; the engine commits the rows
-/// under the exact dirty-queue/covering/solo-cache treatment of the
-/// scalar commit loop, so trajectories and metrics stay bit-identical by
-/// construction. The per-process read discipline is load-bearing: a
-/// kernel must interleave reads per process (replay p's guard memo, then
-/// log p's action reads, then move to the next process) because both read
-/// counters dedup per contiguous reader run — the serial path's
-/// StepReadCounter (which asserts a reader never re-enters a step) and
-/// the parallel path's WorkerReadTally (runtime/metrics.hpp).
+/// the same idea applied to phase 1: guard re-runs plus actions for a
+/// whole selection in one pass over the slabs, instead of a GuardContext,
+/// an ActionContext and two virtual calls per selected process. The
+/// kernel stages each fired process's post-state as a full configuration
+/// row, which the engine commits under the scalar commit loop's exact
+/// dirty-queue/covering/solo-cache treatment. A kernel must keep each
+/// process's reads together (its guard reads, then its action reads,
+/// then the next process): the serial path's StepReadCounter and the
+/// parallel path's WorkerReadTally dedup per contiguous reader run
+/// (runtime/metrics.hpp), and the kernel charges them directly through a
+/// `ReadSink`.
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "runtime/configuration.hpp"
 #include "runtime/context.hpp"
+#include "runtime/metrics.hpp"
 #include "support/require.hpp"
 
 namespace sss {
@@ -70,7 +58,8 @@ namespace sss {
 /// Per-process outcome of a guard refresh: the index of the first enabled
 /// action, or kDisabled. The name reflects what the engine derives from
 /// it — membership of the enabled set — but the action index itself is
-/// kept because the engine's guard memo replays it on selection.
+/// kept: phase 1 checks its guard re-run against it, and the commit of a
+/// bulk-executed selection reads it.
 class EnabledBitmap {
  public:
   /// Matches Protocol::kDisabled (static_assert'd in protocol.cpp).
@@ -95,6 +84,16 @@ class EnabledBitmap {
     return actions_[static_cast<std::size_t>(p)] != kDisabled;
   }
 
+  /// Phase 1's check of a guard re-run (engine invariant 4): `action`,
+  /// what p's guard returned on the step's snapshot, must be the action
+  /// the refresh recorded for that same configuration. A mismatch means a
+  /// dirty-tracking bug left p's entry stale.
+  void expect_rerun(ProcessId p, int action) const {
+    SSS_ASSERT(action == actions_[static_cast<std::size_t>(p)],
+               "a selected guard re-run disagrees with its refreshed "
+               "action: the enabledness entry was stale");
+  }
+
   /// Raw slab for refresh kernels that fill actions in a tight loop.
   std::int8_t* actions() { return actions_.data(); }
   const std::int8_t* actions() const { return actions_.data(); }
@@ -103,47 +102,36 @@ class EnabledBitmap {
   std::vector<std::int8_t> actions_;
 };
 
-/// Read-only view a refresh evaluates against, plus the per-process
-/// read-log sink. The logs alias the engine's guard memo
-/// (`Engine::probe_reads_`); the engine clears the listed processes' logs
-/// before the refresh, so it appends each listed process's reads exactly
-/// once and in scalar-guard order.
+/// Read-only view a refresh evaluates against. Refresh reads are probe
+/// reads, charged to nobody, so `log` discards them; the slab guard
+/// context inlines the empty call away.
 class BulkGuardContext {
  public:
-  /// One process's guard read log: (neighbor id, comm var) per read.
-  using ReadLog = std::vector<std::pair<ProcessId, int>>;
-
-  BulkGuardContext(const Graph& g, const Configuration& config,
-                   std::vector<ReadLog>& logs)
-      : graph_(g), config_(config), logs_(logs) {}
+  BulkGuardContext(const Graph& g, const Configuration& config)
+      : graph_(g), config_(config) {}
 
   const Graph& graph() const { return graph_; }
   const Configuration& config() const { return config_; }
 
-  /// Records that p's guard read communication variable `comm_var` of its
-  /// neighbor `subject` — the slab counterpart of a scalar probe's
-  /// ReadLogger::on_read.
-  void log(ProcessId p, ProcessId subject, int comm_var) {
-    logs_[static_cast<std::size_t>(p)].push_back({subject, comm_var});
-  }
+  void log(ProcessId, ProcessId, int) {}
 
  private:
   const Graph& graph_;
   const Configuration& config_;
-  std::vector<ReadLog>& logs_;
 };
 
-/// View a bulk-execute kernel runs against: the pre-step snapshot, the
-/// guard memo to replay, a read sink, and the staging slab the kernel
-/// writes post-state rows into. One context serves one selection slice
-/// (the whole selection serially, or a worker's contiguous slice on the
-/// parallel path — the read sink is the engine's step counter in the
-/// first case and the worker's tally in the second).
+/// View a bulk-execute kernel runs against: the pre-step snapshot, a read
+/// sink, and the staging slab the kernel writes post-state rows into. One
+/// context serves one selection slice (the whole selection serially, or a
+/// worker's contiguous slice on the parallel path — the sink is the
+/// engine's step counter in the first case and the worker's tally in the
+/// second).
 ///
 /// The kernel contract, per selection index i with process p:
-///  1. `replay_guard_reads(p)` — always, enabled or not: the scalar phase
-///     1 replays the memo for every *selected* process, because its guard
-///     really ran.
+///  1. Re-run p's guard on `config()`, logging its neighbour reads through
+///     `log` in the scalar order — always, enabled or not: a selected
+///     process's guard really runs — and check the result against the
+///     refreshed action (`EnabledBitmap::expect_rerun`).
 ///  2. If the action is kDisabled, move on (nothing is staged).
 ///  3. Otherwise `stage(i, p)` and overwrite exactly the slots the scalar
 ///     action writes, logging every action-time neighbor read through
@@ -152,18 +140,14 @@ class BulkGuardContext {
 ///     gamma_i.
 class BulkExecContext {
  public:
-  using ReadLog = BulkGuardContext::ReadLog;
-
   /// `stride` values per staged row; `rng` is the model stream on the
   /// serial path for probabilistic protocols and nullptr everywhere else
   /// (see random_range).
-  BulkExecContext(const Graph& g, const Configuration& config,
-                  const std::vector<ReadLog>& guard_logs, ReadLogger& logger,
+  BulkExecContext(const Graph& g, const Configuration& config, ReadSink sink,
                   Value* staged_rows, std::size_t stride, Rng* rng)
       : graph_(g),
         config_(config),
-        guard_logs_(guard_logs),
-        logger_(logger),
+        sink_(sink),
         staged_rows_(staged_rows),
         stride_(stride),
         rng_(rng) {}
@@ -171,20 +155,11 @@ class BulkExecContext {
   const Graph& graph() const { return graph_; }
   const Configuration& config() const { return config_; }
 
-  /// Phase 1's memo replay for one selected process: feeds the guard's
-  /// recorded reads into the step's read accounting, exactly as the
-  /// scalar path replays them through the logger mux.
-  void replay_guard_reads(ProcessId p) {
-    for (const auto& [subject, var] : guard_logs_[static_cast<std::size_t>(p)]) {
-      logger_.on_read(p, subject, var);
-    }
-  }
-
-  /// Records an action-phase neighbor read — the bulk counterpart of
-  /// ActionContext::nbr_comm's logging half (the kernel fetches the value
-  /// itself from the slabs).
+  /// Records a neighbor read of p's guard or action — the bulk
+  /// counterpart of GuardContext::nbr_comm's logging half (the kernel
+  /// fetches the value itself from the slabs).
   void log(ProcessId p, ProcessId subject, int comm_var) {
-    logger_.on_read(p, subject, comm_var);
+    sink_.charge(p, subject, comm_var);
   }
 
   /// Copies p's snapshot row into the staged slot of selection index i
@@ -216,8 +191,7 @@ class BulkExecContext {
  private:
   const Graph& graph_;
   const Configuration& config_;
-  const std::vector<ReadLog>& guard_logs_;
-  ReadLogger& logger_;
+  ReadSink sink_;
   Value* staged_rows_;
   std::size_t stride_;
   Rng* rng_;

@@ -91,6 +91,21 @@ class EnabledSet {
   /// once every outstanding delta has been added.
   void add_count(int delta) { count_ += delta; }
 
+  /// Makes this set the complement of `other` over the same universe in
+  /// O(universe/64); the last word stays masked to the universe, and the
+  /// count is recounted from the words, so it is exact whatever other's
+  /// pending deltas. The engine restarts round covering this way.
+  void assign_complement(const EnabledSet& other) {
+    SSS_REQUIRE(other.universe_ == universe_,
+                "complement needs sets over the same universe");
+    count_ = 0;
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      const int tail = universe_ - static_cast<int>(w) * 64;
+      words_[w] = ~other.words_[w] & (tail >= 64 ? ~0ULL : (1ULL << tail) - 1);
+      count_ += std::popcount(words_[w]);
+    }
+  }
+
   /// The k-th smallest member (0-based). Requires 0 <= k < count().
   ProcessId kth(int k) const {
     SSS_ASSERT(k >= 0 && k < count_, "rank out of range");

@@ -34,9 +34,7 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
       probe_dirty_(static_cast<std::size_t>(g.num_vertices()), 0),
       bulk_exec_supported_(protocol.has_bulk_execute()),
       active_(g.num_vertices()),
-      frozen_(static_cast<std::size_t>(g.num_vertices()), 0),
-      probe_reads_(static_cast<std::size_t>(g.num_vertices())),
-      covered_(static_cast<std::size_t>(g.num_vertices()), 0),
+      covered_(g.num_vertices()),
       solo_active_(static_cast<std::size_t>(g.num_vertices()), 0),
       solo_dirty_(static_cast<std::size_t>(g.num_vertices()), 0),
       read_counter_(g, protocol.spec()) {
@@ -44,7 +42,7 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
   SSS_REQUIRE(g.num_vertices() >= 2 && g.min_degree() >= 1,
               "the model requires a connected network with n >= 2");
   SSS_REQUIRE(protocol.num_actions() <= 127,
-              "the guard memo stores action indices as int8");
+              "the refreshed actions are stored as int8");
   // Dedup flags bound both queues by n, so one reservation serves forever.
   dirty_queue_.reserve(static_cast<std::size_t>(g.num_vertices()));
   solo_dirty_queue_.reserve(static_cast<std::size_t>(g.num_vertices()));
@@ -64,8 +62,7 @@ void Engine::set_config(const Configuration& config) {
   SSS_REQUIRE(configuration_in_domains(graph_, protocol_.spec(), config_),
               "configuration has out-of-domain values");
   invalidate_all_probes();
-  std::fill(covered_.begin(), covered_.end(), 0);
-  covered_count_ = 0;
+  covered_.reset(graph_.num_vertices());
   steps_at_round_start_ = steps_;
 }
 
@@ -73,8 +70,7 @@ void Engine::randomize_state() {
   randomize_configuration(graph_, protocol_.spec(), config_, rng_);
   protocol_.install_constants(graph_, config_);
   invalidate_all_probes();
-  std::fill(covered_.begin(), covered_.end(), 0);
-  covered_count_ = 0;
+  covered_.reset(graph_.num_vertices());
   steps_at_round_start_ = steps_;
 }
 
@@ -132,13 +128,6 @@ void Engine::mark_solo_dirty(ProcessId p) {
   }
 }
 
-void Engine::cover(ProcessId p) {
-  if (!covered_[static_cast<std::size_t>(p)]) {
-    covered_[static_cast<std::size_t>(p)] = 1;
-    ++covered_count_;
-  }
-}
-
 inline void Engine::record_probe(ProcessId p, int action,
                                  RefreshDeltas& deltas) {
   const bool now = action != Protocol::kDisabled;
@@ -149,33 +138,26 @@ inline void Engine::record_probe(ProcessId p, int action,
   // counts as co-selected every step (its self-loop fires and changes
   // nothing), so it is covered from the moment the classification holds —
   // otherwise rounds could never complete.
-  const bool frozen = exclude_frozen_ && classify_frozen(p, action);
-  if ((!now || frozen) && !covered_[static_cast<std::size_t>(p)]) {
-    covered_[static_cast<std::size_t>(p)] = 1;
-    ++deltas.covered;
-  }
+  const bool live = exclude_frozen_ ? classify_active(p, action) : now;
+  if (!live) deltas.covered += covered_.assign_deferred(p, true);
 }
 
-bool Engine::classify_frozen(ProcessId p, int action) {
-  const bool now = action != Protocol::kDisabled;
-  const bool frozen = now && verified_self_loop(p, action);
-  frozen_[static_cast<std::size_t>(p)] = frozen ? 1 : 0;
-  active_.assign(p, now && !frozen);
-  return frozen;
+bool Engine::classify_active(ProcessId p, int action) {
+  const bool active =
+      action != Protocol::kDisabled && !verified_self_loop(p, action);
+  active_.assign(p, active);
+  return active;
 }
 
 Engine::RefreshDeltas Engine::refresh_ids(std::span<const ProcessId> ids) {
   // Probes are simulator devices: no rng consumption (guards are
   // deterministic; only actions may draw randomness) and nothing lands in
-  // the model's read counters — each guard's reads are recorded into its
-  // memo instead, to be replayed if the process is selected. Results are
-  // order-independent (the configuration is fixed for the whole refresh),
-  // and concurrent calls on disjoint id lists touch disjoint entries.
-  for (const ProcessId p : ids) {
-    probe_reads_[static_cast<std::size_t>(p)].clear();
-    probe_dirty_[static_cast<std::size_t>(p)] = 0;
-  }
-  BulkGuardContext ctx(graph_, config_, probe_reads_);
+  // the model's read counters — phase 1 re-runs and charges the guard of
+  // a selected process (invariant 4). Results are order-independent (the
+  // configuration is fixed for the whole refresh), and concurrent calls
+  // on disjoint id lists touch disjoint entries.
+  for (const ProcessId p : ids) probe_dirty_[static_cast<std::size_t>(p)] = 0;
+  BulkGuardContext ctx(graph_, config_);
   if (sweep_mode_ == SweepMode::kForceScalar) {
     protocol_.Protocol::sweep_enabled_ids(ctx, probe_action_, ids);
   } else {
@@ -191,7 +173,8 @@ Engine::RefreshDeltas Engine::refresh_ids(std::span<const ProcessId> ids) {
 
 void Engine::refresh_enabled() {
   if (dirty_queue_.empty()) return;
-  // New memos: the recorded idle-step charge (invariant 4) is stale.
+  // Guard inputs changed: the recorded idle-step charge (invariant 4) is
+  // stale.
   idle_charge_valid_ = false;
   const auto n = static_cast<std::size_t>(graph_.num_vertices());
   // Fanning out (invariant 7) wants the dirty set large enough to amortize
@@ -205,7 +188,7 @@ void Engine::refresh_enabled() {
                        dirty_queue_.size() * 4 >= n;
   const auto fold = [&](RefreshDeltas deltas) {
     enabled_.add_count(deltas.enabled);
-    covered_count_ += deltas.covered;
+    covered_.add_count(deltas.covered);
   };
   if (fan_out) {
     // Each worker refreshes the dirty ids inside its own range — ranges
@@ -230,7 +213,7 @@ std::pair<ProcessId, ProcessId> Engine::worker_range(int worker) const {
   const int n = graph_.num_vertices();
   const int threads = pool_->threads();
   // Rounding the chunk up to a multiple of 64 keeps every worker's range
-  // inside its own EnabledSet words (and its own covered_/probe_dirty_
+  // inside its own EnabledSet and covered_ words (and its own probe_dirty_
   // cache lines); trailing workers may get an empty range on small graphs.
   const int chunk = (((n + threads - 1) / threads) + 63) & ~63;
   const ProcessId begin = static_cast<ProcessId>(
@@ -250,18 +233,22 @@ bool Engine::use_bulk_execute() const {
 }
 
 void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
-                            ReadLogger& logger, Rng* rng) {
+                            WorkerReadTally* tally) {
+  Rng* rng = tally == nullptr ? &rng_ : nullptr;
   if (bulk) {
-    // The kernel reads the memo actions directly; the commit reads them
-    // from the staged slots. Probabilistic protocols draw from the model
-    // stream, and ascending selection order inside the kernel reproduces
-    // the scalar rng consumption bit for bit; everything else gets a null
-    // rng whose random_range asserts — the bulk counterpart of
+    // The kernel re-runs and checks each selected guard, charging the
+    // concrete counter or tally; the commit reads the actions from the
+    // staged slots. Probabilistic protocols draw from the model stream,
+    // and ascending selection order inside the kernel reproduces the
+    // scalar rng consumption bit for bit; everything else gets a null rng
+    // whose random_range asserts — the bulk counterpart of
     // execute_certified.
     for (std::size_t i = begin; i < end; ++i) {
       staged_[i].action = probe_action_.action(selection_[i]);
     }
-    BulkExecContext ctx(graph_, config_, probe_reads_, logger,
+    BulkExecContext ctx(graph_, config_,
+                        tally != nullptr ? ReadSink(*tally)
+                                         : ReadSink(read_counter_),
                         bulk_staged_rows_.data(),
                         static_cast<std::size_t>(config_.stride()),
                         protocol_.is_probabilistic() ? rng : nullptr);
@@ -271,24 +258,25 @@ void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
         begin, end);
     return;
   }
-  // The guard half is replayed from the memo (invariant 4): the refresh
-  // drained the dirty queue, so each memo holds exactly the action and
-  // read log a live first_enabled run would produce now. staged_ grows
-  // monotonically and its write buffers keep their capacity, so this loop
-  // allocates nothing in steady state. Without the model rng (pool
-  // workers) actions run through execute_certified, whose assert catches
-  // a protocol that declared is_probabilistic() == false and draws anyway
-  // instead of letting it silently diverge from the serial rng stream.
+  // The guard re-runs on the refresh's snapshot (invariant 4). staged_
+  // grows monotonically and its write buffers keep their capacity, so
+  // this loop allocates nothing in steady state. Without the model rng
+  // (pool workers) actions run through execute_certified, whose assert
+  // catches a protocol that declared is_probabilistic() == false and
+  // draws anyway instead of letting it silently diverge from the serial
+  // rng stream.
+  ReadLogger& logger = tally != nullptr          ? *tally
+                       : external_loggers_ == 0 ? static_cast<ReadLogger&>(
+                                                      read_counter_)
+                                                : logger_mux_;
   for (std::size_t i = begin; i < end; ++i) {
     const ProcessId p = selection_[i];
     ProcessStep& staged = staged_[i];
     staged.writes.clear();
     staged.comm_write_attempted = false;
-    for (const auto& [subject, var] :
-         probe_reads_[static_cast<std::size_t>(p)]) {
-      logger.on_read(p, subject, var);
-    }
-    staged.action = probe_action_.action(p);
+    GuardContext guard(graph_, config_, p, &logger);
+    staged.action = protocol_.first_enabled(guard);
+    probe_action_.expect_rerun(p, staged.action);
     if (staged.action == Protocol::kDisabled) continue;
     if (rng == nullptr) {
       execute_certified(p, staged.action, &logger, staged.writes,
@@ -390,8 +378,7 @@ void Engine::set_exclude_frozen(bool on) {
   exclude_frozen_ = on;
   if (on) {
     // Classification is refreshed through the probe dirty queue, so force
-    // a full pass: clean probes would otherwise keep stale frozen bits.
-    std::fill(frozen_.begin(), frozen_.end(), 0);
+    // a full pass: clean probes would otherwise keep stale active bits.
     active_.reset(graph_.num_vertices());
     for (ProcessId p = 0; p < graph_.num_vertices(); ++p) {
       mark_probe_dirty(p);
@@ -403,7 +390,7 @@ bool Engine::is_frozen(ProcessId p) {
   SSS_REQUIRE(p >= 0 && p < graph_.num_vertices(), "process id out of range");
   if (!exclude_frozen_) return false;
   refresh_enabled();
-  return frozen_[static_cast<std::size_t>(p)] != 0;
+  return enabled_.test(p) && !active_.test(p);
 }
 
 bool Engine::is_enabled(ProcessId p) {
@@ -469,21 +456,13 @@ std::uint64_t Engine::rounds_inclusive() const {
 
 void Engine::reset_round() {
   // Re-establish the between-steps invariant for the fresh round: the
-  // processes disabled right now are "disabled at some moment during the
-  // round" from its very first step (their enabledness cannot change
-  // before the next step's refresh, which is exactly the pre-step view the
-  // full-scan engine used). One O(n) walk per completed round replaces the
-  // per-step walk.
+  // processes disabled right now (and, under frozen exclusion, the frozen
+  // ones) are covered from its very first step — their enabledness cannot
+  // change before the next step's refresh, which is exactly the pre-step
+  // view the full-scan engine used. That set is the complement of the
+  // set the daemon samples from, one word at a time.
   refresh_enabled();
-  std::fill(covered_.begin(), covered_.end(), 0);
-  covered_count_ = 0;
-  for (ProcessId p = 0; p < graph_.num_vertices(); ++p) {
-    if (!enabled_.test(p) ||
-        (exclude_frozen_ && frozen_[static_cast<std::size_t>(p)])) {
-      covered_[static_cast<std::size_t>(p)] = 1;
-      ++covered_count_;
-    }
-  }
+  covered_.assign_complement(exclude_frozen_ ? active_ : enabled_);
   steps_at_round_start_ = steps_;
 }
 
@@ -517,11 +496,7 @@ void Engine::execute_selection(StepInfo& info) {
   // reads straight into read_counter_ when nothing else listens.
   if (pool_ == nullptr || selected < 2 || protocol_.is_probabilistic() ||
       external_loggers_ != 0) {
-    evaluate_slice(0, selected, bulk,
-                   external_loggers_ == 0
-                       ? static_cast<ReadLogger&>(read_counter_)
-                       : static_cast<ReadLogger&>(logger_mux_),
-                   &rng_);
+    evaluate_slice(0, selected, bulk, /*tally=*/nullptr);
     commit_slice(0, selected, bulk, mark_fired);
   } else {
     const auto threads = static_cast<std::size_t>(pool_->threads());
@@ -533,14 +508,14 @@ void Engine::execute_selection(StepInfo& info) {
           begin, std::min(selected, begin + chunk)};
     };
     // Contiguous selection slices, all against the shared snapshot; each
-    // worker touches only its slice's staged slots, action bytes, and
-    // (distinct, ascending) memo entries. The barrier keeps any commit
-    // from being visible to a still-evaluating worker.
+    // worker writes only its slice's staged slots and its own tally. The
+    // barrier keeps any commit from being visible to a still-evaluating
+    // worker.
     pool_->run([&](int w) {
       const auto [begin, end] = slice(w);
       WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
       ws.tally.begin_step();
-      evaluate_slice(begin, end, bulk, ws.tally, /*rng=*/nullptr);
+      evaluate_slice(begin, end, bulk, &ws.tally);
     });
     // A process's writes touch only its own configuration row, and the
     // slices partition the (strictly ascending, distinct) selection, so
@@ -592,11 +567,11 @@ Engine::StepInfo Engine::step() {
   info.selected = static_cast<int>(selected);
 
   // Idle charge (invariant 4): a whole-network selection with nothing
-  // enabled fires nobody, and until the next refresh its memo replay
-  // charges exactly what the last such replay charged, so the replay runs
-  // once and every repetition adds the recorded delta. The repeated step
-  // already set the maxima. An external logger must see every read, so it
-  // pins the replay.
+  // enabled fires nobody, and until the next refresh its n guard re-runs
+  // charge exactly what the last such step charged, so they run once and
+  // every repetition adds the recorded delta. The repeated step already
+  // set the maxima. An external logger must see every read, so it pins
+  // the re-runs.
   const bool idle =
       selected == static_cast<std::size_t>(graph_.num_vertices()) &&
       enabled_.count() == 0;
@@ -620,8 +595,8 @@ Engine::StepInfo Engine::step() {
   // Round accounting: selected processes are covered; every process
   // disabled in the pre-step configuration is already covered by the
   // refresh/reset invariant (see file comment in engine.hpp).
-  for (std::size_t i = 0; i < selected; ++i) cover(selection_[i]);
-  if (covered_count_ == graph_.num_vertices()) {
+  for (const ProcessId p : selection_) covered_.assign(p, true);
+  if (covered_.count() == graph_.num_vertices()) {
     ++rounds_completed_;
     reset_round();
   }

@@ -36,12 +36,15 @@
 ///     perturbed guards — and the same set feeds the daemon directly, so
 ///     selection cost tracks the answer instead of rescanning n entries.
 ///
-///  2. Incremental round accounting. Invariant between steps: every
-///     process whose cached enabledness is 0 is covered ("disabled at some
-///     moment during the round" can only begin at a refresh that observes
-///     it disabled, or at a round boundary). So the per-step work is
-///     covering the selection; the O(n) "cover everything disabled" rescan
-///     runs once per completed round (`reset_round`), not once per step.
+///  2. Incremental round accounting. `covered_` is a word-packed
+///     `EnabledSet` with an exact count. Invariant between steps: every
+///     process whose cached enabledness is 0 is covered, and so is every
+///     frozen one under frozen exclusion ("disabled at some moment during
+///     the round" can only begin at a refresh that observes it disabled,
+///     or at a round boundary). So the per-step work is covering the
+///     selection; a completed round restarts covering (`reset_round`) as
+///     the word complement of the set the daemon samples from — `active_`
+///     under frozen exclusion, `enabled_` otherwise — in O(n/64).
 ///
 ///  3. Solo-quiescence cache. `solo_active_[p]` caches "would p, run solo
 ///     against the frozen communication state, attempt a communication
@@ -62,41 +65,32 @@
 ///     of at every checkpoint. The churn window keeps the full check
 ///     (runtime/churn.hpp says why).
 ///
-///  4. Guard memo. A refresh must evaluate the guard anyway, so it
-///     records the outcome: the chosen action and the exact sequence of
-///     neighbor reads the guard logged (`probe_action_`, `probe_reads_`).
-///     The dirty invariant that keeps the enabledness bit current keeps
-///     the memo current too — a clean process's guard inputs are
-///     unchanged, so a live re-run would log the same reads and return
-///     the same action. Phase 1 of `step()` therefore *replays* the memo
-///     into the read counters and goes straight to `execute` for enabled
-///     processes, instead of re-evaluating every selected guard; metrics
-///     stay bit-identical because the replayed on_read sequence is the
-///     one a live evaluation would emit. Replay and action reads of one
-///     process form one contiguous run, which is the contract the O(1)
-///     StepReadCounter and the parallel path's WorkerReadTally dedup on
-///     (runtime/metrics.hpp). `probe_action_` is an EnabledBitmap, so the
-///     refresh writes actions into it directly and the bulk execute reads
-///     them from it.
-///     Idle charge: a step that selects the whole network while nothing
-///     is enabled (the synchronous daemon after silence) fires nobody, so
-///     its only effect is the replay of all n memos, and until the next
-///     refresh every such step replays the same memos. The first one
-///     after a refresh replays them and records the (reads, bits) it
-///     charged; each repetition adds that delta through
-///     `StepReadCounter::absorb` in O(1) (`idle_charges` counts them).
-///     The maxima need nothing, since
-///     the identical step already set them. On that path, as on the pooled
-///     path, the engine's own counter does not maintain `step_reads_of`.
-///     An attached external logger pins the replay, and an attached trace
-///     still records every step.
+///  4. Guard re-run. A refresh records only the chosen action
+///     (`probe_action_`); its reads are probe reads, charged to nobody.
+///     Phase 1 of `step()` re-runs the guard of every selected process,
+///     enabled or not, on the gamma_i snapshot the refresh saw, charging
+///     its reads where they happen, then runs the action. The dirty
+///     invariant guarantees the re-run chooses the refreshed action;
+///     `EnabledBitmap::expect_rerun` asserts it, so a dirty-tracking bug
+///     fails loudly. A process's guard and action reads form one
+///     contiguous run, the contract StepReadCounter and WorkerReadTally
+///     dedup on (runtime/metrics.hpp).
+///     Idle charge: a whole-network selection with nothing enabled (the
+///     synchronous daemon after silence) fires nobody, so it only charges
+///     n guard re-runs, the same reads at every such step until the next
+///     refresh. The first one records the (reads, bits) it charged; each
+///     repetition adds them through `StepReadCounter::absorb` in O(1)
+///     (`idle_charges` counts them). The maxima need nothing. On that
+///     path, as on the pooled path, the engine's own counter does not
+///     maintain `step_reads_of`. An attached external logger pins the
+///     re-runs, and an attached trace still records every step.
 ///
 ///  5. One refresh hook. `refresh_enabled` hands the dirty ids — the
 ///     whole dirty queue, or each pool worker's share of it (invariant 7)
 ///     — to one `Protocol::sweep_enabled_ids` call and records every
 ///     outcome through the same `record_probe` (EnabledSet, covering,
 ///     frozen classification). Only dirty guards are evaluated; clean
-///     memos stay as they are. RuleProtocol supplies the hook from the
+///     entries stay as they are. RuleProtocol supplies the hook from the
 ///     protocol's one guard, run on slab-row contexts (runtime/rule.hpp,
 ///     runtime/bulk.hpp), so no per-process virtual probe runs under any
 ///     daemon: a central daemon's handful of dirty ids and a synchronous
@@ -112,21 +106,24 @@
 ///     arena and updates `active_`'s count in place.
 ///
 ///  6. One phase pair. A step's execution is `evaluate_slice` (phase 1:
-///     memo replay + staged actions against the gamma_i snapshot) then
+///     guard re-runs + staged actions against the gamma_i snapshot) then
 ///     `commit_slice` (phase 2: rows committed, each fired process handed
 ///     to the dirty-queue/covering/solo-cache treatment), over selection
 ///     index slices. When the protocol has a bulk execute
 ///     (Protocol::has_bulk_execute; RuleProtocol supplies it from the
 ///     protocol's one act), every slice, whatever the selection size, is
-///     one `execute_selected` pass over the CSR slabs: the kernel replays
-///     each selected guard memo into the read counters and stages each
-///     fired process's post-state as a full configuration row, and the
+///     one `execute_selected` pass over the CSR slabs: the kernel re-runs
+///     each selected guard and runs each fired process's act on slab
+///     contexts, charging their reads to the step counter or the worker's
+///     tally through a `ReadSink` (no virtual call per read), and stages
+///     each fired process's post-state as a full configuration row; the
 ///     commit compares the staged comm prefix against the live row
 ///     (equivalent to the pending-write flag because unwritten slots keep
 ///     their snapshot values). The per-process path (one ActionContext
 ///     and virtual `execute` per fired process) remains for protocols
 ///     without a kernel (the same ROTATING-CHECK, nested generic-efficiency
-///     and test mocks as invariant 5),
+///     and test mocks as invariant 5; one GuardContext and ActionContext
+///     per selected process),
 ///     SweepMode::kForceScalar, frozen-process exclusion (phase 1
 ///     consults the frozen classification per process) and attached
 ///     external read loggers (the mux is order-sensitive); probabilistic
@@ -140,9 +137,8 @@
 ///     kernels of invariants 5 and 6 fan out over StepPool workers. The
 ///     refresh partitions the network into contiguous 64-aligned process
 ///     ranges; each worker refreshes the dirty ids of its own range, so
-///     it owns disjoint EnabledSet words, probe memo slots, and
-///     covered_/probe_dirty_ bytes, and defers its count deltas to a
-///     serial fold; the phase pair partitions the selection into
+///     it owns disjoint enabled_ and covered_ words, action slots and
+///     probe_dirty_ bytes, and defers its count deltas to a serial fold; the phase pair partitions the selection into
 ///     contiguous slices, each worker reading into its own tally, with a
 ///     barrier between the phases. Everything order-sensitive — daemon
 ///     selection (it consumes rng_), EnabledSet count deltas, dirty-queue
@@ -291,7 +287,7 @@ class Engine {
   /// *locally* — the victims and their neighborhoods are re-dirtied in the
   /// enabledness and solo-quiescence queues (the corruption touched only
   /// their guard inputs, by the locality fact in the file comment), the
-  /// guard memos of that set are rebuilt on the next refresh, and round
+  /// guards of that set are re-evaluated on the next refresh, and round
   /// covering restarts exactly as `set_config` restarts it. Unlike
   /// `set_config` this is O(victims * Delta), not O(n), so a churn driver
   /// can inject thousands of disruptions without full invalidation sweeps.
@@ -388,8 +384,8 @@ class Engine {
   /// tests and profiling; no result depends on it.
   std::uint64_t solo_probes() const { return solo_probes_; }
 
-  /// Idle steps charged in O(1) instead of replayed (invariant 4). A plain
-  /// count for tests and profiling; no result depends on it.
+  /// Idle steps charged in O(1) instead of re-running n guards (invariant
+  /// 4). A plain count for tests and profiling; no result depends on it.
   std::uint64_t idle_charges() const { return idle_charges_; }
 
   /// Attach an extra read observer (e.g. StabilityTracker). Not owned.
@@ -414,8 +410,8 @@ class Engine {
   /// or each pool worker's share (invariant 7), then folds the deferred
   /// count deltas.
   void refresh_enabled();
-  /// A refresh's EnabledSet count and covered_count_ deltas, folded
-  /// serially after the workers.
+  /// A refresh's enabled_ and covered_ count deltas, folded serially after
+  /// the workers.
   struct RefreshDeltas {
     int enabled = 0;
     int covered = 0;
@@ -426,11 +422,11 @@ class Engine {
   RefreshDeltas refresh_ids(std::span<const ProcessId> ids);
   /// Commits one guard outcome into the EnabledSet, frozen
   /// classification, and covering, deferring count deltas into `deltas`.
-  /// The refresh has already written the action into the memo.
+  /// The refresh has already written the action into `probe_action_`.
   void record_probe(ProcessId p, int action, RefreshDeltas& deltas);
-  /// Updates p's frozen_/active_ entries for its new first enabled
-  /// `action` and returns whether p is frozen. Exclusion on only.
-  bool classify_frozen(ProcessId p, int action);
+  /// Updates p's active_ entry for its new first enabled `action` and
+  /// returns it: enabled and not frozen. Exclusion on only.
+  bool classify_active(ProcessId p, int action);
   /// Invariant-6 dispatch: does this step's execution run the protocol's
   /// bulk kernel? Both paths are bit-identical.
   bool use_bulk_execute() const;
@@ -438,13 +434,14 @@ class Engine {
   /// or the pool's slices plus the ascending merge. Counts fired processes
   /// and comm changes into `info`.
   void execute_selection(StepInfo& info);
-  /// Phase 1 for selection indices [begin, end): memo replay into
-  /// `logger` plus staged actions — per process, or one execute_selected
-  /// call when `bulk`. `rng` is the model stream on the serial slice and
-  /// null on pool workers, whose scalar actions then run through
-  /// execute_certified.
+  /// Phase 1 for selection indices [begin, end): guard re-runs plus
+  /// staged actions — per process, or one execute_selected call when
+  /// `bulk`. The serial slice passes a null `tally`: reads go to the step
+  /// counter (or, with an external logger attached, the mux) and actions
+  /// draw from the model stream. A pool worker passes its tally and gets
+  /// no model rng, so its scalar actions run through execute_certified.
   void evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
-                      ReadLogger& logger, Rng* rng);
+                      WorkerReadTally* tally);
   /// Phase 2 for selection indices [begin, end): commits each fired
   /// process's writes (or staged row when `bulk`) and calls
   /// on_commit(p, comm_changed) in ascending order.
@@ -466,11 +463,10 @@ class Engine {
   /// Worker w's process range [begin, end): contiguous, 64-aligned, so
   /// partitioned writers never share an EnabledSet word.
   std::pair<ProcessId, ProcessId> worker_range(int worker) const;
-  /// Would firing `action` (p's memoized first enabled action) provably
+  /// Would firing `action` (p's refreshed first enabled action) provably
   /// leave the configuration unchanged? See set_exclude_frozen.
   bool verified_self_loop(ProcessId p, int action);
   void note_comm_changed(ProcessId p);
-  void cover(ProcessId p);
   void reset_round();
 
   const Graph& graph_;
@@ -494,23 +490,19 @@ class Engine {
 
   // Frozen-process exclusion (see set_exclude_frozen). `active_` is
   // enabled minus frozen, maintained alongside `enabled_` by the same
-  // dirty-queue refresh; both vectors are only consulted while
-  // `exclude_frozen_` is on, so the default path pays nothing.
+  // dirty-queue refresh, so the frozen set is `enabled_` minus `active_`;
+  // it is only consulted while `exclude_frozen_` is on, so the default
+  // path pays nothing.
   bool exclude_frozen_ = false;
   EnabledSet active_;
-  std::vector<std::uint8_t> frozen_;
   std::vector<PendingWrite> frozen_scratch_;
 
-  // Guard memo (invariant 4): per-process action chosen by the last
-  // refresh and the neighbor reads its guard evaluation logged, replayed
-  // verbatim when the process is selected while clean. Both are sized to
-  // n once in the constructor.
+  // Per-process action chosen by the last refresh, checked against the
+  // phase-1 guard re-run (invariant 4). Sized to n once in the constructor.
   EnabledBitmap probe_action_;
-  std::vector<BulkGuardContext::ReadLog> probe_reads_;
 
   // Round accounting (invariant 2).
-  std::vector<std::uint8_t> covered_;
-  int covered_count_ = 0;
+  EnabledSet covered_;
   std::uint64_t rounds_completed_ = 0;
   std::uint64_t steps_at_round_start_ = 0;
 

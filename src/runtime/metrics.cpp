@@ -55,28 +55,6 @@ void StepReadCounter::start_run(ProcessId reader) {
   run_bits_ = 0;
 }
 
-void StepReadCounter::on_read(ProcessId reader, ProcessId subject,
-                              int comm_var) {
-  if (reader != reader_) start_run(reader);
-  SubjectStamp& seen = subjects_[static_cast<std::size_t>(subject)];
-  const std::uint64_t var = std::uint64_t{1} << comm_var;
-  if (seen.run != run_) {
-    seen.run = run_;
-    seen.vars = var;
-    ++total_reads_;
-    max_reads_ = std::max(
-        max_reads_, ++readers_[static_cast<std::size_t>(reader)].reads);
-  } else if ((seen.vars & var) != 0) {
-    return;  // the same variable re-read within one atomic step is free
-  } else {
-    seen.vars |= var;
-  }
-  const int bits = bits_of(subject, comm_var);
-  run_bits_ += bits;
-  total_bits_ += static_cast<std::uint64_t>(bits);
-  max_bits_ = std::max(max_bits_, run_bits_);
-}
-
 void StepReadCounter::absorb(std::uint64_t reads, std::uint64_t bits,
                              int max_reads, int max_bits) {
   total_reads_ += reads;
@@ -95,35 +73,14 @@ void WorkerReadTally::begin_step() {
   max_bits_ = 0;
 }
 
-void WorkerReadTally::on_read(ProcessId reader, ProcessId subject,
-                              int comm_var) {
-  if (reader != current_reader_) {
-    // A worker's slice of the selection is strictly ascending and a
-    // reader's reads are contiguous, so a reader change means the previous
-    // one is finished for this step and its scratch can be recycled.
-    SSS_ASSERT(reader > current_reader_,
-               "a worker's readers must arrive in ascending order");
-    current_reader_ = reader;
-    subjects_.clear();
-    bits_ = 0;
-  }
-  const std::uint64_t var = std::uint64_t{1} << comm_var;
-  const auto seen = std::find_if(
-      subjects_.begin(), subjects_.end(),
-      [subject](const auto& entry) { return entry.first == subject; });
-  if (seen == subjects_.end()) {
-    subjects_.emplace_back(subject, var);
-    ++total_reads_;
-    max_reads_ = std::max(max_reads_, static_cast<int>(subjects_.size()));
-  } else if ((seen->second & var) != 0) {
-    return;  // the same variable re-read within one atomic step is free
+void ReadSink::charge_out_of_line(ProcessId reader, ProcessId subject,
+                                  int comm_var) const {
+  if (kind_ == Kind::kTally) {
+    static_cast<WorkerReadTally*>(target_)->on_read(reader, subject,
+                                                    comm_var);
   } else {
-    seen->second |= var;
+    target_->on_read(reader, subject, comm_var);
   }
-  const int bits = source_.bits_of(subject, comm_var);
-  bits_ += bits;
-  total_bits_ += static_cast<std::uint64_t>(bits);
-  max_bits_ = std::max(max_bits_, bits_);
 }
 
 StabilityTracker::StabilityTracker(const Graph& g)

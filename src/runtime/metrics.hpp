@@ -12,6 +12,7 @@
 /// the suffix starts (e.g. when the configuration becomes silent) and read
 /// off ♦-(x,k)-stability: x = count_at_most(k).
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "graph/graph.hpp"
 #include "runtime/context.hpp"
 #include "runtime/spec.hpp"
+#include "support/require.hpp"
 
 namespace sss {
 
@@ -39,12 +41,13 @@ class ReadLoggerMux final : public ReadLogger {
 /// at O(1) per read.
 ///
 /// Contiguity contract: within one step, all of a reader's reads arrive
-/// as one uninterrupted run. The engine's serial slice, the bulk-execute
-/// kernels (runtime/bulk.hpp) and `ReferenceEngine::evaluate_process` all
-/// replay a selected process's guard memo and then its action reads before
-/// moving to the next process, so a step is a sequence of runs, one per
-/// reader. A reader that starts a second run in the same step breaks the
-/// contract and trips an SSS_ASSERT.
+/// as one uninterrupted run. The engine's per-process slice, the
+/// bulk-execute kernels (runtime/bulk.hpp) and `evaluate_process` (the
+/// ReferenceEngine's phase 1) all run a selected process's guard and then
+/// its action, logging both halves' reads as they happen, before moving
+/// to the next process, so a step is a sequence of runs, one per reader.
+/// A reader that starts a second run in the same step breaks the contract
+/// and trips an SSS_ASSERT.
 ///
 /// The deduplication rests on that contract and on stamps, so no per-step
 /// state is ever cleared:
@@ -67,7 +70,28 @@ class StepReadCounter final : public ReadLogger {
     ++step_;
     reader_ = kNoReader;
   }
-  void on_read(ProcessId reader, ProcessId subject, int comm_var) override;
+  /// The per-read charge, inline: a caller holding the concrete counter
+  /// (the engine's serial slice, through ReadSink) pays no virtual call.
+  void on_read(ProcessId reader, ProcessId subject, int comm_var) override {
+    if (reader != reader_) start_run(reader);
+    SubjectStamp& seen = subjects_[static_cast<std::size_t>(subject)];
+    const std::uint64_t var = std::uint64_t{1} << comm_var;
+    if (seen.run != run_) {
+      seen.run = run_;
+      seen.vars = var;
+      ++total_reads_;
+      max_reads_ = std::max(
+          max_reads_, ++readers_[static_cast<std::size_t>(reader)].reads);
+    } else if ((seen.vars & var) != 0) {
+      return;  // the same variable re-read within one atomic step is free
+    } else {
+      seen.vars |= var;
+    }
+    const int bits = bits_of(subject, comm_var);
+    run_bits_ += bits;
+    total_bits_ += static_cast<std::uint64_t>(bits);
+    max_bits_ = std::max(max_bits_, run_bits_);
+  }
 
   /// Distinct neighbors read by `reader` in the current step (0 for a
   /// reader with no reads this step).
@@ -147,7 +171,38 @@ class WorkerReadTally final : public ReadLogger {
   /// Clears the step accumulators; call once per step before the slice.
   void begin_step();
 
-  void on_read(ProcessId reader, ProcessId subject, int comm_var) override;
+  /// The per-read charge, inline like StepReadCounter's: a pool worker
+  /// charges its own tally through ReadSink with no virtual call.
+  void on_read(ProcessId reader, ProcessId subject, int comm_var) override {
+    if (reader != current_reader_) {
+      // A worker's slice of the selection is strictly ascending and a
+      // reader's reads are contiguous, so a reader change means the
+      // previous one is finished for this step and its scratch can be
+      // recycled.
+      SSS_ASSERT(reader > current_reader_,
+                 "a worker's readers must arrive in ascending order");
+      current_reader_ = reader;
+      subjects_.clear();
+      bits_ = 0;
+    }
+    const std::uint64_t var = std::uint64_t{1} << comm_var;
+    const auto seen = std::find_if(
+        subjects_.begin(), subjects_.end(),
+        [subject](const auto& entry) { return entry.first == subject; });
+    if (seen == subjects_.end()) {
+      subjects_.emplace_back(subject, var);
+      ++total_reads_;
+      max_reads_ = std::max(max_reads_, static_cast<int>(subjects_.size()));
+    } else if ((seen->second & var) != 0) {
+      return;  // the same variable re-read within one atomic step is free
+    } else {
+      seen->second |= var;
+    }
+    const int bits = source_.bits_of(subject, comm_var);
+    bits_ += bits;
+    total_bits_ += static_cast<std::uint64_t>(bits);
+    max_bits_ = std::max(max_bits_, bits_);
+  }
 
   std::uint64_t total_reads() const { return total_reads_; }
   std::uint64_t total_bits() const { return total_bits_; }
@@ -166,6 +221,39 @@ class WorkerReadTally final : public ReadLogger {
   std::uint64_t total_bits_ = 0;
   int max_reads_ = 0;
   int max_bits_ = 0;
+};
+
+/// Where a bulk-execute kernel (runtime/bulk.hpp) charges its reads: the
+/// engine's step counter on the serial slice (its charge inlined at each
+/// read site behind one tagged branch) or a pool worker's tally (a direct
+/// out-of-line call, keeping read sites small). Suites and benches may
+/// pass any other ReadLogger, called virtually; the engine never does,
+/// since an external logger pins its per-process path.
+class ReadSink {
+ public:
+  ReadSink(StepReadCounter& counter)
+      : kind_(Kind::kCounter), target_(&counter) {}
+  ReadSink(WorkerReadTally& tally) : kind_(Kind::kTally), target_(&tally) {}
+  ReadSink(ReadLogger& logger) : kind_(Kind::kLogger), target_(&logger) {}
+
+  void charge(ProcessId reader, ProcessId subject, int comm_var) const {
+    if (kind_ == Kind::kCounter) {
+      static_cast<StepReadCounter*>(target_)->on_read(reader, subject,
+                                                      comm_var);
+    } else {
+      charge_out_of_line(reader, subject, comm_var);
+    }
+  }
+
+ private:
+  enum class Kind : std::uint8_t { kCounter, kTally, kLogger };
+
+  [[gnu::noinline]] void charge_out_of_line(ProcessId reader,
+                                            ProcessId subject,
+                                            int comm_var) const;
+
+  Kind kind_;
+  ReadLogger* target_;
 };
 
 /// Accumulates distinct-neighbor read sets per process since last reset.

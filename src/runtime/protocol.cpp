@@ -5,32 +5,16 @@
 namespace sss {
 
 // EnabledBitmap stores actions as int8; its disabled sentinel must be the
-// value every scalar-path consumer of the memo compares against.
+// value every scalar-path consumer of the refreshed actions compares
+// against.
 static_assert(EnabledBitmap::kDisabled == Protocol::kDisabled);
 
 void Protocol::install_constants(const Graph&, Configuration&) const {}
 
-namespace {
-
-/// Appends a scalar probe's reads to the reader's BulkGuardContext log.
-class GuardLogRecorder final : public ReadLogger {
- public:
-  explicit GuardLogRecorder(BulkGuardContext& ctx) : ctx_(ctx) {}
-  void on_read(ProcessId reader, ProcessId subject, int comm_var) override {
-    ctx_.log(reader, subject, comm_var);
-  }
-
- private:
-  BulkGuardContext& ctx_;
-};
-
-}  // namespace
-
 void Protocol::sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
                                  std::span<const ProcessId> ids) const {
-  GuardLogRecorder recorder(ctx);
   for (const ProcessId p : ids) {
-    GuardContext guard(ctx.graph(), ctx.config(), p, &recorder);
+    GuardContext guard(ctx.graph(), ctx.config(), p, /*logger=*/nullptr);
     out.set_action(p, first_enabled(guard));
   }
 }

@@ -50,12 +50,11 @@ class Protocol {
 
   /// Guard refresh of the listed processes (see runtime/bulk.hpp): for
   /// each id in `ids` (distinct, any order), writes its first enabled
-  /// action (kDisabled included) into `out` and appends its guard's
-  /// neighbor reads to its `ctx` log, in the order `first_enabled` would
-  /// issue them. The caller clears the listed logs first; entries of
-  /// unlisted ids are left alone, so disjoint id lists may run
-  /// concurrently. This is the engine's one refresh hook: it passes the
-  /// dirty ids, either all of them or each pool worker's share.
+  /// action (kDisabled included) into `out`. Entries of unlisted ids are
+  /// left alone, so disjoint id lists may run concurrently. Refresh reads
+  /// are probe reads and are charged to nobody. This is the engine's one
+  /// refresh hook: it passes the dirty ids, either all of them or each
+  /// pool worker's share.
   ///
   /// The default runs the scalar `first_enabled` probe per id and is the
   /// reference every override must equal; SweepMode::kForceScalar calls
@@ -71,19 +70,22 @@ class Protocol {
   virtual bool has_bulk_sweep() const { return false; }
 
   /// Bulk action execution (see runtime/bulk.hpp): true when the protocol
-  /// provides `execute_selected`, letting the engine run phase-1 memo
-  /// replay plus action execution for a whole selection in one slab pass
-  /// instead of one ActionContext + virtual `execute` per selected
-  /// process. Independent of has_bulk_sweep; RuleProtocol supplies both.
+  /// provides `execute_selected`, letting the engine run phase 1 — guard
+  /// re-run plus action execution — for a whole selection in one slab
+  /// pass instead of a GuardContext, an ActionContext and two virtual
+  /// calls per selected process. Independent of has_bulk_sweep;
+  /// RuleProtocol supplies both.
   virtual bool has_bulk_execute() const { return false; }
 
   /// Executes selection indices [begin, end) of `selection` (strictly
-  /// ascending process ids): for each index i with process p, replay p's
-  /// guard memo through `ctx`, and — when `enabled.action(p)` is not
-  /// kDisabled — stage p's post-state row via `ctx.stage(i, p)`, applying
-  /// exactly the writes and logging exactly the neighbor reads (order
-  /// included) the scalar `execute` would produce for that action against
-  /// the same snapshot. [begin, end) is the partition primitive of the
+  /// ascending process ids): for each index i with process p, re-run p's
+  /// guard against `ctx.config()`, logging its neighbor reads through
+  /// `ctx` as `first_enabled` would issue them, and check the result with
+  /// `enabled.expect_rerun(p, action)`; when the action is not kDisabled,
+  /// stage p's post-state row via `ctx.stage(i, p)`, applying exactly the
+  /// writes and logging exactly the neighbor reads (order included) the
+  /// scalar `execute` would produce for that action against the same
+  /// snapshot. [begin, end) is the partition primitive of the
   /// engine's parallel composition; the serial path passes the whole
   /// selection. RuleProtocol implements it by running the protocol's act
   /// on a slab-row action context per fired process. Only called when

@@ -12,24 +12,26 @@
 /// `self_comm(var)`, `self_internal(var)`, `nbr_comm(channel, var)` (a
 /// logged neighbor read) and `self_index_at(channel)`; actions may also
 /// use `set_comm(var, v)`, `set_internal(var, v)` and `random_range(lo,
-/// hi)`. `RuleProtocol<P>` instantiates that rule four times:
+/// hi)`. `RuleProtocol<P>` instantiates that rule five times:
 ///
 ///  * on the scalar `GuardContext` / `ActionContext` for
 ///    `first_enabled` / `execute` (what `ReferenceEngine`, the model
 ///    checker and a per-process GenericEfficiency<Protocol> wrapper see);
 ///  * on `SlabGuardContext` for `sweep_enabled_ids`, the engine's guard
 ///    refresh of the dirty ids, reading the CSR slabs and flat
-///    configuration rows directly and logging into the engine's guard
-///    memo through `BulkGuardContext`;
-///  * on `SlabActionContext` for `execute_selected`, reading the snapshot,
-///    writing into the row `BulkExecContext::stage` hands out, logging
-///    through the step's read sink and drawing through its rng.
+///    configuration rows directly and logging nothing (`BulkGuardContext`
+///    discards probe reads);
+///  * on `SlabReadContext<BulkExecContext>` and `SlabActionContext` for
+///    `execute_selected`: the guard re-run of each selected process and
+///    its action, reading the snapshot, logging through the step's read
+///    sink, the action writing into the row `BulkExecContext::stage`
+///    hands out and drawing through the context's rng.
 ///
-/// Because the same rule code runs on every path, a slab refresh issues the
+/// Because the same rule code runs on every path, a slab guard issues the
 /// scalar guard's reads in the scalar order (short-circuits included) and
-/// a slab action writes exactly the scalar action's slots: read-log and
+/// a slab action writes exactly the scalar action's slots: read-stream and
 /// trajectory agreement between the paths hold by construction, and the
-/// lockstep suites test the two slab contexts and the engine paths rather
+/// lockstep suites test the slab contexts and the engine paths rather
 /// than per-protocol transcriptions.
 ///
 /// A composition reuses the rule rather than copying it. GENERIC-EFFICIENCY
@@ -94,9 +96,9 @@ struct SlabView {
 };
 
 /// Process `self`'s read view over the slabs: the guard half of the
-/// context concept. Neighbor reads are logged into `Sink::log`, which is
-/// the guard memo (BulkGuardContext) or the step's read sink
-/// (BulkExecContext).
+/// context concept. Neighbor reads are logged into `Sink::log`, which
+/// discards them on a refresh (BulkGuardContext) and charges the step's
+/// read sink in phase 1 (BulkExecContext).
 template <class Sink>
 class SlabReadContext {
  public:
@@ -258,9 +260,11 @@ void RuleProtocol<P>::execute_selected(BulkExecContext& ctx,
   const SlabView view(ctx.graph(), ctx.config());
   for (std::size_t i = begin; i < end; ++i) {
     const ProcessId p = selection[i];
-    // The scalar phase 1 replays every selected guard, enabled or not.
-    ctx.replay_guard_reads(p);
-    const int action = enabled.action(p);
+    // Every selected guard runs, enabled or not, and is charged here: the
+    // refresh that chose the action logged nothing.
+    SlabReadContext<BulkExecContext> guard(view, ctx, p);
+    const int action = rule().guard(guard);
+    enabled.expect_rerun(p, action);
     if (action == kDisabled) continue;
     SlabActionContext row(view, ctx, p, ctx.stage(i, p));
     rule().act(action, row);

@@ -9,6 +9,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/reference_engine.hpp"
+#include "support/require.hpp"
 
 namespace sss::testing {
 
@@ -127,53 +128,60 @@ HarnessReport run_protocol_property_suite(const ProtocolSelection& selection,
               std::move(detail)});
         };
 
-        // Convergence: random start -> certified-silent configuration.
-        Engine engine(g, *protocol, make_daemon(daemon_name), seed);
-        engine.set_sweep_mode(options.sweep_mode);
-        engine.set_parallel_threads(options.parallel_threads);
-        engine.randomize_state();
-        RunOptions run;
-        run.max_steps = options.max_steps;
-        run.stop_on_silence = true;
-        const RunStats stats = engine.run(run);
-        if (!stats.silent) {
-          violate("convergence",
-                  "no certified-silent configuration within " +
-                      std::to_string(options.max_steps) + " steps");
-        } else {
-          // Legitimacy: silent => the paired predicate holds.
-          if (!problem->holds(g, engine.config())) {
-            violate("legitimacy",
-                    "silent configuration violates " + info.problem);
+        try {
+          // Convergence: random start -> certified-silent configuration.
+          Engine engine(g, *protocol, make_daemon(daemon_name), seed);
+          engine.set_sweep_mode(options.sweep_mode);
+          engine.set_parallel_threads(options.parallel_threads);
+          engine.randomize_state();
+          RunOptions run;
+          run.max_steps = options.max_steps;
+          run.stop_on_silence = true;
+          const RunStats stats = engine.run(run);
+          if (!stats.silent) {
+            violate("convergence",
+                    "no certified-silent configuration within " +
+                        std::to_string(options.max_steps) + " steps");
           } else {
-            // Closure + silence: the post-silence window never writes a
-            // communication variable and never falsifies the predicate.
-            const Configuration silent_config = engine.config();
-            bool comm_stable = true;
-            for (int extra = 0; extra < options.closure_steps; ++extra) {
-              engine.step();
-              if (!engine.config().same_comm(silent_config)) {
-                violate("silence",
-                        "communication variable changed " +
-                            std::to_string(extra + 1) +
-                            " step(s) after certified silence");
-                comm_stable = false;
-                break;
+            // Legitimacy: silent => the paired predicate holds.
+            if (!problem->holds(g, engine.config())) {
+              violate("legitimacy",
+                      "silent configuration violates " + info.problem);
+            } else {
+              // Closure + silence: the post-silence window never writes a
+              // communication variable and never falsifies the predicate.
+              const Configuration silent_config = engine.config();
+              bool comm_stable = true;
+              for (int extra = 0; extra < options.closure_steps; ++extra) {
+                engine.step();
+                if (!engine.config().same_comm(silent_config)) {
+                  violate("silence",
+                          "communication variable changed " +
+                              std::to_string(extra + 1) +
+                              " step(s) after certified silence");
+                  comm_stable = false;
+                  break;
+                }
+              }
+              if (comm_stable && !problem->holds(g, engine.config())) {
+                violate("closure", info.problem +
+                                       " falsified during the post-silence "
+                                       "window without a communication write");
               }
             }
-            if (comm_stable && !problem->holds(g, engine.config())) {
-              violate("closure", info.problem +
-                                     " falsified during the post-silence "
-                                     "window without a communication write");
-            }
           }
-        }
 
-        // Equivalence: incremental engine vs full-scan oracle, same seed.
-        const std::string mismatch = lockstep_mismatch(
-            g, *protocol, daemon_name, seed, options.lockstep_steps,
-            options.sweep_mode, options.parallel_threads);
-        if (!mismatch.empty()) violate("equivalence", mismatch);
+          // Equivalence: incremental engine vs full-scan oracle, same seed.
+          const std::string mismatch = lockstep_mismatch(
+              g, *protocol, daemon_name, seed, options.lockstep_steps,
+              options.sweep_mode, options.parallel_threads);
+          if (!mismatch.empty()) violate("equivalence", mismatch);
+        } catch (const InvariantError& error) {
+          // An engine invariant failed (phase 1's stale-action check, for
+          // one): the engine cannot be trusted for the trial's remaining
+          // checks, and the report names the broken invariant.
+          violate("invariant", error.what());
+        }
       }
     }
   }

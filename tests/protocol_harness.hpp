@@ -79,7 +79,8 @@ struct HarnessViolation {
   std::string daemon;
   std::uint64_t seed = 0;
   /// Which property failed: "convergence", "legitimacy", "closure",
-  /// "silence", or "equivalence".
+  /// "silence", "equivalence", or "invariant" (an engine invariant threw,
+  /// ending the trial).
   std::string check;
   std::string detail;
 };

@@ -12,15 +12,23 @@
 /// lockstep grids run over testing::kernel_selections(): the registry,
 /// generic-efficiency over each entry, and a depth-2 composition.
 ///
+/// The direct check holds the kernel's read stream to the scalar one:
+/// phase 1 re-runs each selected guard and charges its reads where they
+/// happen, so the stream a kernel logs for a selection must be, process
+/// by process, exactly what scalar `evaluate_process` logs — guard reads,
+/// then action reads, in order, as one contiguous run per process.
+///
 /// The registry-wide harness additionally runs the full property grid
 /// under kAuto and under kForceScalar (tests/test_protocol_properties.cpp) and
-/// proves falsifiability with a deliberately wrong execute kernel
+/// proves falsifiability with deliberately wrong execute kernels
 /// (tests/test_protocol_harness.cpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/protocol_registry.hpp"
@@ -84,6 +92,109 @@ TEST(BulkExecute, EveryRegistryProtocolOptsIn) {
             g);
     EXPECT_TRUE(composed->has_bulk_execute()) << "generic-efficiency("
                                               << name << ")";
+  }
+}
+
+/// Records every read as (reader, subject, var), in arrival order.
+class RecordingLogger final : public ReadLogger {
+ public:
+  std::vector<std::tuple<ProcessId, ProcessId, int>> reads;
+  void on_read(ProcessId reader, ProcessId subject, int comm_var) override {
+    reads.emplace_back(reader, subject, comm_var);
+  }
+};
+
+/// Ascending selections the execute kernel is held to on `g`: one
+/// process, a random quarter of the network, and all of it. Disabled
+/// processes are selected too; their guards run and are charged all the
+/// same.
+std::vector<std::vector<ProcessId>> execute_selections(const Graph& g,
+                                                       Rng& rng) {
+  const int n = g.num_vertices();
+  std::vector<ProcessId> all(static_cast<std::size_t>(n));
+  for (ProcessId p = 0; p < n; ++p) all[static_cast<std::size_t>(p)] = p;
+  std::vector<ProcessId> shuffled = all;
+  shuffle(shuffled, rng);
+  const std::size_t quarter = std::max<std::size_t>(1, shuffled.size() / 4);
+  std::vector<ProcessId> some(shuffled.begin(), shuffled.begin() + quarter);
+  std::sort(some.begin(), some.end());
+  return {{shuffled.front()}, some, all};
+}
+
+/// Runs `execute_selected` over each selection of one randomized
+/// configuration — whole, and split into three worker slices run in
+/// order — and compares the logged read stream with the concatenation of
+/// scalar `evaluate_process` streams, and each staged row with the scalar
+/// writes applied to the snapshot row.
+void expect_kernel_reads_match_scalar(const Graph& g, const Protocol& protocol,
+                                      std::uint64_t seed) {
+  const int n = g.num_vertices();
+  Configuration config(g, protocol.spec());
+  Rng rng(seed);
+  randomize_configuration(g, protocol.spec(), config, rng);
+  protocol.install_constants(g, config);
+  EnabledBitmap refreshed;
+  refreshed.reset(n);
+  std::vector<ProcessId> all(static_cast<std::size_t>(n));
+  for (ProcessId p = 0; p < n; ++p) all[static_cast<std::size_t>(p)] = p;
+  BulkGuardContext guard_ctx(g, config);
+  protocol.sweep_enabled_ids(guard_ctx, refreshed, all);
+
+  const auto stride = static_cast<std::size_t>(config.stride());
+  for (const std::vector<ProcessId>& selection : execute_selections(g, rng)) {
+    // Probabilistic actions draw in ascending selection order on both
+    // sides, from identically seeded streams.
+    RecordingLogger scalar;
+    std::vector<std::vector<Value>> scalar_rows;
+    Rng scalar_rng(seed ^ 0x5eedULL);
+    for (const ProcessId p : selection) {
+      const ProcessStep step =
+          evaluate_process(g, protocol, config, p, scalar_rng, &scalar);
+      ASSERT_EQ(step.action, refreshed.action(p));
+      Configuration post = config;
+      commit_writes(post, p, step.writes);
+      scalar_rows.emplace_back(post.row(p), post.row(p) + stride);
+    }
+
+    for (const std::size_t slices : {std::size_t{1}, std::size_t{3}}) {
+      const std::string where =
+          protocol.name() + " on " + g.name() + " seed " +
+          std::to_string(seed) + ", " + std::to_string(selection.size()) +
+          " selected, " + std::to_string(slices) + " slice(s)";
+      RecordingLogger kernel;
+      std::vector<Value> staged(selection.size() * stride);
+      Rng kernel_rng(seed ^ 0x5eedULL);
+      BulkExecContext ctx(g, config, ReadSink(kernel), staged.data(), stride,
+                          protocol.is_probabilistic() ? &kernel_rng : nullptr);
+      const std::size_t chunk = (selection.size() + slices - 1) / slices;
+      for (std::size_t begin = 0; begin < selection.size(); begin += chunk) {
+        protocol.execute_selected(
+            ctx, refreshed, selection, begin,
+            std::min(selection.size(), begin + chunk));
+      }
+      EXPECT_EQ(kernel.reads, scalar.reads) << where;
+      for (std::size_t i = 0; i < selection.size(); ++i) {
+        if (refreshed.action(selection[i]) == Protocol::kDisabled) continue;
+        const std::vector<Value> row(staged.begin() + i * stride,
+                                     staged.begin() + (i + 1) * stride);
+        EXPECT_EQ(row, scalar_rows[i])
+            << where << ": process " << selection[i];
+      }
+    }
+  }
+}
+
+TEST(BulkExecute, KernelReadStreamMatchesScalarEvaluateProcess) {
+  for (const ProtocolSelection& selection : testing::kernel_selections()) {
+    for (const auto& named : testing::sweep_graphs()) {
+      const std::unique_ptr<Protocol> protocol =
+          ProtocolRegistry::instance().make(selection, named.graph);
+      // The depth-2 composition has no kernel; the engine never calls it.
+      if (!protocol->has_bulk_execute()) continue;
+      for (std::uint64_t seed : {201u, 202u, 203u}) {
+        expect_kernel_reads_match_scalar(named.graph, *protocol, seed);
+      }
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +31,41 @@
 namespace sss {
 namespace {
 
+/// Rounds by their definition, observed from outside the engine: a
+/// round completes once every process has been selected, or seen
+/// disabled or frozen before some step of the round. Under frozen
+/// exclusion the engine derives its covering from `active_` (a round
+/// restarts as its word complement), and this is the check that the
+/// derivation counts the same rounds.
+class NaiveRounds {
+ public:
+  explicit NaiveRounds(int n) : covered_(static_cast<std::size_t>(n), 0) {}
+
+  /// Call before engine.step().
+  void before_step(Engine& engine) {
+    for (ProcessId p = 0; p < engine.graph().num_vertices(); ++p) {
+      if (!engine.is_enabled(p) || engine.is_frozen(p)) {
+        covered_[static_cast<std::size_t>(p)] = 1;
+      }
+    }
+  }
+  /// Call after engine.step().
+  void after_step(const Engine& engine) {
+    for (const ProcessId p : engine.last_selection()) {
+      covered_[static_cast<std::size_t>(p)] = 1;
+    }
+    if (std::find(covered_.begin(), covered_.end(), 0) == covered_.end()) {
+      ++rounds_;
+      std::fill(covered_.begin(), covered_.end(), 0);
+    }
+  }
+  std::uint64_t rounds() const { return rounds_; }
+
+ private:
+  std::vector<std::uint8_t> covered_;
+  std::uint64_t rounds_ = 0;
+};
+
 TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
   // Deterministic protocols under the synchronous daemon: dropping frozen
   // self-loops from the selection must leave every configuration
@@ -37,7 +73,10 @@ TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
   // exclusion pins the one-range scalar refresh and per-process execution
   // whatever the engine's worker count and sweep mode, so a pool and
   // force_scalar must change nothing; grid(12, 12) spans three 64-aligned
-  // worker ranges.
+  // worker ranges. central-rr and distributed select differently once
+  // frozen processes drop out, so there the reference is the first cell
+  // of the (workers x mode) grid; under every daemon the rounds must
+  // equal the naive count step by step.
   const std::vector<Graph> graphs = {star(7), grid(3, 4), caterpillar(4, 3),
                                      grid(12, 12)};
   for (const Graph& g : graphs) {
@@ -49,24 +88,46 @@ TEST(FrozenFlag, SynchronousLockstepMatchesReferenceEngine) {
       } else {
         protocol = std::make_unique<MisProtocol>(g, colors);
       }
-      for (const int workers : {1, 3}) {
-        for (const SweepMode mode :
-             {SweepMode::kAuto, SweepMode::kForceScalar}) {
-          Engine engine(g, *protocol, make_synchronous_daemon(), 99);
-          engine.set_exclude_frozen(true);
-          engine.set_parallel_threads(workers);
-          engine.set_sweep_mode(mode);
-          ReferenceEngine reference(g, *protocol, make_synchronous_daemon(),
-                                    99);
-          engine.randomize_state();
-          reference.set_config(engine.config());
-          for (int step = 0; step < 400; ++step) {
-            engine.step();
-            reference.step();
-            ASSERT_TRUE(engine.config() == reference.config())
-                << g.name() << " step " << step
-                << (use_matching ? " MATCHING" : " MIS") << " workers "
-                << workers << " mode " << sweep_mode_name(mode);
+      for (const std::string daemon :
+           {"synchronous", "central-rr", "distributed"}) {
+        const bool synchronous = daemon == "synchronous";
+        std::vector<Configuration> first_cell;
+        for (const int workers : {1, 3}) {
+          for (const SweepMode mode :
+               {SweepMode::kAuto, SweepMode::kForceScalar}) {
+            const std::string where =
+                g.name() + (use_matching ? " MATCHING " : " MIS ") + daemon +
+                " workers " + std::to_string(workers) + " mode " +
+                sweep_mode_name(mode);
+            Engine engine(g, *protocol, make_daemon(daemon), 99);
+            engine.set_exclude_frozen(true);
+            engine.set_parallel_threads(workers);
+            engine.set_sweep_mode(mode);
+            ReferenceEngine reference(g, *protocol, make_daemon(daemon), 99);
+            engine.randomize_state();
+            reference.set_config(engine.config());
+            NaiveRounds naive(g.num_vertices());
+            const bool record = first_cell.empty();
+            for (int step = 0; step < 400; ++step) {
+              naive.before_step(engine);
+              engine.step();
+              naive.after_step(engine);
+              ASSERT_EQ(engine.rounds(), naive.rounds())
+                  << where << " step " << step;
+              if (synchronous) {
+                reference.step();
+                ASSERT_TRUE(engine.config() == reference.config())
+                    << where << " step " << step;
+                ASSERT_EQ(engine.rounds(), reference.rounds())
+                    << where << " step " << step;
+              } else if (record) {
+                first_cell.push_back(engine.config());
+              } else {
+                ASSERT_TRUE(engine.config() ==
+                            first_cell[static_cast<std::size_t>(step)])
+                    << where << " step " << step;
+              }
+            }
           }
         }
       }

@@ -175,15 +175,57 @@ class WrongExecute final : public Protocol {
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
                         std::span<const ProcessId> selection,
                         std::size_t begin, std::size_t end) const override {
-    // Honors the kernel contract (replay, skip disabled, stage) so the
-    // surrounding machinery runs exactly as for a correct kernel — only
-    // the staged value is wrong.
+    // Honors the kernel contract (re-run and check the guard, skip
+    // disabled, stage) so the surrounding machinery runs exactly as for a
+    // correct kernel — only the staged value is wrong.
     for (std::size_t i = begin; i < end; ++i) {
       const ProcessId p = selection[i];
-      ctx.replay_guard_reads(p);
-      if (enabled.action(p) == kDisabled) continue;
+      const int action = ctx.config().comm(p, 0) != 1 ? 0 : kDisabled;
+      enabled.expect_rerun(p, action);
+      if (action == kDisabled) continue;
       Value* out = ctx.stage(i, p);
       out[0] = 2;
+    }
+  }
+
+ private:
+  ProtocolSpec spec_;
+};
+
+/// The guard reads its channel-1 neighbour's X (and ignores the value)
+/// before driving its own X to 1; the bulk execute kernel re-runs the
+/// guard without logging that read — a planted charge defect. Actions,
+/// writes and trajectories agree on both paths, so only the read metrics
+/// can flag it, and only on a grid that runs the kernel.
+class SkippedGuardRead final : public Protocol {
+ public:
+  explicit SkippedGuardRead(const Graph&) {
+    spec_.comm.emplace_back("X", VarDomain{0, 3});
+  }
+  const std::string& name() const override {
+    static const std::string kName = "SKIPPED-GUARD-READ";
+    return kName;
+  }
+  const ProtocolSpec& spec() const override { return spec_; }
+  int num_actions() const override { return 1; }
+  int first_enabled(GuardContext& ctx) const override {
+    (void)ctx.nbr_comm(1, 0);
+    return ctx.self_comm(0) != 1 ? 0 : kDisabled;
+  }
+  void execute(int, ActionContext& ctx) const override {
+    ctx.set_comm(0, 1);
+  }
+  bool has_bulk_execute() const override { return true; }
+  void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
+                        std::span<const ProcessId> selection,
+                        std::size_t begin, std::size_t end) const override {
+    for (std::size_t i = begin; i < end; ++i) {
+      const ProcessId p = selection[i];
+      // The guard's neighbour read is neither made nor logged.
+      const int action = ctx.config().comm(p, 0) != 1 ? 0 : kDisabled;
+      enabled.expect_rerun(p, action);
+      if (action == kDisabled) continue;
+      ctx.stage(i, p)[0] = 1;
     }
   }
 
@@ -267,6 +309,10 @@ void register_toys() {
         [](const Graph& g, const ParamMap&) -> std::unique_ptr<Protocol> {
           return std::make_unique<WrongExecute>(g);
         });
+    toy("skipped-guard-read", "always-true",
+        [](const Graph& g, const ParamMap&) -> std::unique_ptr<Protocol> {
+          return std::make_unique<SkippedGuardRead>(g);
+        });
     toy("poison-latch", "always-true",
         [](const Graph& g, const ParamMap&) -> std::unique_ptr<Protocol> {
           return std::make_unique<PoisonLatch>(g);
@@ -339,19 +385,23 @@ TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkSweep) {
   EXPECT_TRUE(scalar_report.ok()) << scalar_report.str();
 
   // Every kAuto refresh runs the kernel, under the central daemon's small
-  // dirty sets too, so kAuto must surface the divergence — the
-  // ReferenceEngine lockstep is the kernel's oracle.
+  // dirty sets too, so kAuto must surface the divergence. Phase 1 re-runs
+  // each selected guard, so the kernel's wrong action is caught by the
+  // engine itself: the re-run disagrees with the refreshed action, and
+  // every trial ends on that invariant.
   options.sweep_mode = SweepMode::kAuto;
   const testing::HarnessReport bulk_report =
       testing::run_protocol_property_suite("wrong-sweep", options);
   ASSERT_FALSE(bulk_report.ok())
       << "the harness certified a protocol whose refresh kernel disagrees "
          "with its scalar guards";
-  bool saw_equivalence = false;
+  EXPECT_EQ(static_cast<int>(bulk_report.violations.size()),
+            bulk_report.trials);
   for (const testing::HarnessViolation& violation : bulk_report.violations) {
-    if (violation.check == "equivalence") saw_equivalence = true;
+    EXPECT_EQ(violation.check, "invariant") << bulk_report.str();
+    EXPECT_NE(violation.detail.find("refreshed action"), std::string::npos)
+        << bulk_report.str();
   }
-  EXPECT_TRUE(saw_equivalence) << bulk_report.str();
 }
 
 TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkExecute) {
@@ -377,6 +427,35 @@ TEST(ProtocolHarnessFalsifiability, FlagsWrongBulkExecute) {
     if (violation.check == "equivalence") saw_equivalence = true;
   }
   EXPECT_TRUE(saw_equivalence) << bulk_report.str();
+}
+
+TEST(ProtocolHarnessFalsifiability, FlagsKernelSkippingAGuardRead) {
+  register_toys();
+  // On the scalar path the planted kernel never runs: the toy converges,
+  // closes, and lockstep-matches the oracle.
+  testing::HarnessOptions options = toy_options();
+  options.sweep_mode = SweepMode::kForceScalar;
+  const testing::HarnessReport scalar_report =
+      testing::run_protocol_property_suite("skipped-guard-read", options);
+  EXPECT_TRUE(scalar_report.ok()) << scalar_report.str();
+
+  // kAuto re-runs every selected guard in the kernel, which drops one
+  // read: configurations agree, so the ReferenceEngine lockstep must
+  // flag the read metrics.
+  options.sweep_mode = SweepMode::kAuto;
+  const testing::HarnessReport bulk_report =
+      testing::run_protocol_property_suite("skipped-guard-read", options);
+  ASSERT_FALSE(bulk_report.ok())
+      << "the harness certified a kernel that charges fewer guard reads "
+         "than the scalar guard makes";
+  bool saw_read_metrics = false;
+  for (const testing::HarnessViolation& violation : bulk_report.violations) {
+    EXPECT_EQ(violation.check, "equivalence") << bulk_report.str();
+    if (violation.detail.find("read metrics") != std::string::npos) {
+      saw_read_metrics = true;
+    }
+  }
+  EXPECT_TRUE(saw_read_metrics) << bulk_report.str();
 }
 
 /// Pinned grid for the poison-latch: enough seeds that at least one

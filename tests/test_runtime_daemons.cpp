@@ -61,6 +61,46 @@ TEST(EnabledSetTest, AssignCountKthNextCyclic) {
   EXPECT_EQ(seen, (std::vector<ProcessId>{3, 65, 129}));
 }
 
+TEST(EnabledSetTest, ComplementMasksTheTailWordAndCountsExactly) {
+  // Universes on both sides of a word boundary, and a three-word one.
+  for (const int universe : {1, 63, 64, 65, 130}) {
+    EnabledSet members(universe);
+    for (ProcessId p = 0; p < universe; p += 3) members.assign(p, true);
+    // A pending deferred delta leaves members.count() stale; the
+    // complement's count must not depend on it.
+    members.assign_deferred(universe - 1, true);
+    EnabledSet complement(universe);
+    complement.assign(0, true);  // stale contents are overwritten
+    complement.assign_complement(members);
+    int expected = 0;
+    for (ProcessId p = 0; p < universe; ++p) {
+      EXPECT_EQ(complement.test(p), !members.test(p))
+          << "universe " << universe << " id " << p;
+      expected += members.test(p) ? 0 : 1;
+    }
+    EXPECT_EQ(complement.count(), expected) << universe;
+    // No id at or past the universe leaks out of the last word.
+    std::vector<ProcessId> seen;
+    complement.for_each([&](ProcessId p) { seen.push_back(p); });
+    EXPECT_EQ(static_cast<int>(seen.size()), expected) << universe;
+    for (const ProcessId p : seen) EXPECT_LT(p, universe);
+
+    // The complement of the empty set is the whole universe, exactly.
+    complement.assign_complement(EnabledSet(universe));
+    EXPECT_EQ(complement.count(), universe);
+    EXPECT_EQ(complement.kth(universe - 1), universe - 1);
+    EXPECT_EQ(complement.next_at_least(universe), -1);
+    seen.clear();
+    complement.for_each([&](ProcessId p) { seen.push_back(p); });
+    EXPECT_EQ(static_cast<int>(seen.size()), universe);
+    // And the complement of the whole universe is empty.
+    EnabledSet full(universe);
+    full.assign_complement(complement);
+    EXPECT_EQ(full.count(), 0) << universe;
+    EXPECT_EQ(full.next_at_least(0), -1) << universe;
+  }
+}
+
 TEST(Daemons, FactoryKnowsAllNames) {
   for (const std::string& name : daemon_names()) {
     const auto daemon = make_daemon(name);

@@ -12,6 +12,7 @@
 #include "runtime/engine.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/quiescence.hpp"
+#include "runtime/rule.hpp"
 #include "support/require.hpp"
 #include "test_util.hpp"
 
@@ -241,6 +242,62 @@ TEST(Engine, EachSoloDirtyingCostsAtMostOneProbe) {
   engine.apply_external_corruption({victim}, faults);
   dirtyings += 1 + static_cast<std::uint64_t>(g.degree(victim));
   step_to_silence();
+}
+
+/// Enabled exactly while an out-of-band flag is set. The guard also reads
+/// its channel-1 neighbour, so it is charged like a real one, but its
+/// answer depends on state the engine's dirty tracking never sees:
+/// flipping the flag between a refresh and the next step leaves every
+/// refreshed action stale.
+class OutOfBandGuard final : public RuleProtocol<OutOfBandGuard> {
+ public:
+  explicit OutOfBandGuard(const bool& flag) : flag_(flag) {
+    spec_.comm.emplace_back("X", VarDomain{0, 1});
+  }
+  const std::string& name() const override {
+    static const std::string kName = "OUT-OF-BAND-GUARD";
+    return kName;
+  }
+  const ProtocolSpec& spec() const override { return spec_; }
+  int num_actions() const override { return 1; }
+
+ private:
+  friend RuleProtocol<OutOfBandGuard>;
+  template <class Ctx>
+  int guard(Ctx& ctx) const {
+    (void)ctx.nbr_comm(1, 0);
+    return flag_ ? 0 : kDisabled;
+  }
+  template <class Ctx>
+  void act(int, Ctx& ctx) const {
+    ctx.set_comm(0, 1 - ctx.self_comm(0));
+  }
+
+  const bool& flag_;
+  ProtocolSpec spec_;
+};
+
+TEST(Engine, StaleGuardIsCaughtAtExecute) {
+  // Phase 1 re-runs every selected guard on the snapshot the refresh saw
+  // and asserts it chose the refreshed action. A stale entry must throw on
+  // the kernel path (kAuto) and the per-process path (kForceScalar), in
+  // both directions: enabled turned disabled (the synchronous daemon
+  // selects every process) and disabled turned enabled (it selects the
+  // whole network while nothing is enabled).
+  const Graph g = cycle(6);
+  for (const SweepMode mode : {SweepMode::kAuto, SweepMode::kForceScalar}) {
+    for (const bool refreshed : {true, false}) {
+      bool flag = refreshed;
+      const OutOfBandGuard protocol(flag);
+      Engine engine(g, protocol, make_synchronous_daemon(), 3);
+      engine.set_sweep_mode(mode);
+      engine.randomize_state();
+      ASSERT_EQ(engine.num_enabled(), refreshed ? 6 : 0);
+      flag = !refreshed;  // out of band: no process goes dirty
+      EXPECT_THROW(engine.step(), InvariantError)
+          << sweep_mode_name(mode) << (refreshed ? " enabled" : " disabled");
+    }
+  }
 }
 
 TEST(Engine, TraceRecordsRepeatedIdleSteps) {
