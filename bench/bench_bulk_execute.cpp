@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
       const std::unique_ptr<Protocol> protocol =
           ProtocolRegistry::instance().make(name, g, {});
-      if (!protocol->has_bulk_execute()) continue;
+      if (!protocol->has_bulk_sweep()) continue;
       require_lockstep(g, *protocol);
 
       double scalar_sps = 0.0;
@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
       const std::unique_ptr<Protocol> protocol =
           ProtocolRegistry::instance().make(name, g, {});
-      if (!protocol->has_bulk_execute()) continue;
+      if (!protocol->has_bulk_sweep()) continue;
       const ExecuteFixture fix(g, *protocol, 7);
 
       const double scalar_aps =

@@ -31,12 +31,14 @@
 /// tests/test_bulk_execute.cpp and the property harness.
 ///
 /// Bulk *execution* (`BulkExecContext`, `Protocol::execute_selected`) is
-/// the same idea applied to phase 1: guard re-runs plus actions for a
-/// whole selection in one pass over the slabs, instead of a GuardContext,
-/// an ActionContext and two virtual calls per selected process. The
-/// kernel stages each fired process's post-state as a full configuration
-/// row, which the engine commits under the scalar commit loop's exact
-/// dirty-queue/covering/solo-cache treatment. A kernel must keep each
+/// the same idea applied to phase 1, and the engine's one execute hook:
+/// guard re-runs plus actions for a selection slice in one call. The hook
+/// stages each fired process's post-state as a full configuration row,
+/// which the engine commits under the scalar commit loop's exact
+/// dirty-queue/covering/solo-cache treatment. RuleProtocol runs it as one
+/// pass over the slabs; the scalar default pays a GuardContext, an
+/// ActionContext and two virtual calls per selected process, and applies
+/// the pending writes onto the staged row. A kernel must keep each
 /// process's reads together (its guard reads, then its action reads,
 /// then the next process): the serial path's StepReadCounter and the
 /// parallel path's WorkerReadTally dedup per contiguous reader run
@@ -58,8 +60,8 @@ namespace sss {
 /// Per-process outcome of a guard refresh: the index of the first enabled
 /// action, or kDisabled. The name reflects what the engine derives from
 /// it — membership of the enabled set — but the action index itself is
-/// kept: phase 1 checks its guard re-run against it, and the commit of a
-/// bulk-executed selection reads it.
+/// kept: phase 1 checks its guard re-run against it, and the step's commit
+/// and trace read the fired actions from it.
 class EnabledBitmap {
  public:
   /// Matches Protocol::kDisabled (static_assert'd in protocol.cpp).
@@ -120,12 +122,12 @@ class BulkGuardContext {
   const Configuration& config_;
 };
 
-/// View a bulk-execute kernel runs against: the pre-step snapshot, a read
-/// sink, and the staging slab the kernel writes post-state rows into. One
+/// View the execute hook runs against: the pre-step snapshot, a read
+/// sink, and the staging slab the hook writes post-state rows into. One
 /// context serves one selection slice (the whole selection serially, or a
 /// worker's contiguous slice on the parallel path — the sink is the
-/// engine's step counter in the first case and the worker's tally in the
-/// second).
+/// engine's step counter, or its logger mux while an external logger is
+/// attached, in the first case and the worker's tally in the second).
 ///
 /// The kernel contract, per selection index i with process p:
 ///  1. Re-run p's guard on `config()`, logging its neighbour reads through
@@ -154,6 +156,8 @@ class BulkExecContext {
 
   const Graph& graph() const { return graph_; }
   const Configuration& config() const { return config_; }
+  /// The model stream, or nullptr (see random_range).
+  Rng* rng() const { return rng_; }
 
   /// Records a neighbor read of p's guard or action — the bulk
   /// counterpart of GuardContext::nbr_comm's logging half (the kernel
@@ -178,9 +182,9 @@ class BulkExecContext {
   /// without a script. Only legal on the serial path of a protocol that
   /// declares is_probabilistic() — there the engine wires the model rng
   /// and ascending selection order reproduces the scalar stream bit for
-  /// bit. Everywhere else rng is null and the assert is the bulk
-  /// counterpart of the engine's "no randomness in certified paths"
-  /// contract.
+  /// bit. Everywhere else rng is null and the assert is the kernel
+  /// counterpart of `execute_certified`'s "no randomness in certified
+  /// paths" assert, which the scalar default runs instead.
   Value random_range(Value lo, Value hi) {
     SSS_ASSERT(rng_ != nullptr,
                "bulk-execute kernels may draw randomness only on the serial "

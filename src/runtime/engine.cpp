@@ -32,7 +32,6 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
       config_(g, protocol.spec()),
       enabled_(g.num_vertices()),
       probe_dirty_(static_cast<std::size_t>(g.num_vertices()), 0),
-      bulk_exec_supported_(protocol.has_bulk_execute()),
       active_(g.num_vertices()),
       covered_(g.num_vertices()),
       solo_active_(static_cast<std::size_t>(g.num_vertices()), 0),
@@ -223,93 +222,46 @@ std::pair<ProcessId, ProcessId> Engine::worker_range(int worker) const {
   return {begin, end};
 }
 
-bool Engine::use_bulk_execute() const {
-  // No kernel, frozen exclusion (phase 1 must consult the frozen
-  // classification per process), an external read logger (order-sensitive
-  // mux) or kForceScalar pin the per-process path; every other selection,
-  // whatever its size, runs the kernel.
-  return bulk_exec_supported_ && !exclude_frozen_ && external_loggers_ == 0 &&
-         sweep_mode_ != SweepMode::kForceScalar;
-}
-
-void Engine::evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
+void Engine::evaluate_slice(std::size_t begin, std::size_t end,
                             WorkerReadTally* tally) {
-  Rng* rng = tally == nullptr ? &rng_ : nullptr;
-  if (bulk) {
-    // The kernel re-runs and checks each selected guard, charging the
-    // concrete counter or tally; the commit reads the actions from the
-    // staged slots. Probabilistic protocols draw from the model stream,
-    // and ascending selection order inside the kernel reproduces the
-    // scalar rng consumption bit for bit; everything else gets a null rng
-    // whose random_range asserts — the bulk counterpart of
-    // execute_certified.
-    for (std::size_t i = begin; i < end; ++i) {
-      staged_[i].action = probe_action_.action(selection_[i]);
-    }
-    BulkExecContext ctx(graph_, config_,
-                        tally != nullptr ? ReadSink(*tally)
-                                         : ReadSink(read_counter_),
-                        bulk_staged_rows_.data(),
-                        static_cast<std::size_t>(config_.stride()),
-                        protocol_.is_probabilistic() ? rng : nullptr);
-    protocol_.execute_selected(
-        ctx, probe_action_,
-        std::span<const ProcessId>(selection_.data(), selection_.size()),
-        begin, end);
-    return;
-  }
-  // The guard re-runs on the refresh's snapshot (invariant 4). staged_
-  // grows monotonically and its write buffers keep their capacity, so
-  // this loop allocates nothing in steady state. Without the model rng
-  // (pool workers) actions run through execute_certified, whose assert
-  // catches a protocol that declared is_probabilistic() == false and
-  // draws anyway instead of letting it silently diverge from the serial
-  // rng stream.
-  ReadLogger& logger = tally != nullptr          ? *tally
-                       : external_loggers_ == 0 ? static_cast<ReadLogger&>(
-                                                      read_counter_)
-                                                : logger_mux_;
-  for (std::size_t i = begin; i < end; ++i) {
-    const ProcessId p = selection_[i];
-    ProcessStep& staged = staged_[i];
-    staged.writes.clear();
-    staged.comm_write_attempted = false;
-    GuardContext guard(graph_, config_, p, &logger);
-    staged.action = protocol_.first_enabled(guard);
-    probe_action_.expect_rerun(p, staged.action);
-    if (staged.action == Protocol::kDisabled) continue;
-    if (rng == nullptr) {
-      execute_certified(p, staged.action, &logger, staged.writes,
-                        staged.comm_write_attempted);
-      continue;
-    }
-    ActionContext action(graph_, config_, p, *rng, &logger, &staged.writes);
-    protocol_.execute(staged.action, action);
-    staged.comm_write_attempted = action.comm_write_attempted();
+  // Phase 1 (invariants 4, 6): the serial slice charges the step counter,
+  // or the mux while an external logger listens, and hands probabilistic
+  // protocols the model stream (ascending selection order reproduces its
+  // scalar consumption bit for bit). A pool worker charges its tally.
+  // Every other slice gets a null rng: a kernel asserts on a draw, and
+  // the scalar default runs its actions certified.
+  const ReadSink sink = tally != nullptr          ? ReadSink(*tally)
+                        : external_loggers_ != 0 ? ReadSink(logger_mux_)
+                                                 : ReadSink(read_counter_);
+  BulkExecContext ctx(
+      graph_, config_, sink, staged_rows_.data(),
+      static_cast<std::size_t>(config_.stride()),
+      tally == nullptr && protocol_.is_probabilistic() ? &rng_ : nullptr);
+  const std::span<const ProcessId> selection(selection_);
+  if (sweep_mode_ == SweepMode::kForceScalar) {
+    protocol_.Protocol::execute_selected(ctx, probe_action_, selection, begin,
+                                         end);
+  } else {
+    protocol_.execute_selected(ctx, probe_action_, selection, begin, end);
   }
 }
 
 template <class OnCommit>
-void Engine::commit_slice(std::size_t begin, std::size_t end, bool bulk,
+void Engine::commit_slice(std::size_t begin, std::size_t end,
                           OnCommit&& on_commit) {
+  // Whole-row commit of the staged post-states. A staged row started as a
+  // copy of the snapshot row, so comparing the communication prefix
+  // detects exactly a written comm slot whose value differs. The refresh
+  // recorded which processes fired: phase 1 asserted each re-run agrees.
   const auto stride = static_cast<std::size_t>(config_.stride());
   const auto num_comm = static_cast<std::size_t>(config_.num_comm());
   for (std::size_t i = begin; i < end; ++i) {
-    if (staged_[i].action == Protocol::kDisabled) continue;
     const ProcessId p = selection_[i];
-    bool changed;
-    if (bulk) {
-      // Whole-row commit of the staged post-state. The staged row started
-      // as a copy of the snapshot row, so comparing the communication
-      // prefix detects exactly what the pending-write walk detects: a
-      // written comm slot whose value differs.
-      const Value* row = bulk_staged_rows_.data() + i * stride;
-      Value* live = config_.raw().data() + static_cast<std::size_t>(p) * stride;
-      changed = !std::equal(row, row + num_comm, live);
-      std::copy(row, row + stride, live);
-    } else {
-      changed = commit_writes(config_, p, staged_[i].writes);
-    }
+    if (!probe_action_.enabled(p)) continue;
+    const Value* row = staged_rows_.data() + i * stride;
+    Value* live = config_.raw().data() + static_cast<std::size_t>(p) * stride;
+    const bool changed = !std::equal(row, row + num_comm, live);
+    std::copy(row, row + stride, live);
     on_commit(p, changed);
   }
 }
@@ -329,39 +281,12 @@ void Engine::set_parallel_threads(int threads) {
   }
 }
 
-bool Engine::execute_certified(ProcessId p, int action, ReadLogger* logger,
-                               std::vector<PendingWrite>& writes,
-                               bool& comm_write_attempted) {
-  // The shared setup of every execution the engine runs off the model rng
-  // stream: a private scratch rng (its values never escape — a draw either
-  // asserts or invalidates the result) with the empty random script
-  // installed, making draw attempts observable. This is the engine's one
-  // "no randomness in certified paths" checkpoint: a protocol that
-  // declared is_probabilistic() == false and draws anyway is caught here
-  // instead of silently diverging from the serial rng stream. Returns
-  // false iff the action attempted a draw (possible only for declared
-  // probabilistic protocols, whose callers treat the result as
-  // uncertifiable).
-  static const std::vector<Value> kNoScript;
-  Rng scratch_rng(0x9a7a11e1ULL);
-  ActionContext ctx(graph_, config_, p, scratch_rng, logger, &writes);
-  ctx.set_random_script(&kNoScript);
-  protocol_.execute(action, ctx);
-  comm_write_attempted = ctx.comm_write_attempted();
-  const bool drew = !ctx.random_draws().empty();
-  SSS_ASSERT(!drew || protocol_.is_probabilistic(),
-             "a protocol declaring is_probabilistic() == false drew "
-             "randomness inside a certified execution path");
-  return !drew;
-}
-
 bool Engine::verified_self_loop(ProcessId p, int action) {
   // A simulator device like the probes: no read logging, writes discarded
   // before returning. An action that consumes randomness cannot be
   // certified from one sample and is conservatively treated as live.
-  bool comm_write_attempted = false;
-  if (!execute_certified(p, action, nullptr, frozen_scratch_,
-                         comm_write_attempted)) {
+  if (!execute_certified(graph_, protocol_, config_, p, action, nullptr,
+                         frozen_scratch_)) {
     return false;
   }
   for (const PendingWrite& write : frozen_scratch_) {
@@ -441,7 +366,8 @@ void Engine::attach_read_logger(ReadLogger* logger) {
               "read logger is already attached");
   logger_mux_.add(logger);
   // An external observer sees reads through the order-sensitive mux, so
-  // its presence pins the serial scalar execution path (invariants 6, 7).
+  // its presence pins the serial slice and the idle-charge re-runs
+  // (invariants 4, 7).
   ++external_loggers_;
 }
 
@@ -468,19 +394,15 @@ void Engine::reset_round() {
 
 void Engine::execute_selection(StepInfo& info) {
   const std::size_t selected = selection_.size();
-  if (staged_.size() < selected) staged_.resize(selected);
-  // Phase 1: every selected process evaluates against the gamma_i snapshot
-  // — through the bulk-execute kernel (invariant 6) or per process. Phase
-  // 2: the simultaneous commit forms gamma_{i+1}. Any fired action may
-  // change the process's own state, so its cached enabledness and
-  // solo-quiescence answers are stale either way.
-  const bool bulk = use_bulk_execute();
-  if (bulk) {
-    const auto stride = static_cast<std::size_t>(config_.stride());
-    if (bulk_staged_rows_.size() < selected * stride) {
-      bulk_staged_rows_.resize(selected * stride);
-    }
+  const auto stride = static_cast<std::size_t>(config_.stride());
+  if (staged_rows_.size() < selected * stride) {
+    staged_rows_.resize(selected * stride);
   }
+  // Phase 1: every selected process evaluates against the gamma_i snapshot
+  // through the protocol's execute hook (invariant 6). Phase 2: the
+  // simultaneous commit forms gamma_{i+1}. Any fired action may change the
+  // process's own state, so its cached enabledness and solo-quiescence
+  // answers are stale.
   const auto mark_fired = [&](ProcessId p, bool changed) {
     ++info.fired;
     mark_probe_dirty(p);
@@ -496,8 +418,8 @@ void Engine::execute_selection(StepInfo& info) {
   // reads straight into read_counter_ when nothing else listens.
   if (pool_ == nullptr || selected < 2 || protocol_.is_probabilistic() ||
       external_loggers_ != 0) {
-    evaluate_slice(0, selected, bulk, /*tally=*/nullptr);
-    commit_slice(0, selected, bulk, mark_fired);
+    evaluate_slice(0, selected, /*tally=*/nullptr);
+    commit_slice(0, selected, mark_fired);
   } else {
     const auto threads = static_cast<std::size_t>(pool_->threads());
     const std::size_t chunk = (selected + threads - 1) / threads;
@@ -515,7 +437,7 @@ void Engine::execute_selection(StepInfo& info) {
       const auto [begin, end] = slice(w);
       WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
       ws.tally.begin_step();
-      evaluate_slice(begin, end, bulk, &ws.tally);
+      evaluate_slice(begin, end, &ws.tally);
     });
     // A process's writes touch only its own configuration row, and the
     // slices partition the (strictly ascending, distinct) selection, so
@@ -524,7 +446,7 @@ void Engine::execute_selection(StepInfo& info) {
       const auto [begin, end] = slice(w);
       WorkerState& ws = worker_states_[static_cast<std::size_t>(w)];
       ws.commits.clear();
-      commit_slice(begin, end, bulk, [&](ProcessId p, bool changed) {
+      commit_slice(begin, end, [&](ProcessId p, bool changed) {
         ws.commits.push_back({p, changed});
       });
     });
@@ -592,6 +514,21 @@ Engine::StepInfo Engine::step() {
 
   ++steps_;
 
+  // The trace reads the fired actions from the refresh before a round
+  // boundary's refresh replaces them. A charged idle step fired nobody,
+  // and every recorded action is kDisabled then.
+  if (trace_ != nullptr) {
+    TraceEvent event;
+    event.step = steps_;
+    event.selected = selection_;
+    event.actions.reserve(selected);
+    for (const ProcessId p : selection_) {
+      event.actions.push_back(probe_action_.action(p));
+    }
+    event.comm_changed = info.comm_changed;
+    trace_->record(std::move(event));
+  }
+
   // Round accounting: selected processes are covered; every process
   // disabled in the pre-step configuration is already covered by the
   // refresh/reset invariant (see file comment in engine.hpp).
@@ -606,18 +543,6 @@ Engine::StepInfo Engine::step() {
     rounds_at_last_comm_change_ = rounds_inclusive();
   }
 
-  if (trace_ != nullptr) {
-    TraceEvent event;
-    event.step = steps_;
-    event.selected = selection_;
-    event.actions.reserve(selected);
-    for (std::size_t i = 0; i < selected; ++i) {
-      event.actions.push_back(charged ? Protocol::kDisabled
-                                      : staged_[i].action);
-    }
-    event.comm_changed = info.comm_changed;
-    trace_->record(std::move(event));
-  }
   return info;
 }
 

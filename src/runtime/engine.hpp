@@ -82,8 +82,9 @@
 ///     repetition adds them through `StepReadCounter::absorb` in O(1)
 ///     (`idle_charges` counts them). The maxima need nothing. On that
 ///     path, as on the pooled path, the engine's own counter does not
-///     maintain `step_reads_of`. An attached external logger pins the
-///     re-runs, and an attached trace still records every step.
+///     maintain `step_reads_of`. An attached external logger must see
+///     every read, so it pins the re-runs (and the serial slice, invariant
+///     7) and nothing else; an attached trace still records every step.
 ///
 ///  5. One refresh hook. `refresh_enabled` hands the dirty ids — the
 ///     whole dirty queue, or each pool worker's share of it (invariant 7)
@@ -105,33 +106,32 @@
 ///     the one-list refresh: its self-loop classifier shares one scratch
 ///     arena and updates `active_`'s count in place.
 ///
-///  6. One phase pair. A step's execution is `evaluate_slice` (phase 1:
-///     guard re-runs + staged actions against the gamma_i snapshot) then
+///  6. One execute hook. A step's execution is `evaluate_slice` (phase 1:
+///     guard re-runs + staged rows against the gamma_i snapshot) then
 ///     `commit_slice` (phase 2: rows committed, each fired process handed
 ///     to the dirty-queue/covering/solo-cache treatment), over selection
-///     index slices. When the protocol has a bulk execute
-///     (Protocol::has_bulk_execute; RuleProtocol supplies it from the
-///     protocol's one act), every slice, whatever the selection size, is
-///     one `execute_selected` pass over the CSR slabs: the kernel re-runs
-///     each selected guard and runs each fired process's act on slab
-///     contexts, charging their reads to the step counter or the worker's
-///     tally through a `ReadSink` (no virtual call per read), and stages
-///     each fired process's post-state as a full configuration row; the
-///     commit compares the staged comm prefix against the live row
-///     (equivalent to the pending-write flag because unwritten slots keep
-///     their snapshot values). The per-process path (one ActionContext
-///     and virtual `execute` per fired process) remains for protocols
-///     without a kernel (the same ROTATING-CHECK, nested generic-efficiency
-///     and test mocks as invariant 5; one GuardContext and ActionContext
-///     per selected process),
-///     SweepMode::kForceScalar, frozen-process exclusion (phase 1
-///     consults the frozen classification per process) and attached
-///     external read loggers (the mux is order-sensitive); probabilistic
-///     protocols are bulk-executable *serially* (the kernel draws from the
-///     model rng in ascending selection order, which is the scalar stream
-///     bit for bit). The serial engine runs one slice over the whole
-///     selection, reading straight into the step counter unless an
-///     external logger is attached.
+///     index slices. Phase 1 is one `Protocol::execute_selected` call per
+///     slice, whatever the selection size, daemon, frozen exclusion or
+///     attached logger. The hook re-runs each selected guard and checks it
+///     against the refresh (invariant 4), runs each fired process's
+///     action, charging both halves' reads through a `ReadSink` (the step
+///     counter, the worker's tally, or the mux while an external logger
+///     listens), and stages the post-state as a full configuration row.
+///     The commit compares the staged comm prefix against the live row:
+///     unwritten slots keep their snapshot values, so a difference is
+///     exactly a written comm slot whose value changed. RuleProtocol
+///     supplies the hook from the protocol's one guard and act on slab
+///     contexts, with no virtual call per process or read; every other
+///     protocol (the same ROTATING-CHECK, nested generic-efficiency and
+///     test mocks as invariant 5) inherits the scalar default, one
+///     GuardContext and ActionContext per selected process, and
+///     SweepMode::kForceScalar runs that default on every protocol.
+///     Probabilistic protocols draw from the model rng on the serial slice
+///     in ascending selection order, which is the scalar stream bit for
+///     bit. Every other slice gets no rng: a kernel asserts on a draw, and
+///     the default runs the action through `execute_certified`, whose
+///     empty random script and assert catch a protocol that declared
+///     is_probabilistic() == false and draws anyway.
 ///
 ///  7. Intra-trial parallelism (opt-in via set_parallel_threads). The
 ///     kernels of invariants 5 and 6 fan out over StepPool workers. The
@@ -149,12 +149,12 @@
 ///     gates keep the contract airtight rather than probabilistic:
 ///     probabilistic protocols keep the one serial slice (Rng::below
 ///     consumes a variable number of words, so parallel actions cannot
-///     preserve the stream; workers get no model rng, and
-///     execute_certified's empty random script + assert catches a
-///     protocol that lies about is_probabilistic), attached external read
-///     loggers do too (ReadLoggerMux fan-out is order-sensitive and not
-///     thread-safe), and frozen-process exclusion pins the one-list
-///     refresh.
+///     preserve the stream; workers get no model rng, so a protocol that
+///     lies about is_probabilistic fails there, invariant 6), attached
+///     external read loggers do too (ReadLoggerMux fan-out is
+///     order-sensitive and not thread-safe), and frozen-process exclusion
+///     pins the one-list refresh. Loggers and exclusion pin nothing else:
+///     the serial slice runs the same execute hook.
 ///
 ///  8. Legitimacy tracker (`run`, while the first legitimate
 ///     configuration is pending; the churn window of runtime/churn.hpp
@@ -203,14 +203,14 @@ namespace sss {
 
 /// How the engine runs the two halves of a step that have slab kernels:
 /// guard refresh (invariant 5 in the file comment) and selection
-/// execution (invariant 6). kAuto refreshes through the protocol's
-/// `sweep_enabled_ids` (its slab kernel when it has one) and runs the
-/// bulk execute whenever the protocol has one; kForceScalar runs the
-/// scalar default, one `first_enabled` probe per dirty id, and pins the
-/// per-process execute. kForceScalar exists for the differential suites
-/// and the scalar-vs-bulk benches. Both modes compute the same
-/// computation bit for bit — mode only changes cost, and may be flipped
-/// mid-trajectory.
+/// execution (invariant 6). kAuto calls the protocol's
+/// `sweep_enabled_ids` and `execute_selected` (its slab kernels when it
+/// has them); kForceScalar calls their scalar defaults, one
+/// `first_enabled` probe per dirty id and one GuardContext and
+/// ActionContext per selected process. kForceScalar exists for the
+/// differential suites and the scalar-vs-bulk benches. Both modes compute
+/// the same computation bit for bit — mode only changes cost, and may be
+/// flipped mid-trajectory.
 enum class SweepMode { kAuto, kForceScalar };
 
 /// Manifest/CLI spelling of a SweepMode ("auto", "force_scalar");
@@ -427,39 +427,23 @@ class Engine {
   /// Updates p's active_ entry for its new first enabled `action` and
   /// returns it: enabled and not frozen. Exclusion on only.
   bool classify_active(ProcessId p, int action);
-  /// Invariant-6 dispatch: does this step's execution run the protocol's
-  /// bulk kernel? Both paths are bit-identical.
-  bool use_bulk_execute() const;
   /// The phase pair over `selection_` (invariants 6, 7): one serial slice
   /// or the pool's slices plus the ascending merge. Counts fired processes
   /// and comm changes into `info`.
   void execute_selection(StepInfo& info);
   /// Phase 1 for selection indices [begin, end): guard re-runs plus
-  /// staged actions — per process, or one execute_selected call when
-  /// `bulk`. The serial slice passes a null `tally`: reads go to the step
-  /// counter (or, with an external logger attached, the mux) and actions
-  /// draw from the model stream. A pool worker passes its tally and gets
-  /// no model rng, so its scalar actions run through execute_certified.
-  void evaluate_slice(std::size_t begin, std::size_t end, bool bulk,
+  /// staged rows, through one execute_selected call (the scalar default
+  /// under kForceScalar). The serial slice passes a null `tally`: reads go
+  /// to the step counter (or, with an external logger attached, the mux)
+  /// and probabilistic actions draw from the model stream. A pool worker
+  /// passes its tally and gets no model rng.
+  void evaluate_slice(std::size_t begin, std::size_t end,
                       WorkerReadTally* tally);
   /// Phase 2 for selection indices [begin, end): commits each fired
-  /// process's writes (or staged row when `bulk`) and calls
-  /// on_commit(p, comm_changed) in ascending order.
+  /// process's staged row and calls on_commit(p, comm_changed) in
+  /// ascending order.
   template <class OnCommit>
-  void commit_slice(std::size_t begin, std::size_t end, bool bulk,
-                    OnCommit&& on_commit);
-  /// Runs `action` for p through the scalar execute against a scratch rng
-  /// with the empty random script installed, staging writes into `writes`
-  /// (cleared first) and logging action reads through `logger`. The one
-  /// home of the certified-execution setup and its "no randomness in
-  /// certified paths" assert: a protocol that declares is_probabilistic()
-  /// == false and draws anyway dies here. For probabilistic protocols
-  /// (reachable via the frozen classifier only) a draw attempt is an
-  /// answer, not an error — the false return says the action cannot be
-  /// certified from one sample.
-  bool execute_certified(ProcessId p, int action, ReadLogger* logger,
-                         std::vector<PendingWrite>& writes,
-                         bool& comm_write_attempted);
+  void commit_slice(std::size_t begin, std::size_t end, OnCommit&& on_commit);
   /// Worker w's process range [begin, end): contiguous, 64-aligned, so
   /// partitioned writers never share an EnabledSet word.
   std::pair<ProcessId, ProcessId> worker_range(int worker) const;
@@ -481,12 +465,10 @@ class Engine {
   std::vector<std::uint8_t> probe_dirty_;
   std::vector<ProcessId> dirty_queue_;
 
-  // Bulk execute (invariant 6). The flag caches the protocol's opt-in;
-  // `bulk_staged_rows_` holds one full configuration row per selection
-  // index for the kernel's staged writes.
-  bool bulk_exec_supported_ = false;
+  // Phase 1 (invariant 6): `staged_rows_` holds one full configuration
+  // row per selection index for the execute hook's staged post-states.
   SweepMode sweep_mode_ = SweepMode::kAuto;
-  std::vector<Value> bulk_staged_rows_;
+  std::vector<Value> staged_rows_;
 
   // Frozen-process exclusion (see set_exclude_frozen). `active_` is
   // enabled minus frozen, maintained alongside `enabled_` by the same
@@ -498,7 +480,8 @@ class Engine {
   std::vector<PendingWrite> frozen_scratch_;
 
   // Per-process action chosen by the last refresh, checked against the
-  // phase-1 guard re-run (invariant 4). Sized to n once in the constructor.
+  // phase-1 guard re-run (invariant 4); the commit and the trace read the
+  // fired actions from it. Sized to n once in the constructor.
   EnabledBitmap probe_action_;
 
   // Round accounting (invariant 2).
@@ -528,13 +511,13 @@ class Engine {
   // Scratch arenas reused across steps; sized up once, never shrunk, so
   // the steady-state step performs no heap allocation.
   std::vector<ProcessId> selection_;
-  std::vector<ProcessStep> staged_;
   std::vector<Value> solo_saved_row_;
   ProcessStep solo_scratch_;
 
   // Intra-trial parallelism (invariant 7). worker_states_ holds one slot
   // per pool worker, reused across steps; external_loggers_ counts
-  // attach_read_logger clients, whose presence pins the one serial slice.
+  // attach_read_logger clients, whose presence pins the one serial slice
+  // and the idle-charge re-runs (invariant 4).
   struct WorkerState {
     explicit WorkerState(const StepReadCounter& counter) : tally(counter) {}
     WorkerReadTally tally;

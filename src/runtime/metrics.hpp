@@ -223,12 +223,12 @@ class WorkerReadTally final : public ReadLogger {
   int max_bits_ = 0;
 };
 
-/// Where a bulk-execute kernel (runtime/bulk.hpp) charges its reads: the
+/// Where the execute hook (runtime/bulk.hpp) charges its reads: the
 /// engine's step counter on the serial slice (its charge inlined at each
 /// read site behind one tagged branch) or a pool worker's tally (a direct
-/// out-of-line call, keeping read sites small). Suites and benches may
-/// pass any other ReadLogger, called virtually; the engine never does,
-/// since an external logger pins its per-process path.
+/// out-of-line call, keeping read sites small). Any other ReadLogger is
+/// called virtually: the engine passes its mux while an external logger
+/// is attached, and suites and benches pass their own.
 class ReadSink {
  public:
   ReadSink(StepReadCounter& counter)

@@ -19,12 +19,74 @@ void Protocol::sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
   }
 }
 
-void Protocol::execute_selected(BulkExecContext&, const EnabledBitmap&,
-                                std::span<const ProcessId>, std::size_t,
-                                std::size_t) const {
-  SSS_ASSERT(false,
-             "execute_selected called on a protocol without a bulk execute "
-             "kernel (has_bulk_execute() gates the call)");
+namespace {
+
+/// The scalar contexts log through a ReadLogger; this one charges the
+/// execute context's sink.
+class SinkLogger final : public ReadLogger {
+ public:
+  explicit SinkLogger(BulkExecContext& ctx) : ctx_(ctx) {}
+  void on_read(ProcessId reader, ProcessId subject, int comm_var) override {
+    ctx_.log(reader, subject, comm_var);
+  }
+
+ private:
+  BulkExecContext& ctx_;
+};
+
+}  // namespace
+
+void Protocol::execute_selected(BulkExecContext& ctx,
+                                const EnabledBitmap& enabled,
+                                std::span<const ProcessId> selection,
+                                std::size_t begin, std::size_t end) const {
+  SinkLogger logger(ctx);
+  // One write arena per thread keeps its capacity across steps, so the
+  // steady-state step allocates nothing.
+  thread_local std::vector<PendingWrite> writes;
+  const auto num_comm = static_cast<std::size_t>(ctx.config().num_comm());
+  for (std::size_t i = begin; i < end; ++i) {
+    const ProcessId p = selection[i];
+    GuardContext guard(ctx.graph(), ctx.config(), p, &logger);
+    const int action = first_enabled(guard);
+    enabled.expect_rerun(p, action);
+    if (action == kDisabled) continue;
+    if (ctx.rng() != nullptr) {
+      ActionContext act(ctx.graph(), ctx.config(), p, *ctx.rng(), &logger,
+                        &writes);
+      execute(action, act);
+    } else {
+      const bool certified = execute_certified(ctx.graph(), *this,
+                                               ctx.config(), p, action,
+                                               &logger, writes);
+      SSS_ASSERT(certified,
+                 "execute_selected may draw randomness only with the model "
+                 "rng (the serial slice of a protocol declaring "
+                 "is_probabilistic())");
+    }
+    // Pending writes land in commit order, so a slot written twice keeps
+    // the last value, as commit_writes would.
+    Value* row = ctx.stage(i, p);
+    for (const PendingWrite& w : writes) {
+      row[w.is_comm ? static_cast<std::size_t>(w.var)
+                    : num_comm + static_cast<std::size_t>(w.var)] = w.value;
+    }
+  }
+}
+
+bool execute_certified(const Graph& g, const Protocol& protocol,
+                       const Configuration& pre, ProcessId p, int action,
+                       ReadLogger* logger, std::vector<PendingWrite>& writes) {
+  static const std::vector<Value> kNoScript;
+  Rng scratch_rng(0x9a7a11e1ULL);
+  ActionContext ctx(g, pre, p, scratch_rng, logger, &writes);
+  ctx.set_random_script(&kNoScript);
+  protocol.execute(action, ctx);
+  const bool drew = !ctx.random_draws().empty();
+  SSS_ASSERT(!drew || protocol.is_probabilistic(),
+             "a protocol declaring is_probabilistic() == false drew "
+             "randomness inside a certified execution path");
+  return !drew;
 }
 
 ProcessStep evaluate_process(const Graph& g, const Protocol& protocol,

@@ -64,32 +64,34 @@ class Protocol {
   virtual void sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
                                  std::span<const ProcessId> ids) const;
 
-  /// True when `sweep_enabled_ids` is a slab kernel rather than the
-  /// scalar default. Informational (capability listings, benches, tests);
-  /// the engine calls the hook either way.
+  /// True when the protocol's hooks are slab kernels (RuleProtocol
+  /// supplies both `sweep_enabled_ids` and `execute_selected`) rather than
+  /// the scalar defaults. Informational (capability listings, benches,
+  /// tests); the engine calls the hooks either way.
   virtual bool has_bulk_sweep() const { return false; }
 
-  /// Bulk action execution (see runtime/bulk.hpp): true when the protocol
-  /// provides `execute_selected`, letting the engine run phase 1 — guard
-  /// re-run plus action execution — for a whole selection in one slab
-  /// pass instead of a GuardContext, an ActionContext and two virtual
-  /// calls per selected process. Independent of has_bulk_sweep;
-  /// RuleProtocol supplies both.
-  virtual bool has_bulk_execute() const { return false; }
-
-  /// Executes selection indices [begin, end) of `selection` (strictly
-  /// ascending process ids): for each index i with process p, re-run p's
-  /// guard against `ctx.config()`, logging its neighbor reads through
-  /// `ctx` as `first_enabled` would issue them, and check the result with
-  /// `enabled.expect_rerun(p, action)`; when the action is not kDisabled,
-  /// stage p's post-state row via `ctx.stage(i, p)`, applying exactly the
-  /// writes and logging exactly the neighbor reads (order included) the
-  /// scalar `execute` would produce for that action against the same
-  /// snapshot. [begin, end) is the partition primitive of the
-  /// engine's parallel composition; the serial path passes the whole
-  /// selection. RuleProtocol implements it by running the protocol's act
-  /// on a slab-row action context per fired process. Only called when
-  /// `has_bulk_execute()` is true; the default asserts.
+  /// Phase 1 of a step (see runtime/bulk.hpp) for selection indices
+  /// [begin, end) of `selection` (strictly ascending process ids): for
+  /// each index i with process p, re-run p's guard against `ctx.config()`,
+  /// logging its neighbor reads through `ctx` as `first_enabled` would
+  /// issue them, and check the result with `enabled.expect_rerun(p,
+  /// action)`; when the action is not kDisabled, stage p's post-state row
+  /// via `ctx.stage(i, p)`, applying exactly the writes and logging
+  /// exactly the neighbor reads (order included) the scalar `execute`
+  /// would produce for that action against the same snapshot. [begin,
+  /// end) is the partition primitive of the engine's parallel
+  /// composition; the serial path passes the whole selection. This is the
+  /// engine's one execute hook.
+  ///
+  /// The default runs the scalar `first_enabled` and `execute` per
+  /// process on a GuardContext and an ActionContext that log through
+  /// `ctx`, and applies the pending writes onto the staged row. Without a
+  /// model rng (`ctx.rng()` null) the action runs through
+  /// `execute_certified`, so a draw fails loudly instead of leaving the
+  /// model stream. The default is the reference every override must equal;
+  /// SweepMode::kForceScalar calls it directly. RuleProtocol
+  /// (runtime/rule.hpp) overrides it with the protocol's one guard and act
+  /// on slab-row contexts.
   virtual void execute_selected(BulkExecContext& ctx,
                                 const EnabledBitmap& enabled,
                                 std::span<const ProcessId> selection,
@@ -122,6 +124,19 @@ ProcessStep evaluate_process(const Graph& g, const Protocol& protocol,
 void evaluate_process_into(const Graph& g, const Protocol& protocol,
                            const Configuration& pre, ProcessId p, Rng& rng,
                            ReadLogger* logger, ProcessStep& out);
+
+/// Runs `action` for p through the scalar `execute` against a scratch rng
+/// with the empty random script installed, staging writes into `writes`
+/// (cleared first) and logging action reads through `logger`. This is the
+/// one home of the certified-execution setup and of its "no randomness in
+/// certified paths" assert: a protocol that declares is_probabilistic()
+/// == false and draws anyway dies here instead of silently diverging from
+/// the model rng stream. For a probabilistic protocol a draw attempt is an
+/// answer, not an error: the false return says the action cannot be
+/// certified from one sample (the scratch value it drew must not escape).
+bool execute_certified(const Graph& g, const Protocol& protocol,
+                       const Configuration& pre, ProcessId p, int action,
+                       ReadLogger* logger, std::vector<PendingWrite>& writes);
 
 /// Applies a process's pending writes to `config`. Returns true if any
 /// communication variable actually changed value.

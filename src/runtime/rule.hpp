@@ -209,7 +209,6 @@ class RuleProtocol : public Protocol {
   void sweep_enabled_ids(BulkGuardContext& ctx, EnabledBitmap& out,
                          std::span<const ProcessId> ids) const final;
 
-  bool has_bulk_execute() const final { return true; }
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
                         std::span<const ProcessId> selection, std::size_t begin,
                         std::size_t end) const final;

@@ -1,11 +1,13 @@
-/// The bulk execute hook's contract (runtime/bulk.hpp): for every opted-in
-/// protocol, one `execute_selected` pass over a selection must reproduce —
-/// write for write, logged read for logged read, random draw for random
-/// draw — what the per-process scalar `execute` calls produce, and a
-/// kAuto Engine (the bulk path at every selection size) must stay
-/// bit-identical to one forced onto the scalar path. SweepMode governs
-/// both the guard-sweep half (invariant 5) and this execute half
-/// (invariant 6), so the checks here deliberately stress the
+/// The execute hook's contract (runtime/bulk.hpp): for every protocol,
+/// kernel or scalar default, one `execute_selected` pass over a selection
+/// must reproduce — write for write, logged read for logged read, random
+/// draw for random draw — what the per-process scalar `execute` calls
+/// produce, and a kAuto Engine (the kernel at every selection size) must
+/// stay bit-identical to one forced onto the scalar default (that every
+/// registry protocol has the kernel is checked by
+/// BulkSweep.EveryRegistryProtocolOptsIn: has_bulk_sweep covers both
+/// hooks). SweepMode governs both the guard-sweep half (invariant 5) and
+/// this execute half (invariant 6), so the checks here deliberately stress the
 /// execute-specific corners the sweep suite cannot: probabilistic
 /// protocols replaying the engine RNG stream, composition with the
 /// parallel step (invariant 7), and mid-trajectory mode flips. The
@@ -73,25 +75,6 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
               scalar.read_counter().total_bits());
     ASSERT_EQ(bulk.read_counter().max_reads_per_process_step(),
               scalar.read_counter().max_reads_per_process_step());
-  }
-}
-
-TEST(BulkExecute, EveryRegistryProtocolOptsIn) {
-  // The whole registry is covered by the fast execute path, and so is
-  // generic-efficiency over each of its rule protocols; a protocol that
-  // stays scalar should be a deliberate choice, visible here.
-  for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
-    const Graph g = path(4);
-    const std::unique_ptr<Protocol> protocol =
-        ProtocolRegistry::instance().make(name, g, {});
-    EXPECT_TRUE(protocol->has_bulk_execute()) << name;
-    const std::unique_ptr<Protocol> composed =
-        ProtocolRegistry::instance().make(
-            ProtocolSelection::wrap("generic-efficiency",
-                                    ProtocolSelection::base(name)),
-            g);
-    EXPECT_TRUE(composed->has_bulk_execute()) << "generic-efficiency("
-                                              << name << ")";
   }
 }
 
@@ -189,8 +172,8 @@ TEST(BulkExecute, KernelReadStreamMatchesScalarEvaluateProcess) {
     for (const auto& named : testing::sweep_graphs()) {
       const std::unique_ptr<Protocol> protocol =
           ProtocolRegistry::instance().make(selection, named.graph);
-      // The depth-2 composition has no kernel; the engine never calls it.
-      if (!protocol->has_bulk_execute()) continue;
+      // The depth-2 composition has no kernel: this holds the scalar
+      // default to evaluate_process.
       for (std::uint64_t seed : {201u, 202u, 203u}) {
         expect_kernel_reads_match_scalar(named.graph, *protocol, seed);
       }

@@ -119,9 +119,10 @@ void expect_sweep_matches_scalar(const Graph& g, const Protocol& protocol,
 }
 
 TEST(BulkSweep, EveryRegistryProtocolOptsIn) {
-  // The whole registry is covered by the fast path, and so is
+  // The whole registry is covered by the slab kernels of both hooks
+  // (refresh and execute; has_bulk_sweep reports both), and so is
   // generic-efficiency over each of its rule protocols (the composed
-  // kernel); a new protocol that stays scalar should be a deliberate
+  // kernels); a new protocol that stays scalar should be a deliberate
   // choice, visible here.
   for (const std::string& name : ProtocolRegistry::instance().protocol_names()) {
     const Graph g = path(4);

@@ -220,7 +220,6 @@ TEST(GenericEfficiency, RegistryComposesRuleProtocolsOnTheirKernels) {
       dynamic_cast<const GenericEfficiency<Protocol>*>(nested.get());
   ASSERT_NE(outer, nullptr);
   EXPECT_FALSE(outer->has_bulk_sweep());
-  EXPECT_FALSE(outer->has_bulk_execute());
   EXPECT_NE(dynamic_cast<const GenericEfficiency<ColoringProtocol>*>(
                 &outer->inner()),
             nullptr);

@@ -19,6 +19,7 @@
 #include "core/protocol_registry.hpp"
 #include "graph/builders.hpp"
 #include "protocol_harness.hpp"
+#include "runtime/metrics.hpp"
 #include "runtime/protocol.hpp"
 
 namespace sss {
@@ -151,9 +152,9 @@ class WrongSweep final : public Protocol {
 /// Scalar execute drives X to 1 and goes quiet; the bulk execute kernel
 /// stages 2 instead — a planted bulk/scalar divergence on the *execute*
 /// half (the guards are untouched, so the bulk sweep fallback stays
-/// correct). On the scalar path the protocol is well behaved; only a grid
-/// that actually runs the bulk execute path can flag it: the
-/// falsifiability proof for invariant 6 under SweepMode::kAuto.
+/// correct). On the scalar default the protocol is well behaved; only a
+/// grid that actually runs the kernel can flag it: the falsifiability
+/// proof for invariant 6 under SweepMode::kAuto.
 class WrongExecute final : public Protocol {
  public:
   explicit WrongExecute(const Graph&) {
@@ -171,7 +172,6 @@ class WrongExecute final : public Protocol {
   void execute(int, ActionContext& ctx) const override {
     ctx.set_comm(0, 1);
   }
-  bool has_bulk_execute() const override { return true; }
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
                         std::span<const ProcessId> selection,
                         std::size_t begin, std::size_t end) const override {
@@ -215,7 +215,6 @@ class SkippedGuardRead final : public Protocol {
   void execute(int, ActionContext& ctx) const override {
     ctx.set_comm(0, 1);
   }
-  bool has_bulk_execute() const override { return true; }
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
                         std::span<const ProcessId> selection,
                         std::size_t begin, std::size_t end) const override {
@@ -506,6 +505,83 @@ TEST(ProtocolHarnessFalsifiability, RealProtocolsPassTheSameToyGrid) {
   const testing::HarnessReport report =
       testing::run_protocol_property_suite("coloring", toy_options());
   EXPECT_TRUE(report.ok()) << report.str();
+}
+
+/// Engine settings under which a step still runs the protocol's execute
+/// hook, so the planted kernels must be reached there too.
+enum class Pin { kFrozenExclusion, kAttachedLogger };
+
+const char* pin_name(Pin pin) {
+  return pin == Pin::kFrozenExclusion ? "frozen exclusion" : "attached logger";
+}
+
+/// Drives a kAuto and a kForceScalar engine from the same seed, both under
+/// `pin`, and names the first step at which they disagree on the
+/// configuration, the read totals or the attached trackers' read sets;
+/// empty when they agree for `steps` steps.
+std::string mode_divergence(const Graph& g, const Protocol& protocol,
+                            const std::string& daemon, std::uint64_t seed,
+                            Pin pin, int steps) {
+  StabilityTracker kernel_reads(g);
+  StabilityTracker scalar_reads(g);
+  Engine kernel(g, protocol, make_daemon(daemon), seed);
+  Engine scalar(g, protocol, make_daemon(daemon), seed);
+  scalar.set_sweep_mode(SweepMode::kForceScalar);
+  if (pin == Pin::kFrozenExclusion) {
+    kernel.set_exclude_frozen(true);
+    scalar.set_exclude_frozen(true);
+  } else {
+    kernel.attach_read_logger(&kernel_reads);
+    scalar.attach_read_logger(&scalar_reads);
+  }
+  kernel.randomize_state();
+  scalar.randomize_state();
+  for (int s = 0; s < steps; ++s) {
+    kernel.step();
+    scalar.step();
+    const std::string at = "step " + std::to_string(s) + ": ";
+    if (kernel.config() != scalar.config()) return at + "configurations";
+    if (kernel.read_counter().total_reads() !=
+        scalar.read_counter().total_reads()) {
+      return at + "read totals";
+    }
+    if (kernel_reads.read_set_sizes() != scalar_reads.read_set_sizes()) {
+      return at + "read sets";
+    }
+  }
+  return "";
+}
+
+TEST(ProtocolHarnessFalsifiability, FlagsPlantedKernelsUnderFrozenAndLogger) {
+  // Frozen exclusion and an attached logger run the protocol's execute
+  // hook like every other step, so each planted kernel must diverge from
+  // the scalar default under them: WrongExecute in its configurations,
+  // SkippedGuardRead in its read metrics. A correct kernel must not.
+  const Graph g = path(3);
+  const WrongExecute wrong_execute(g);
+  const SkippedGuardRead skipped_read(g);
+  const std::unique_ptr<Protocol> coloring =
+      ProtocolRegistry::instance().make("coloring", g, {});
+  for (const Pin pin : {Pin::kFrozenExclusion, Pin::kAttachedLogger}) {
+    for (const Protocol* protocol :
+         {static_cast<const Protocol*>(&wrong_execute),
+          static_cast<const Protocol*>(&skipped_read)}) {
+      std::string divergence;
+      for (const std::string daemon : {"synchronous", "central-rr"}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+          if (divergence.empty()) {
+            divergence = mode_divergence(g, *protocol, daemon, seed, pin, 32);
+          }
+        }
+      }
+      EXPECT_FALSE(divergence.empty())
+          << protocol->name() << " was not flagged under " << pin_name(pin);
+    }
+    for (const std::string daemon : {"synchronous", "central-rr"}) {
+      EXPECT_EQ(mode_divergence(g, *coloring, daemon, 1, pin, 64), "")
+          << "coloring under " << pin_name(pin) << ", " << daemon;
+    }
+  }
 }
 
 }  // namespace

@@ -76,9 +76,9 @@ TEST(ProtocolPropertySuite, ScalarForcedGridStaysInLockstep) {
   // selection size; the wrong-sweep and wrong-execute toys in
   // tests/test_protocol_harness.cpp prove that leg falsifiable). This
   // leg pins every engine to the scalar defaults — one first_enabled
-  // probe per dirty id, one virtual execute per fired process — so the
-  // per-process paths keep their own ReferenceEngine lockstep: configs,
-  // rounds, and read metrics alike.
+  // probe per dirty id, one virtual guard re-run and execute per selected
+  // process — so the scalar defaults keep their own ReferenceEngine
+  // lockstep: configs, rounds, and read metrics alike.
   testing::HarnessOptions options;
   options.sweep_mode = SweepMode::kForceScalar;
   options.seeds_per_daemon = 1;

@@ -280,7 +280,7 @@ class OutOfBandGuard final : public RuleProtocol<OutOfBandGuard> {
 TEST(Engine, StaleGuardIsCaughtAtExecute) {
   // Phase 1 re-runs every selected guard on the snapshot the refresh saw
   // and asserts it chose the refreshed action. A stale entry must throw on
-  // the kernel path (kAuto) and the per-process path (kForceScalar), in
+  // the kernel (kAuto) and on the scalar default (kForceScalar), in
   // both directions: enabled turned disabled (the synchronous daemon
   // selects every process) and disabled turned enabled (it selects the
   // whole network while nothing is enabled).
@@ -298,6 +298,73 @@ TEST(Engine, StaleGuardIsCaughtAtExecute) {
           << sweep_mode_name(mode) << (refreshed ? " enabled" : " disabled");
     }
   }
+}
+
+/// Declares itself deterministic yet draws in its action. Without a
+/// kernel it runs on the scalar default of the execute hook.
+class UndeclaredDraw final : public Protocol {
+ public:
+  UndeclaredDraw() { spec_.comm.emplace_back("B", VarDomain{0, 1}); }
+  const std::string& name() const override {
+    static const std::string kName = "UNDECLARED-DRAW";
+    return kName;
+  }
+  const ProtocolSpec& spec() const override { return spec_; }
+  int num_actions() const override { return 1; }
+  int first_enabled(GuardContext&) const override { return 0; }
+  void execute(int, ActionContext& ctx) const override {
+    ctx.set_comm(0, ctx.random_range(0, 1));
+  }
+
+ private:
+  ProtocolSpec spec_;
+};
+
+TEST(Engine, UndeclaredDrawFailsOnEverySlice) {
+  // is_probabilistic() == false promises actions never draw, so no slice
+  // hands such a protocol the model rng and the default execute hook runs
+  // its actions certified: the draw must throw on the serial slice and on
+  // pool workers, under both sweep modes.
+  const Graph g = cycle(6);
+  const UndeclaredDraw protocol;
+  for (const SweepMode mode : {SweepMode::kAuto, SweepMode::kForceScalar}) {
+    for (const int threads : {1, 2}) {
+      Engine engine(g, protocol, make_synchronous_daemon(), 9);
+      engine.set_sweep_mode(mode);
+      engine.set_parallel_threads(threads);
+      engine.randomize_state();
+      EXPECT_THROW(engine.step(), InvariantError)
+          << sweep_mode_name(mode) << " at " << threads << " thread(s)";
+    }
+  }
+}
+
+TEST(Engine, TraceRecordsPreStepActionsAcrossRoundBoundaries) {
+  // Under the synchronous daemon every step completes a round, and the
+  // round restart refreshes the fired processes' actions. The trace must
+  // still hold the actions the selected processes fired, which are their
+  // first enabled actions on the pre-step configuration.
+  const Graph g = grid(3, 4);
+  const ColoringProtocol protocol(g);
+  Engine engine(g, protocol, make_synchronous_daemon(), 31);
+  engine.randomize_state();
+  TraceRecorder trace(1);
+  engine.set_trace(&trace);
+  int checked = 0;
+  for (; checked < 20 && engine.num_enabled() > 0; ++checked) {
+    const Configuration pre = engine.config();
+    const std::uint64_t rounds = engine.rounds();
+    engine.step();
+    ASSERT_EQ(engine.rounds(), rounds + 1);
+    const TraceEvent& event = trace.events().back();
+    ASSERT_EQ(event.actions.size(), event.selected.size());
+    for (std::size_t i = 0; i < event.selected.size(); ++i) {
+      GuardContext guard(g, pre, event.selected[i], /*logger=*/nullptr);
+      EXPECT_EQ(event.actions[i], protocol.first_enabled(guard))
+          << "step " << event.step << ", process " << event.selected[i];
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(Engine, TraceRecordsRepeatedIdleSteps) {

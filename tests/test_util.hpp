@@ -120,7 +120,7 @@ inline std::vector<NamedGraph> sweep_graphs() {
 /// registry protocol, each of them wrapped in generic-efficiency (the
 /// composed rule kernels), and the depth-2 composition
 /// generic-efficiency(generic-efficiency(coloring)), whose outer layer
-/// keeps the per-process path.
+/// runs the scalar defaults of both hooks.
 inline std::vector<ProtocolSelection> kernel_selections() {
   const std::vector<std::string> bases =
       ProtocolRegistry::instance().protocol_names();

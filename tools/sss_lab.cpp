@@ -111,8 +111,9 @@ int int_value(const std::string& flag, const std::string& text) {
   return value;
 }
 
-/// Bulk capabilities of protocol entry `name`, the subset of "sweep" and
-/// "execute" it implements. They are instance properties, so the entry's
+/// Bulk capabilities of protocol entry `name`: "sweep" and "execute" when
+/// its hooks are slab kernels (has_bulk_sweep: RuleProtocol supplies
+/// both), none otherwise. They are instance properties, so the entry's
 /// defaults are built on a tiny cycle; nullopt when they cannot build
 /// there.
 std::optional<std::vector<std::string>> probe_bulk(const std::string& name) {
@@ -121,10 +122,8 @@ std::optional<std::vector<std::string>> probe_bulk(const std::string& name) {
   try {
     const std::unique_ptr<Protocol> probe =
         ProtocolRegistry::instance().make(name, probe_graph);
-    std::vector<std::string> bulk;
-    if (probe->has_bulk_sweep()) bulk.push_back("sweep");
-    if (probe->has_bulk_execute()) bulk.push_back("execute");
-    return bulk;
+    if (!probe->has_bulk_sweep()) return std::vector<std::string>{};
+    return std::vector<std::string>{"sweep", "execute"};
   } catch (const std::exception&) {
     return std::nullopt;
   }
