@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/batch.hpp"
-#include "analysis/plan.hpp"
 #include "analysis/report.hpp"
 #include "graph/builders.hpp"
 #include "graph/coloring.hpp"
@@ -55,73 +54,6 @@ inline std::string graph_stats(const Graph& g) {
   return "n=" + std::to_string(g.num_vertices()) +
          " m=" + std::to_string(g.num_edges()) +
          " D=" + std::to_string(g.max_degree());
-}
-
-/// Shared body of the efficient-vs-full-read comparison shells
-/// (bench_bfs_tree, bench_leader_election): run the manifest as one
-/// batch, print the convergence/reads table, emit BENCH_<name>.json, and
-/// enforce the claim — every run stabilizes, and items whose protocol is
-/// named `efficient_protocol` keep the k <= `efficient_k` read pattern.
-inline int run_efficiency_comparison(const std::string& banner,
-                                     const std::string& manifest_path,
-                                     const std::string& bench_name,
-                                     const std::string& efficient_protocol,
-                                     int efficient_k) {
-  print_banner(banner);
-  print_note("every run starts from a uniformly random configuration;");
-  print_note("silent = certified by the exact quiescence check;");
-  print_note("k = max distinct neighbors any process read in any step.");
-
-  const ExperimentPlan plan = plan_from_manifest_file(manifest_path);
-  const BatchResult result = run_batch(plan.items, BatchOptions{});
-
-  TextTable table({"item", "size", "runs", "silent", "rounds(med)",
-                   "rounds(max)", "steps(med)", "k", "bits"});
-  BenchJsonWriter json(bench_name);
-  for (std::size_t i = 0; i < plan.items.size(); ++i) {
-    const Graph& g = *plan.items[i].graph;
-    const SweepSummary& s = result.summaries[i];
-    table.row()
-        .add(plan.items[i].label)
-        .add(graph_stats(g))
-        .add(s.runs)
-        .add(s.silent_runs)
-        .add(s.rounds_to_silence.median, 1)
-        .add(static_cast<std::int64_t>(s.max_rounds_to_silence))
-        .add(s.steps_to_silence.median, 1)
-        .add(s.k_measured)
-        .add(s.bits_measured);
-    json.record()
-        .field("item", plan.items[i].label)
-        .field("n", g.num_vertices())
-        .field("runs", s.runs)
-        .field("silent_runs", s.silent_runs)
-        .field("rounds_to_silence_median", s.rounds_to_silence.median)
-        .field("rounds_to_silence_max",
-               static_cast<std::int64_t>(s.max_rounds_to_silence))
-        .field("steps_to_silence_median", s.steps_to_silence.median)
-        .field("k_measured", s.k_measured)
-        .field("bits_measured", s.bits_measured);
-    SSS_REQUIRE(s.silent_runs == s.runs,
-                plan.items[i].label + ": a run failed to stabilize");
-    // The manifests bind a problem, so silence alone is not the claim:
-    // every trial's trajectory must have reached the legitimacy predicate.
-    SSS_REQUIRE(s.legitimate_runs == s.runs,
-                plan.items[i].label +
-                    ": a run stabilized without reaching legitimacy");
-    if (plan.items[i].protocol->name() == efficient_protocol) {
-      SSS_REQUIRE(s.k_measured <= efficient_k,
-                  plan.items[i].label + ": k exceeded the " +
-                      std::to_string(efficient_k) + "-read pattern");
-    }
-  }
-  std::printf("%s\n", table.str().c_str());
-  print_note("claim check: silent == runs everywhere; k <= " +
-             std::to_string(efficient_k) + " for " + efficient_protocol +
-             " vs k = Delta for the full-read baseline.");
-  std::fflush(stdout);
-  json.write();
-  return 0;
 }
 
 }  // namespace sss::bench

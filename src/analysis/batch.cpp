@@ -98,8 +98,7 @@ SweepSummary summarize_runs(const RunStats* stats, int count) {
 BatchResult run_batch(const std::vector<BatchItem>& items,
                       const BatchOptions& options) {
   SSS_REQUIRE(!items.empty(), "batch needs at least one item");
-  SSS_REQUIRE(options.threads >= 0 && options.shards >= 0,
-              "thread and shard counts cannot be negative");
+  SSS_REQUIRE(options.threads >= 0, "thread count cannot be negative");
   for (const BatchItem& item : items) validate_batch_item(item);
 
   // Per-item effective run options: a problem supplies the legitimacy
@@ -132,22 +131,6 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
   item_offset[items.size()] = static_cast<int>(trials.size());
   const int total = static_cast<int>(trials.size());
 
-  // Shards: one per item by default, so every engine a shard schedules
-  // shares its predecessors' graph/protocol slabs (warm caches); work
-  // stealing below keeps them from becoming a serialization unit. Shard
-  // granularity is per item — an item's trials always stay together — so
-  // more shards than items would just sit empty.
-  int shards = options.shards != 0 ? options.shards
-                                   : static_cast<int>(items.size());
-  shards = std::clamp(shards, 1, static_cast<int>(items.size()));
-  std::vector<std::vector<int>> shard_trials(static_cast<std::size_t>(shards));
-  for (int g = 0; g < total; ++g) {
-    shard_trials[static_cast<std::size_t>(trials[static_cast<std::size_t>(g)]
-                                              .item %
-                                          shards)]
-        .push_back(g);
-  }
-
   std::vector<RunStats> results(static_cast<std::size_t>(total));
   std::vector<ChurnStats> churn_results(static_cast<std::size_t>(total));
   // Which trials actually ran: skip_trial excludes resumed-over trials up
@@ -179,7 +162,7 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
     if (item.churn_enabled) {
       // Per-trial churn stream: derived from the item's churn seed and the
       // trial's engine seed alone, so churn windows inherit the batch
-      // runner's thread/shard invariance.
+      // runner's thread-count invariance.
       ChurnOptions churn = item.churn;
       std::uint64_t seed_state =
           churn.seed ^ (0x9e3779b97f4a7c15ULL * (engine_seed + 1));
@@ -252,9 +235,14 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
       run_trial(g);
     }
   } else {
-    // Per-shard cursors; claiming a trial is one fetch_add, stealing is
-    // claiming from someone else's shard after your own runs dry.
-    std::vector<std::atomic<int>> cursors(static_cast<std::size_t>(shards));
+    // One shard per item — the item's trials, contiguous in the flat
+    // plan — so every engine a shard schedules shares its predecessors'
+    // graph/protocol slabs (warm caches). Per-shard cursors; claiming a
+    // trial is one fetch_add, stealing is claiming from someone else's
+    // shard after your own runs dry, so no shard becomes a serialization
+    // unit.
+    const int shards = static_cast<int>(items.size());
+    std::vector<std::atomic<int>> cursors(items.size());
     for (auto& cursor : cursors) cursor.store(0, std::memory_order_relaxed);
     std::exception_ptr first_error;
     std::mutex error_mutex;
@@ -262,9 +250,9 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
       for (int probe = 0; probe < shards; ++probe) {
         const std::size_t s = static_cast<std::size_t>((id + probe) % shards);
         for (;;) {
-          const int c = cursors[s].fetch_add(1, std::memory_order_relaxed);
-          if (c >= static_cast<int>(shard_trials[s].size())) break;
-          const int g = shard_trials[s][static_cast<std::size_t>(c)];
+          const int g = item_offset[s] +
+                        cursors[s].fetch_add(1, std::memory_order_relaxed);
+          if (g >= item_offset[s + 1]) break;
           if (skip(g)) continue;
           // Cancellation is per-trial, never mid-trial: claimed trials
           // run to completion and stream whole rows.
@@ -286,8 +274,8 @@ BatchResult run_batch(const std::vector<BatchItem>& items,
   }
 
   // Reduction in item order, each item over its *executed* trials in
-  // trial-index order: bitwise identical for every thread/shard count,
-  // and — absent skip/cancel hooks — identical to reducing all trials.
+  // trial-index order: bitwise identical for every thread count, and —
+  // absent skip/cancel hooks — identical to reducing all trials.
   BatchResult out;
   out.planned_trials = total;
   out.summaries.reserve(items.size());

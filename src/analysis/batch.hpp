@@ -18,12 +18,12 @@
 ///    shape to run on it — the graph/protocol immutables are shared by
 ///    reference across all of the item's engines (engines only ever read
 ///    them), so a thousand trials on one topology cost one CSR slab;
-///  * trials are grouped into *shards* (by default one per item, so a
-///    shard's engines revisit the same graph memory) and executed by a
-///    pool of workers with per-shard work stealing: a worker drains its
-///    own shard first, then pulls from the next shard cyclically, so one
-///    slow graph cannot starve the rest of the plan;
-///  * results are bit-identical at every thread/shard count: a trial's
+///  * trials are grouped into *shards*, one per item, so a shard's
+///    engines revisit the same graph memory, and executed by a pool of
+///    workers with per-shard work stealing: a worker drains its own shard
+///    first, then pulls from the next shard cyclically, so one slow graph
+///    cannot starve the rest of the plan;
+///  * results are bit-identical at every thread count: a trial's
 ///    engine seed derives from its index within its item alone
 ///    (base_seed + 1 + index, the sequence the original serial loop
 ///    produced), and per-item reduction happens in trial-index order
@@ -86,7 +86,7 @@ struct BatchItem {
   /// on the trial rows and reduce into BatchResult::churn_summaries. The
   /// per-trial churn stream is derived from `churn.seed` and the trial's
   /// engine seed, so churn results share the batch runner's
-  /// thread/shard-count invariance. `extra_steps` must be 0 in churn mode.
+  /// thread-count invariance. `extra_steps` must be 0 in churn mode.
   bool churn_enabled = false;
   ChurnOptions churn;
   /// Topology churn (churn.topology_weight > 0) must rebuild the protocol
@@ -156,11 +156,6 @@ struct BatchTrialRow {
 struct BatchOptions {
   /// Worker threads: 0 = one per hardware thread, 1 = run inline.
   int threads = 0;
-  /// Shard count: 0 = one shard per item (the default and the maximum —
-  /// an item's trials always share a shard, so the value is clamped to
-  /// [1, item count]). Fewer shards trade stealing granularity for fewer
-  /// cursors.
-  int shards = 0;
   /// Streaming hook: called once per trial as it finishes, so results
   /// reach a sink (file, pipe, live dashboard) incrementally instead of
   /// only after the whole plan completes. Calls are serialized by the

@@ -12,7 +12,7 @@
 /// reduction; see BatchOptions::on_trial.) Because every trial row
 /// carries its (item, trial) coordinates, a streamed file is
 /// sortable-deterministic: sorting rows by those indices yields the same
-/// bytes at any thread or shard count.
+/// bytes at any thread count.
 ///
 /// Implementations:
 ///  * `JsonlSink` — one flat JSON object per line, integers/bools/strings

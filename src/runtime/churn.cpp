@@ -192,9 +192,8 @@ ChurnRunner<EngineT>::ChurnRunner(Graph initial, ProtocolFactory factory,
   validate_churn_options(options_);
   edges_ = graph_->edges();
   const int n0 = graph_->num_vertices();
-  max_nodes_ = options_.max_nodes > 0 ? options_.max_nodes : n0 + 8;
-  min_nodes_ = std::max(2, options_.min_nodes > 0 ? options_.min_nodes
-                                                  : n0 / 2);
+  max_nodes_ = n0 + 8;
+  min_nodes_ = std::max(2, n0 / 2);
   engine_ = std::make_unique<EngineT>(*graph_, *protocol_,
                                       make_daemon(daemon_name_), engine_seed_);
   configure_engine();
@@ -409,11 +408,6 @@ bool ChurnRunner<EngineT>::mutate_topology(int subkind) {
     case 3: {  // node leave: highest id only, ids below it stay stable
       const ProcessId victim = n - 1;
       if (n - 1 < min_nodes_) return false;
-      if (std::find(options_.protected_processes.begin(),
-                    options_.protected_processes.end(),
-                    victim) != options_.protected_processes.end()) {
-        return false;
-      }
       if (!remains_connected(n, edges_, victim)) return false;
       edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
                                   [victim](const Edge& e) {

@@ -45,12 +45,13 @@
 /// clamped into the (possibly shrunk) domains of the new topology,
 /// communication constants are re-installed by the new protocol, and
 /// joined nodes start from uniformly random state. Process ids stay
-/// stable — a join appends id n, a leave removes only the current
-/// highest id (and only when it is unprotected and the remainder stays
-/// connected) — so id-valued parameters (a BFS root, an election id
-/// scheme) survive every event. The daemon and its fairness history
-/// restart with the new engine; documented, deterministic, and identical
-/// on both engines.
+/// stable — a join appends id n (up to initial n + 8 processes), a leave
+/// removes only the current highest id (and only when the remainder keeps
+/// the node floor max(2, initial n / 2) and stays connected) — so ids
+/// below the node floor survive every event, and id-valued parameters (a
+/// BFS root, an election id scheme) keep naming the same process. The
+/// daemon and its fairness history restart with the new engine;
+/// documented, deterministic, and identical on both engines.
 ///
 /// Availability tracking: the predicate is pure in the configuration, so
 /// it is re-evaluated only after a step that fired or an event. Given the
@@ -117,15 +118,6 @@ struct ChurnOptions {
   /// Comm-change-free steps before attempting the exact re-certification
   /// check; 0 picks max(16, n) like RunOptions::quiescence_patience.
   std::uint64_t recovery_patience = 0;
-
-  /// Ids node-leave events never remove (defaults to the conventional
-  /// root/reference process 0). A leave only ever removes the current
-  /// highest id, so every protected id below it survives all events.
-  std::vector<ProcessId> protected_processes = {0};
-  /// Node-count bounds for topology churn; 0 = automatic (initial n + 8,
-  /// and max(2, initial n / 2)).
-  int max_nodes = 0;
-  int min_nodes = 0;
 
   /// Forwarded to the engine(s) the runner constructs.
   SweepMode sweep_mode = SweepMode::kAuto;
@@ -297,6 +289,8 @@ class ChurnRunner {
   ChurnStats stats_;
 
   std::vector<Edge> edges_;
+  /// Topology churn's node-count bounds: max(2, initial n / 2) and
+  /// initial n + 8 (see the file comment for what the floor protects).
   int min_nodes_ = 2;
   int max_nodes_ = 0;
 

@@ -21,7 +21,6 @@ std::string checkpoint_to_json(const Checkpoint& checkpoint) {
   out += "  \"planned_trials\": " +
          std::to_string(checkpoint.planned_trials) + ",\n";
   out += "  \"threads\": " + std::to_string(checkpoint.threads) + ",\n";
-  out += "  \"shards\": " + std::to_string(checkpoint.shards) + ",\n";
   out += "  \"parallel_threads\": " +
          std::to_string(checkpoint.parallel_threads) + ",\n";
   out += "  \"sweep_mode\": " + json_quote(checkpoint.sweep_mode) + ",\n";
@@ -58,7 +57,6 @@ Checkpoint load_checkpoint(const std::string& path) {
   checkpoint.planned_trials =
       static_cast<int>(doc.at("planned_trials").as_int());
   checkpoint.threads = static_cast<int>(doc.at("threads").as_int());
-  checkpoint.shards = static_cast<int>(doc.at("shards").as_int());
   checkpoint.parallel_threads =
       static_cast<int>(doc.at("parallel_threads").as_int());
   checkpoint.sweep_mode = doc.at("sweep_mode").as_string();

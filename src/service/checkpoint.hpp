@@ -40,7 +40,6 @@ struct Checkpoint {
   std::string sink_path;      ///< the durable JSONL stream
   int planned_trials = 0;     ///< plan size at submit time
   int threads = 1;            ///< batch worker threads used at submit
-  int shards = 0;             ///< batch shards
   int parallel_threads = 0;   ///< engine-thread override (0 = manifest's)
   std::string sweep_mode;     ///< sweep-mode override ("" = manifest's)
 };
@@ -56,7 +55,9 @@ std::string checkpoint_to_json(const Checkpoint& checkpoint);
 /// would silently forfeit resumability).
 void write_checkpoint(const Checkpoint& checkpoint);
 
-/// Loads and validates a checkpoint document.
+/// Loads and validates a checkpoint document. Keys it does not read —
+/// the batch "shards" count older checkpoints carry among them — are
+/// ignored, so those checkpoints still resume.
 Checkpoint load_checkpoint(const std::string& path);
 
 /// What a durable stream holds: the completed keys (document order), each

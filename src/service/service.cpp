@@ -80,7 +80,6 @@ LabService::Submitted LabService::submit(const std::string& manifest_text,
     checkpoint.sink_path = sink_path;
     checkpoint.planned_trials = run->planned;
     checkpoint.threads = options.threads;
-    checkpoint.shards = options.shards;
     checkpoint.parallel_threads = options.parallel_threads;
     checkpoint.sweep_mode = options.sweep_mode;
     write_checkpoint(checkpoint);
@@ -99,7 +98,6 @@ LabService::Submitted LabService::resume(const std::string& checkpoint_path,
   const Checkpoint checkpoint = load_checkpoint(checkpoint_path);
   // Zero/empty submit options defer to what the checkpoint recorded.
   if (options.threads == 0) options.threads = checkpoint.threads;
-  if (options.shards == 0) options.shards = checkpoint.shards;
   if (options.parallel_threads == 0) {
     options.parallel_threads = checkpoint.parallel_threads;
   }
@@ -174,17 +172,14 @@ LabService::Submitted LabService::launch(std::unique_ptr<Run> run,
     submitted.sink_path = raw->sink_path;
     submitted.checkpoint_path = checkpoint_path_for(raw->sink_path);
   }
-  raw->worker = std::thread([this, raw, threads = options.threads,
-                             shards = options.shards] {
-    worker_main(*raw, threads, shards);
-  });
+  raw->worker = std::thread(
+      [this, raw, threads = options.threads] { worker_main(*raw, threads); });
   return submitted;
 }
 
-void LabService::worker_main(Run& run, int threads, int shards) {
+void LabService::worker_main(Run& run, int threads) {
   BatchOptions options;
   options.threads = threads;
-  options.shards = shards;
   options.skip_trial = [&run](int item, int trial) {
     return run.skip_keys.count({item, trial}) > 0;
   };

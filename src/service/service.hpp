@@ -71,7 +71,6 @@ class LabService {
   struct SubmitOptions {
     int threads = 0;            ///< batch worker threads (0 = hardware;
                                 ///< on resume, 0 = checkpoint's value)
-    int shards = 0;             ///< batch shards (0 = one per item)
     int parallel_threads = 0;   ///< engine threads override (0 = manifest)
     std::string sweep_mode;     ///< sweep-mode override ("" = manifest)
     /// Artificial delay after each row (milliseconds) — a pacing knob so
@@ -206,7 +205,7 @@ class LabService {
   };
 
   Submitted launch(std::unique_ptr<Run> run, const SubmitOptions& options);
-  void worker_main(Run& run, int threads, int shards);
+  void worker_main(Run& run, int threads);
   /// Calls `subscriber(line)` and settles the in-flight gate. Pre: the
   /// caller snapshotted `subscriber` and incremented `events_in_flight`
   /// under the lock (in the same critical section as the state change the

@@ -112,7 +112,6 @@ std::string manifest_text_for(const ServeCommand& command) {
 LabService::SubmitOptions options_for(const ServeCommand& command) {
   LabService::SubmitOptions options;
   options.threads = optional_int(command, "threads", 0);
-  options.shards = optional_int(command, "shards", 0);
   options.parallel_threads = optional_int(command, "parallel_threads", 0);
   options.sweep_mode = optional_string(command, "sweep_mode");
   options.pace_ms = optional_int(command, "pace_ms", 0);
@@ -185,12 +184,11 @@ ServeSession::Exit ServeSession::run() {
                    cmd == "submit"
                        ? std::initializer_list<const char*>{
                              "manifest", "manifest_path", "sink", "threads",
-                             "shards", "parallel_threads", "sweep_mode",
-                             "pace_ms", "stream"}
-                       : std::initializer_list<const char*>{
-                             "checkpoint", "threads", "shards",
                              "parallel_threads", "sweep_mode", "pace_ms",
-                             "stream"});
+                             "stream"}
+                       : std::initializer_list<const char*>{
+                             "checkpoint", "threads", "parallel_threads",
+                             "sweep_mode", "pace_ms", "stream"});
         LabService::SubmitOptions options = options_for(command);
         if (optional_bool(command, "stream")) {
           options.subscriber = [this](const std::string& event) {

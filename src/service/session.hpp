@@ -14,9 +14,9 @@
 ///
 ///   {"cmd": "ping"}                 liveness check
 ///   {"cmd": "submit", "sink": S, "manifest": {...} | "manifest_path": P,
-///    "threads"?, "shards"?, "parallel_threads"?, "sweep_mode"?,
-///    "pace_ms"?, "stream"?}         start a run; reply carries its id
-///   {"cmd": "resume", "checkpoint": P, "threads"?, "shards"?,
+///    "threads"?, "parallel_threads"?, "sweep_mode"?, "pace_ms"?,
+///    "stream"?}                     start a run; reply carries its id
+///   {"cmd": "resume", "checkpoint": P, "threads"?,
 ///    "parallel_threads"?, "sweep_mode"?, "pace_ms"?, "stream"?}
 ///                                   resume from a checkpoint manifest
 ///   {"cmd": "status", "run": R}     snapshot one run

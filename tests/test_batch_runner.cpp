@@ -1,7 +1,7 @@
 /// Tests for the sharded multi-graph batch runner (analysis/batch.hpp).
 ///
 /// The contract under test: a batch plan's results are bit-identical at
-/// every thread/shard count, every item's summary equals the serial
+/// every thread count, every item's summary equals the serial
 /// single-sweep result it replaces, and trial seeds derive from trial
 /// indices alone — never from scheduling.
 
@@ -96,29 +96,26 @@ TEST(BatchRunner, BitIdenticalAcrossThreadsAndShards) {
 
   BatchOptions serial;
   serial.threads = 1;
-  serial.shards = 1;
   const BatchResult reference = run_batch(items, serial);
   ASSERT_EQ(reference.summaries.size(), items.size());
   ASSERT_EQ(reference.total_trials, 3 * 3 * 2);
 
+  // One shard per item: 4 and 16 workers outnumber the 3 shards, so
+  // workers share shards from the start and steal across them.
   for (int threads : {1, 4, 16}) {
-    for (int shards : {1, static_cast<int>(items.size()), 7}) {
-      BatchOptions options;
-      options.threads = threads;
-      options.shards = shards;
-      const BatchResult result = run_batch(items, options);
-      ASSERT_EQ(result.summaries.size(), reference.summaries.size());
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        expect_same_sweep(result.summaries[i], reference.summaries[i],
-                          items[i].label + " threads=" +
-                              std::to_string(threads) +
-                              " shards=" + std::to_string(shards));
-      }
+    BatchOptions options;
+    options.threads = threads;
+    const BatchResult result = run_batch(items, options);
+    ASSERT_EQ(result.summaries.size(), reference.summaries.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      expect_same_sweep(result.summaries[i], reference.summaries[i],
+                        items[i].label + " threads=" +
+                            std::to_string(threads));
     }
   }
 }
 
-TEST(BatchRunner, SingleItemMatchesAcrossThreadsAndShards) {
+TEST(BatchRunner, SingleItemMatchesAcrossThreads) {
   const Graph g = grid(4, 4);
   const MisProtocol protocol(g, greedy_coloring(g));
   const MisProblem problem;
@@ -134,13 +131,11 @@ TEST(BatchRunner, SingleItemMatchesAcrossThreadsAndShards) {
 
   BatchOptions serial;
   serial.threads = 1;
-  serial.shards = 1;
   BatchOptions pooled;
   pooled.threads = 3;
-  pooled.shards = 2;
   expect_same_sweep(run_batch(items, pooled).summaries.front(),
                     run_batch(items, serial).summaries.front(),
-                    "threads=3 shards=2 vs threads=1 shards=1");
+                    "threads=3 vs threads=1");
 }
 
 /// The seed contract, stated against raw engines: trial j of an item runs
@@ -170,7 +165,6 @@ TEST(BatchRunner, TrialSeedsDeriveFromTrialIndicesAlone) {
 
   BatchOptions options;
   options.threads = 4;
-  options.shards = 3;
   const BatchResult result = run_batch({item}, options);
   expect_same_sweep(result.summaries.front(), expected, "batch vs direct");
 }

@@ -136,7 +136,6 @@ TEST(ServeCheckpoint, WriteLoadRoundTrips) {
   out.sink_path = sink;
   out.planned_trials = 8;
   out.threads = 3;
-  out.shards = 2;
   out.parallel_threads = 1;
   out.sweep_mode = "auto";
   write_checkpoint(out);
@@ -147,7 +146,6 @@ TEST(ServeCheckpoint, WriteLoadRoundTrips) {
   EXPECT_EQ(in.sink_path, sink);
   EXPECT_EQ(in.planned_trials, 8);
   EXPECT_EQ(in.threads, 3);
-  EXPECT_EQ(in.shards, 2);
   EXPECT_EQ(in.sweep_mode, "auto");
   // The embedded manifest must still expand to the same plan.
   const ExperimentPlan plan = plan_from_manifest_text(in.manifest_json);
@@ -303,6 +301,31 @@ TEST(LabService, ResumeOfCompleteStreamRunsNothing) {
   const LabService::RunStatus status = service.wait(again.run_id);
   EXPECT_EQ(status.state, "done");
   EXPECT_EQ(status.rows, 8);  // recovered rows; none newly executed
+  EXPECT_EQ(read_file(sink), golden_stream());
+}
+
+/// Checkpoints written before the batch shard count was retired carry a
+/// "shards" key; loading ignores it and the run still resumes.
+TEST(LabService, ResumesCheckpointCarryingRetiredShardsKey) {
+  const std::string sink = temp_stream("shards.jsonl");
+  std::ofstream(checkpoint_path_for(sink), std::ios::binary)
+      << "{\n  \"plan_name\": \"serve-test\",\n  \"sink\": "
+      << json_quote(sink)
+      << ",\n  \"planned_trials\": 8,\n  \"threads\": 1,\n"
+         "  \"shards\": 2,\n  \"parallel_threads\": 0,\n"
+         "  \"sweep_mode\": \"\",\n  \"manifest\": "
+      << kServeManifest << "\n}\n";
+
+  const Checkpoint loaded = load_checkpoint(checkpoint_path_for(sink));
+  EXPECT_EQ(loaded.sink_path, sink);
+  EXPECT_EQ(loaded.planned_trials, 8);
+  EXPECT_EQ(loaded.threads, 1);
+
+  LabService service;
+  const LabService::Submitted resumed =
+      service.resume(checkpoint_path_for(sink), {});
+  EXPECT_EQ(resumed.skipped, 0);
+  EXPECT_EQ(service.wait(resumed.run_id).state, "done");
   EXPECT_EQ(read_file(sink), golden_stream());
 }
 

@@ -3,7 +3,7 @@
 /// registries and stream results to sinks.
 ///
 ///   sss_lab run manifest.json [--sink out.jsonl] [--sink out.csv]
-///                             [--bench NAME] [--threads N] [--shards N]
+///                             [--bench NAME] [--threads N]
 ///                             [--parallel-threads N] [--sweep-mode MODE]
 ///                             [--quiet]
 ///   sss_lab validate manifest.json
@@ -24,8 +24,8 @@
 ///
 /// `diff` compares two JSONL result streams row by row, keyed by the
 /// (item, trial) coordinates every JsonlSink row carries, so two streams
-/// are comparable regardless of the thread/shard completion order they
-/// were written in. It reports rows only present on one side and rows
+/// are comparable regardless of the thread completion order they were
+/// written in. It reports rows only present on one side and rows
 /// whose fields changed (naming each changed field old -> new).
 ///
 /// `serve` turns the one-shot CLI into a long-lived lab service speaking
@@ -77,7 +77,6 @@ int usage() {
       "                        repeatable\n"
       "      --bench <name>    write per-item summaries to BENCH_<name>.json\n"
       "      --threads <n>     worker threads (0 = hardware, 1 = inline)\n"
-      "      --shards <n>      work-stealing shards (0 = one per item)\n"
       "      --parallel-threads <n>\n"
       "                        intra-trial engine threads for every item\n"
       "                        (bit-identical output at any value)\n"
@@ -300,8 +299,6 @@ int run_command(const std::vector<std::string>& args) {
       bench_name = value(arg);
     } else if (arg == "--threads") {
       options.threads = int_value(arg, value(arg));
-    } else if (arg == "--shards") {
-      options.shards = int_value(arg, value(arg));
     } else if (arg == "--parallel-threads") {
       parallel_threads = int_value(arg, value(arg));
       SSS_REQUIRE(parallel_threads >= 1,
