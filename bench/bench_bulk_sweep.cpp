@@ -3,7 +3,8 @@
 /// Not a paper claim: measures the engine's two guard-refresh strategies
 /// (runtime/bulk.hpp) — per-process scalar `first_enabled` probes vs the
 /// protocol's `sweep_enabled_ids` CSR kernel over the dirty ids — for
-/// every registry protocol on graphs at n ~= 2000 and n ~= 20000. Three
+/// every registry protocol on graphs at n ~= 2000 and n ~= 20000 — and
+/// the silence-certification solo kernel against its scalar default. Four
 /// sections:
 ///
 ///  * E15  — whole-engine steps/sec under the synchronous daemon,
@@ -24,6 +25,13 @@
 ///    behind), the kernel vs the scalar default of `sweep_enabled_ids`
 ///    (what kForceScalar runs). Informational: its `kernel_ratio` field
 ///    is not gated.
+///  * E15d — silence certification: full `Engine::quiescent()` checks/sec
+///    on a silent random-regular(256,4) configuration, the solo kernel
+///    (kAuto) vs the solo hook's scalar default (kForceScalar), both
+///    answers required equal. A silent configuration makes every process
+///    run its whole degree + margin budget, the cost of the confirming
+///    check and of a churn recovery checkpoint. Informational: its
+///    `kernel_ratio` field is not gated.
 ///
 /// Both strategies are bit-identical by construction (asserted here over
 /// a lockstep prefix, proven at scale by tests/test_bulk_sweep.cpp and
@@ -149,6 +157,27 @@ std::vector<std::vector<ProcessId>> central_dirty_sets(const Graph& g,
     balls.push_back(std::move(ball));
   }
   return balls;
+}
+
+/// Full silence checks/second of `engine.quiescent()` in the engine's
+/// current sweep mode; every answer must be `expected`.
+double measure_quiescent_checks_per_sec(Engine& engine, bool expected,
+                                        double min_seconds) {
+  using clock = std::chrono::steady_clock;
+  SSS_REQUIRE(engine.quiescent() == expected,  // warmup
+              "silence check disagrees across sweep modes");
+  std::uint64_t checks = 0;
+  const auto begin = clock::now();
+  double elapsed = 0.0;
+  do {
+    for (int i = 0; i < 8; ++i) {
+      SSS_REQUIRE(engine.quiescent() == expected,
+                  "silence check disagrees across sweep modes");
+    }
+    checks += 8;
+    elapsed = std::chrono::duration<double>(clock::now() - begin).count();
+  } while (elapsed < min_seconds);
+  return static_cast<double>(checks) / elapsed;
 }
 
 /// Both strategies must walk the same computation; a short lockstep
@@ -364,6 +393,60 @@ int main(int argc, char** argv) {
                 "min %.2fx, max %.2fx over %d cells",
                 central_geomean.value(), central_geomean.worst,
                 central_geomean.best, central_geomean.rows);
+  print_note(summary);
+  std::fflush(stdout);
+
+  print_banner("E15d: silence certification, solo kernel vs scalar default "
+               "(full quiescent() checks/sec)");
+  print_note("informational, not gated: one silent random-regular(256,4)");
+  print_note("configuration per protocol, every process running its whole");
+  print_note("degree + margin budget.");
+  TextTable certify_table({"graph", "n", "protocol", "scalar checks/s",
+                           "kernel checks/s", "ratio"});
+  Geomean certify_geomean;
+  {
+    Rng rng(0x51E7ULL);
+    const Graph g = random_regular(256, 4, rng);
+    for (const std::string& name :
+         ProtocolRegistry::instance().protocol_names()) {
+      const std::unique_ptr<Protocol> protocol =
+          ProtocolRegistry::instance().make(name, g, {});
+      Engine engine(g, *protocol, make_distributed_random_daemon(), 7);
+      engine.randomize_state();
+      SSS_REQUIRE(engine.run({}).silent,
+                  name + " did not reach silence on " + g.name());
+      engine.set_sweep_mode(SweepMode::kForceScalar);
+      const double scalar_cps =
+          measure_quiescent_checks_per_sec(engine, true, min_seconds);
+      engine.set_sweep_mode(SweepMode::kAuto);
+      const double kernel_cps =
+          measure_quiescent_checks_per_sec(engine, true, min_seconds);
+      const double ratio = kernel_cps / scalar_cps;
+      certify_table.row()
+          .add(g.name())
+          .add(g.num_vertices())
+          .add(name)
+          .add(scalar_cps, 0)
+          .add(kernel_cps, 0)
+          .add(ratio, 2);
+      json.record()
+          .field("graph", g.name())
+          .field("n", g.num_vertices())
+          .field("protocol", name)
+          .field("daemon", "distributed")
+          .field("regime", "certification")
+          .field("scalar_checks_per_sec", scalar_cps)
+          .field("kernel_checks_per_sec", kernel_cps)
+          .field("kernel_ratio", ratio);
+      certify_geomean.add(ratio);
+    }
+  }
+  std::printf("%s\n", certify_table.str().c_str());
+  std::snprintf(summary, sizeof(summary),
+                "silence certification, kernel vs scalar: geomean %.2fx, "
+                "min %.2fx, max %.2fx over %d cells",
+                certify_geomean.value(), certify_geomean.worst,
+                certify_geomean.best, certify_geomean.rows);
   print_note(summary);
   std::fflush(stdout);
 

@@ -17,7 +17,9 @@
 ///    re-certified silence (exact quiescence check), summarized as
 ///    p50/p90/p99 by `summarize_churn`. The check runs once per patience
 ///    interval of comm-quiet recovering steps, as the full `quiescent()`
-///    on both engines. Engine::run's cached certification (engine
+///    on both engines: Engine's runs the protocol's solo hook (its rule
+///    inlined, engine invariant 3), ReferenceEngine's the scalar
+///    `is_comm_quiescent`. Engine::run's cached certification (engine
 ///    invariant 3) saves nothing here: nearly every recovery checkpoint
 ///    succeeds, and a cached success first probes every entry dirtied
 ///    since the last one (all n, for a protocol that rotates a pointer

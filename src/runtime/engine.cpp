@@ -36,6 +36,7 @@ Engine::Engine(const Graph& g, const Protocol& protocol,
       covered_(g.num_vertices()),
       solo_active_(static_cast<std::size_t>(g.num_vertices()), 0),
       solo_dirty_(static_cast<std::size_t>(g.num_vertices()), 0),
+      solo_margin_(solo_margin(protocol)),
       read_counter_(g, protocol.spec()) {
   SSS_REQUIRE(daemon_ != nullptr, "engine needs a daemon");
   SSS_REQUIRE(g.num_vertices() >= 2 && g.min_degree() >= 1,
@@ -329,8 +330,23 @@ int Engine::num_enabled() {
   return enabled_.count();
 }
 
-bool Engine::quiescent() const {
-  return is_comm_quiescent(graph_, protocol_, config_);
+bool Engine::solo_writes_comm(ProcessId p) {
+  // The solo hook (invariant 3) at the protocol's budget; it leaves
+  // config_ as it found it.
+  const int budget = graph_.degree(p) + solo_margin_;
+  if (sweep_mode_ == SweepMode::kForceScalar) {
+    return protocol_.Protocol::solo_writes_comm(graph_, config_, p, budget);
+  }
+  return protocol_.solo_writes_comm(graph_, config_, p, budget);
+}
+
+bool Engine::quiescent() {
+  // Every process from scratch, sharing nothing with the cache: this is
+  // the check that catches a cache-invalidation bug.
+  for (ProcessId p = 0; p < graph_.num_vertices(); ++p) {
+    if (solo_writes_comm(p)) return false;
+  }
+  return true;
 }
 
 bool Engine::certified_silent() {
@@ -342,13 +358,7 @@ bool Engine::certified_silent() {
     solo_dirty_queue_.pop_back();
     solo_dirty_[static_cast<std::size_t>(p)] = 0;
     ++solo_probes_;
-    // The shared decision procedure of is_comm_quiescent, on this one
-    // process; it restores config_ before returning. The margin honors
-    // the protocol's own demand (wrapper protocols need deeper probes).
-    if (solo_would_write_comm(graph_, protocol_, config_, p, solo_scratch_,
-                              solo_saved_row_,
-                              std::max(QuiescenceOptions{}.margin,
-                                       protocol_.solo_quiescence_margin()))) {
+    if (solo_writes_comm(p)) {
       solo_active_[static_cast<std::size_t>(p)] = 1;
       ++solo_active_count_;
     }
@@ -356,7 +366,7 @@ bool Engine::certified_silent() {
   if (solo_active_count_ != 0) return false;
   // The one full solo simulation per certification, so a cache bug can
   // never mis-certify.
-  SSS_ASSERT(is_comm_quiescent(graph_, protocol_, config_),
+  SSS_ASSERT(quiescent(),
              "solo-quiescence cache certified a non-silent configuration");
   return true;
 }
@@ -485,6 +495,8 @@ Engine::StepInfo Engine::step() {
   read_counter_.begin_step();
 
   const std::size_t selected = selection_.size();
+  const bool whole =
+      selected == static_cast<std::size_t>(graph_.num_vertices());
   StepInfo info;
   info.selected = static_cast<int>(selected);
 
@@ -494,9 +506,7 @@ Engine::StepInfo Engine::step() {
   // every repetition adds the recorded delta. The repeated step already
   // set the maxima. An external logger must see every read, so it pins
   // the re-runs.
-  const bool idle =
-      selected == static_cast<std::size_t>(graph_.num_vertices()) &&
-      enabled_.count() == 0;
+  const bool idle = whole && enabled_.count() == 0;
   const bool charged = idle && idle_charge_valid_ && external_loggers_ == 0;
   if (charged) {
     read_counter_.absorb(idle_reads_, idle_bits_, 0, 0);
@@ -531,9 +541,13 @@ Engine::StepInfo Engine::step() {
 
   // Round accounting: selected processes are covered; every process
   // disabled in the pre-step configuration is already covered by the
-  // refresh/reset invariant (see file comment in engine.hpp).
-  for (const ProcessId p : selection_) covered_.assign(p, true);
-  if (covered_.count() == graph_.num_vertices()) {
+  // refresh/reset invariant (see file comment in engine.hpp). A
+  // whole-network selection covers everyone, so it completes the round
+  // without the cover walk: reset_round rewrites every covered_ word.
+  if (!whole) {
+    for (const ProcessId p : selection_) covered_.assign(p, true);
+  }
+  if (whole || covered_.count() == graph_.num_vertices()) {
     ++rounds_completed_;
     reset_round();
   }

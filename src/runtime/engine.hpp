@@ -60,10 +60,21 @@
 ///     Each dirtying therefore costs at most one probe, and a checkpoint
 ///     that cannot certify usually costs none. `run` calls
 ///     `certified_silent` at its quiescence checkpoints. Each positive
-///     answer is confirmed by the O(n*Delta) full solo simulation of the
-///     original engine under SSS_ASSERT, once per certification instead
-///     of at every checkpoint. The churn window keeps the full check
-///     (runtime/churn.hpp says why).
+///     answer is confirmed by the full check, `quiescent()`, under
+///     SSS_ASSERT: every process recomputed from scratch, once per
+///     certification instead of at every checkpoint. The churn window
+///     calls `quiescent()` at its recovery checkpoints (runtime/churn.hpp
+///     says why). One solo hook, `Protocol::solo_writes_comm`, answers
+///     both the probes and the full check, so they share one decision
+///     procedure. RuleProtocol supplies it from the protocol's one guard
+///     and act on `SlabSoloContext` (runtime/rule.hpp): p's evolving state
+///     lives in two row buffers, neighbours are read from config_, and
+///     nothing is copied or virtually dispatched per activation. Every
+///     other protocol (the same ROTATING-CHECK, nested generic-efficiency
+///     and test mocks as invariant 5) inherits the scalar default, the
+///     `solo_would_write_comm` loop, and SweepMode::kForceScalar runs that
+///     default on every protocol. The free `is_comm_quiescent` stays
+///     scalar: it is the oracle ReferenceEngine certifies with.
 ///
 ///  4. Guard re-run. A refresh records only the chosen action
 ///     (`probe_action_`); its reads are probe reads, charged to nobody.
@@ -367,21 +378,27 @@ class Engine {
   void set_parallel_threads(int threads);
   int parallel_threads() const { return parallel_threads_; }
 
-  /// Exact silence check of the current configuration.
-  bool quiescent() const;
+  /// Exact silence check of the current configuration: the solo hook
+  /// (`Protocol::solo_writes_comm`, its scalar default under
+  /// kForceScalar) on every process from scratch, sharing nothing with
+  /// the cache of invariant 3. `certified_silent` confirms each positive
+  /// answer with it, and the churn window's recovery checkpoints call it.
+  /// Equal to `is_comm_quiescent` on the same configuration; non-const
+  /// only because the scalar default runs in place on the configuration
+  /// and restores it.
+  bool quiescent();
 
   /// Certifies silence through the solo-quiescence cache (invariant 3 in
-  /// the file comment), the incremental equivalent of is_comm_quiescent:
-  /// false at once while a clean entry is active, otherwise probes dirty
-  /// entries (via the shared solo_would_write_comm procedure) until the
-  /// first active one. A positive answer is confirmed by the full
-  /// `is_comm_quiescent` check under SSS_ASSERT. `run` calls it at its
-  /// quiescence checkpoints.
+  /// the file comment), the incremental equivalent of `quiescent`: false
+  /// at once while a clean entry is active, otherwise probes dirty entries
+  /// through the same solo hook until the first active one. A positive
+  /// answer is confirmed by the full `quiescent` check under SSS_ASSERT.
+  /// `run` calls it at its quiescence checkpoints.
   bool certified_silent();
 
-  /// Solo probes the cache has run over the engine's lifetime (one
-  /// `solo_would_write_comm` per dirty entry drained). A plain count for
-  /// tests and profiling; no result depends on it.
+  /// Solo probes the cache has run over the engine's lifetime (one solo
+  /// hook call per dirty entry drained). A plain count for tests and
+  /// profiling; no result depends on it.
   std::uint64_t solo_probes() const { return solo_probes_; }
 
   /// Idle steps charged in O(1) instead of re-running n guards (invariant
@@ -452,6 +469,10 @@ class Engine {
   bool verified_self_loop(ProcessId p, int action);
   void note_comm_changed(ProcessId p);
   void reset_round();
+  /// Would p, run solo against the frozen communication state, attempt a
+  /// communication write within degree(p) + margin activations? One
+  /// solo_writes_comm call (the scalar default under kForceScalar).
+  bool solo_writes_comm(ProcessId p);
 
   const Graph& graph_;
   const Protocol& protocol_;
@@ -495,6 +516,7 @@ class Engine {
   std::vector<ProcessId> solo_dirty_queue_;
   int solo_active_count_ = 0;  ///< clean active entries
   std::uint64_t solo_probes_ = 0;
+  int solo_margin_;  ///< solo activations beyond degree(p)
 
   // Idle charge (invariant 4): what one whole-network all-disabled step
   // charged, valid until the next refresh.
@@ -511,8 +533,6 @@ class Engine {
   // Scratch arenas reused across steps; sized up once, never shrunk, so
   // the steady-state step performs no heap allocation.
   std::vector<ProcessId> selection_;
-  std::vector<Value> solo_saved_row_;
-  ProcessStep solo_scratch_;
 
   // Intra-trial parallelism (invariant 7). worker_states_ holds one slot
   // per pool worker, reused across steps; external_loggers_ counts

@@ -1,5 +1,6 @@
 #include "runtime/protocol.hpp"
 
+#include "runtime/quiescence.hpp"
 #include "support/require.hpp"
 
 namespace sss {
@@ -72,6 +73,15 @@ void Protocol::execute_selected(BulkExecContext& ctx,
                     : num_comm + static_cast<std::size_t>(w.var)] = w.value;
     }
   }
+}
+
+bool Protocol::solo_writes_comm(const Graph& g, Configuration& config,
+                                ProcessId p, int budget) const {
+  // One arena pair per thread keeps its capacity across probes.
+  thread_local ProcessStep scratch;
+  thread_local std::vector<Value> saved_row;
+  return solo_would_write_comm(g, *this, config, p, scratch, saved_row,
+                               budget);
 }
 
 bool execute_certified(const Graph& g, const Protocol& protocol,

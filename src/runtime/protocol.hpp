@@ -6,6 +6,7 @@
 /// accounting, and (b) execute the guard+action pair atomically against the
 /// pre-step snapshot.
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,6 +16,10 @@
 #include "runtime/spec.hpp"
 
 namespace sss {
+
+/// Seed of the scratch stream a solo run's actions draw from
+/// (Protocol::solo_writes_comm); its draws never leave the run.
+inline constexpr std::uint64_t kSoloScratchSeed = 0x5157;
 
 class Protocol {
  public:
@@ -65,9 +70,10 @@ class Protocol {
                                  std::span<const ProcessId> ids) const;
 
   /// True when the protocol's hooks are slab kernels (RuleProtocol
-  /// supplies both `sweep_enabled_ids` and `execute_selected`) rather than
-  /// the scalar defaults. Informational (capability listings, benches,
-  /// tests); the engine calls the hooks either way.
+  /// supplies `sweep_enabled_ids`, `execute_selected` and
+  /// `solo_writes_comm`) rather than the scalar defaults. Informational
+  /// (capability listings, benches, tests); the engine calls the hooks
+  /// either way.
   virtual bool has_bulk_sweep() const { return false; }
 
   /// Phase 1 of a step (see runtime/bulk.hpp) for selection indices
@@ -96,6 +102,27 @@ class Protocol {
                                 const EnabledBitmap& enabled,
                                 std::span<const ProcessId> selection,
                                 std::size_t begin, std::size_t end) const;
+
+  /// Silence certification's per-process question (Definition 3, see
+  /// runtime/quiescence.hpp): would p, activated alone against the frozen
+  /// communication state of `config`, attempt a communication write within
+  /// `budget` activations? A disabled activation ends the run (p is stable
+  /// forever); a `set_comm` call is an attempt whatever value it writes.
+  /// Actions draw from one `Rng(kSoloScratchSeed)` per call, in activation
+  /// order. `config` may be mutated only transiently and is left exactly
+  /// as it came in. Its reads are probe reads, charged to nobody. This is
+  /// the engine's one solo hook: its cache probes and its full
+  /// `Engine::quiescent` check both call it.
+  ///
+  /// The default is the free `solo_would_write_comm` loop (a GuardContext,
+  /// an ActionContext and two virtual calls per activation, writes
+  /// committed into p's row and the row restored) and is the reference
+  /// every override must equal; SweepMode::kForceScalar calls it directly.
+  /// RuleProtocol (runtime/rule.hpp) overrides it with the protocol's one
+  /// guard and act on `SlabSoloContext`, which keeps p's evolving state in
+  /// row buffers and never writes `config`.
+  virtual bool solo_writes_comm(const Graph& g, Configuration& config,
+                                ProcessId p, int budget) const;
 
   /// Writes the protocol's communication constants (e.g. colors C.p) into
   /// `config`. Called once after construction and again after any state

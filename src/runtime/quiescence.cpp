@@ -6,11 +6,17 @@
 
 namespace sss {
 
+int solo_margin(const Protocol& protocol, const QuiescenceOptions& options) {
+  const int margin =
+      std::max(options.margin, protocol.solo_quiescence_margin());
+  SSS_REQUIRE(margin >= 1, "margin must be positive");
+  return margin;
+}
+
 bool solo_would_write_comm(const Graph& g, const Protocol& protocol,
                            Configuration& config, ProcessId p,
                            ProcessStep& scratch, std::vector<Value>& saved_row,
-                           int margin) {
-  SSS_REQUIRE(margin >= 1, "margin must be positive");
+                           int budget) {
   const int num_comm = protocol.spec().num_comm();
   const int num_internal = protocol.spec().num_internal();
   saved_row.clear();
@@ -18,8 +24,7 @@ bool solo_would_write_comm(const Graph& g, const Protocol& protocol,
   for (int v = 0; v < num_internal; ++v) {
     saved_row.push_back(config.internal_var(p, v));
   }
-  Rng scratch_rng(0x5157u);
-  const int budget = g.degree(p) + margin;
+  Rng scratch_rng(kSoloScratchSeed);
   bool active = false;
   for (int i = 0; i < budget; ++i) {
     evaluate_process_into(g, protocol, config, p, scratch_rng, nullptr,
@@ -50,14 +55,10 @@ bool is_comm_quiescent(const Graph& g, const Protocol& protocol,
   Configuration scratch_config = config;
   ProcessStep scratch;
   std::vector<Value> saved_row;
-  // A protocol may demand a deeper probe than the caller's default (see
-  // Protocol::solo_quiescence_margin); certifying silence with too small
-  // a margin would be unsound, so the larger of the two wins.
-  const int margin =
-      std::max(options.margin, protocol.solo_quiescence_margin());
+  const int margin = solo_margin(protocol, options);
   for (ProcessId p = 0; p < g.num_vertices(); ++p) {
     if (solo_would_write_comm(g, protocol, scratch_config, p, scratch,
-                              saved_row, margin)) {
+                              saved_row, g.degree(p) + margin)) {
       return false;
     }
   }

@@ -12,11 +12,12 @@
 /// `self_comm(var)`, `self_internal(var)`, `nbr_comm(channel, var)` (a
 /// logged neighbor read) and `self_index_at(channel)`; actions may also
 /// use `set_comm(var, v)`, `set_internal(var, v)` and `random_range(lo,
-/// hi)`. `RuleProtocol<P>` instantiates that rule five times:
+/// hi)`. `RuleProtocol<P>` instantiates that rule six times:
 ///
 ///  * on the scalar `GuardContext` / `ActionContext` for
 ///    `first_enabled` / `execute` (what `ReferenceEngine`, the model
-///    checker and a per-process GenericEfficiency<Protocol> wrapper see);
+///    checker, the scalar silence oracle `is_comm_quiescent` and a
+///    per-process GenericEfficiency<Protocol> wrapper see);
 ///  * on `SlabGuardContext` for `sweep_enabled_ids`, the engine's guard
 ///    refresh of the dirty ids, reading the CSR slabs and flat
 ///    configuration rows directly and logging nothing (`BulkGuardContext`
@@ -25,14 +26,19 @@
 ///    `execute_selected`: the guard re-run of each selected process and
 ///    its action, reading the snapshot, logging through the step's read
 ///    sink, the action writing into the row `BulkExecContext::stage`
-///    hands out and drawing through the context's rng.
+///    hands out and drawing through the context's rng;
+///  * on `SlabSoloContext` for `solo_writes_comm`, silence
+///    certification's solo run of one process (the engine's cache probes
+///    and its full `Engine::quiescent` check): guard and act alternate on
+///    two row buffers holding the process's state before and after each
+///    activation, against the frozen configuration, which is only read.
 ///
 /// Because the same rule code runs on every path, a slab guard issues the
 /// scalar guard's reads in the scalar order (short-circuits included) and
-/// a slab action writes exactly the scalar action's slots: read-stream and
-/// trajectory agreement between the paths hold by construction, and the
-/// lockstep suites test the slab contexts and the engine paths rather
-/// than per-protocol transcriptions.
+/// a slab action writes exactly the scalar action's slots: read-stream,
+/// trajectory and silence-answer agreement between the paths hold by
+/// construction, and the lockstep suites test the slab contexts and the
+/// engine paths rather than per-protocol transcriptions.
 ///
 /// A composition reuses the rule rather than copying it. GENERIC-EFFICIENCY
 /// of P (transformer/generic_efficiency.hpp) is itself a rule protocol,
@@ -40,8 +46,8 @@
 /// `MirrorContext<Ctx>` (neighbour reads answered from the process's own
 /// mirror bank, unlogged) and again on the real context to confirm, and
 /// its act runs P's act, both through `RuleProtocol<P>::rule_guard` /
-/// `rule_act`. So P's rule is inlined into the composition's refresh and
-/// execute kernels as well, with no virtual call per process.
+/// `rule_act`. So P's rule is inlined into the composition's refresh,
+/// execute and solo kernels as well, with no virtual call per process.
 ///
 /// Build layout: a protocol declares `guard`/`act` with SSS_RULE, defines
 /// them in its .cpp, and there explicitly instantiates both rule protocols
@@ -58,9 +64,12 @@
 /// (core/protocol_registry.cpp); any inner it does not list is wrapped by
 /// the per-process `GenericEfficiency<Protocol>`.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "runtime/protocol.hpp"
 
@@ -160,6 +169,53 @@ class SlabActionContext final : public SlabReadContext<BulkExecContext> {
   Value* out_;
 };
 
+/// Process `self` run solo against the frozen communication state
+/// (Protocol::solo_writes_comm). Its own variables are read from the row
+/// buffer `cur`, its state after the activations so far; its neighbours'
+/// communication variables from the configuration, unlogged (a solo run
+/// is a probe). An action writes into the row buffer `next`, a copy of
+/// `cur`, so it reads its pre-state as on every other path; a `set_comm`
+/// is recorded as an attempt, and draws come from the run's scratch
+/// stream.
+class SlabSoloContext final : public SlabReadContext<BulkGuardContext> {
+ public:
+  SlabSoloContext(const SlabView& view, BulkGuardContext& probe,
+                  ProcessId self, const Value* cur, Value* next, Rng& rng)
+      : SlabReadContext(view, probe, self), next_(next), rng_(rng) {
+    row_ = cur;
+  }
+
+  void set_comm(int var, Value v) {
+    attempted_ = true;
+    next_[var] = v;
+  }
+  void set_internal(int var, Value v) {
+    next_[view_.num_comm + static_cast<std::size_t>(var)] = v;
+  }
+  Value random_range(Value lo, Value hi) {
+    return static_cast<Value>(rng_.range(lo, hi));
+  }
+
+  bool comm_write_attempted() const { return attempted_; }
+
+ private:
+  Value* next_;
+  Rng& rng_;
+  bool attempted_ = false;
+};
+
+namespace detail {
+
+/// The calling thread's scratch for a solo kernel's two row buffers, at
+/// least `size` values; it keeps its capacity across runs.
+inline Value* solo_rows(std::size_t size) {
+  thread_local std::vector<Value> rows;
+  if (rows.size() < size) rows.resize(size);
+  return rows.data();
+}
+
+}  // namespace detail
+
 /// The wrapped rule's view of a process under GENERIC-EFFICIENCY: a
 /// neighbour read returns the process's own mirror of that variable, an
 /// internal variable of the bank that starts at internal index `bank` and
@@ -212,6 +268,9 @@ class RuleProtocol : public Protocol {
   void execute_selected(BulkExecContext& ctx, const EnabledBitmap& enabled,
                         std::span<const ProcessId> selection, std::size_t begin,
                         std::size_t end) const final;
+
+  bool solo_writes_comm(const Graph& g, Configuration& config, ProcessId p,
+                        int budget) const final;
 
   /// P's rule on any context, for a composition that inlines it into its
   /// own rule (GenericEfficiency<P>).
@@ -268,6 +327,28 @@ void RuleProtocol<P>::execute_selected(BulkExecContext& ctx,
     SlabActionContext row(view, ctx, p, ctx.stage(i, p));
     rule().act(action, row);
   }
+}
+
+template <class P>
+bool RuleProtocol<P>::solo_writes_comm(const Graph& g, Configuration& config,
+                                       ProcessId p, int budget) const {
+  const SlabView view(g, config);
+  BulkGuardContext probe(g, config);
+  Value* cur = detail::solo_rows(2 * view.stride);
+  Value* next = cur + view.stride;
+  const Value* live = config.row(p);
+  std::copy(live, live + view.stride, cur);
+  Rng rng(kSoloScratchSeed);
+  for (int i = 0; i < budget; ++i) {
+    SlabSoloContext solo(view, probe, p, cur, next, rng);
+    const int action = rule().guard(solo);
+    if (action == kDisabled) return false;  // stable forever
+    std::copy(cur, cur + view.stride, next);
+    rule().act(action, solo);
+    if (solo.comm_write_attempted()) return true;
+    std::swap(cur, next);
+  }
+  return false;
 }
 
 }  // namespace sss

@@ -41,12 +41,14 @@ namespace sss {
 namespace {
 
 /// kAuto (bulk) vs kForceScalar engines from the same seed must produce
-/// identical computations and metrics. `bulk_threads` > 1 additionally
+/// identical computations and metrics, and, with `certify`, identical
+/// silence answers after every step. `bulk_threads` > 1 additionally
 /// routes the bulk engine through the parallel step, exercising the
 /// per-worker bulk kernel slices and the two-barrier commit.
 void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
                           const std::string& daemon_name, std::uint64_t seed,
-                          int steps, int bulk_threads = 1) {
+                          int steps, int bulk_threads = 1,
+                          bool certify = true) {
   Engine bulk(g, protocol, make_daemon(daemon_name), seed);
   Engine scalar(g, protocol, make_daemon(daemon_name), seed);
   bulk.set_parallel_threads(bulk_threads);
@@ -75,6 +77,17 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
               scalar.read_counter().total_bits());
     ASSERT_EQ(bulk.read_counter().max_reads_per_process_step(),
               scalar.read_counter().max_reads_per_process_step());
+    if (!certify) continue;
+    // Silence certification: the kernel hook against the scalar default,
+    // through the cache and through the full check.
+    const bool certified = bulk.certified_silent();
+    ASSERT_EQ(certified, scalar.certified_silent())
+        << protocol.name() << "/" << g.name() << "/" << daemon_name
+        << " threads " << bulk_threads << " step " << s;
+    ASSERT_EQ(bulk.quiescent(), certified)
+        << protocol.name() << "/" << g.name() << "/" << daemon_name
+        << " threads " << bulk_threads << " step " << s;
+    ASSERT_EQ(scalar.quiescent(), certified);
   }
 }
 
@@ -204,6 +217,8 @@ TEST(BulkExecute, ParallelWorkersComposeWithBulkExecute) {
   // the staged rows — the result must sit on the single-threaded scalar
   // rail at every thread count. (Probabilistic protocols fall back to the
   // serial step under parallel_threads > 1; they still lockstep.)
+  // Certification never fans out; AutoEngineLockstepsForcedScalarEngine
+  // checks it after every step.
   Rng graph_rng(0xb01dULL);
   std::vector<testing::NamedGraph> graphs;
   graphs.push_back({"grid3x4", grid(3, 4)});
@@ -216,7 +231,7 @@ TEST(BulkExecute, ParallelWorkersComposeWithBulkExecute) {
         for (const std::string& daemon_name :
              {std::string("synchronous"), std::string("distributed")}) {
           expect_mode_lockstep(named.graph, *protocol, daemon_name, 2024, 48,
-                               threads);
+                               threads, /*certify=*/false);
         }
       }
     }

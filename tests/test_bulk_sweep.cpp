@@ -37,6 +37,8 @@
 
 #include "core/protocol_registry.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/quiescence.hpp"
+#include "runtime/rule.hpp"
 #include "test_util.hpp"
 
 namespace sss {
@@ -172,6 +174,116 @@ TEST(BulkSweep, SweepMatchesScalarForNonDefaultParameters) {
   }
 }
 
+/// The solo hook's contract (Protocol::solo_writes_comm): for every
+/// process of `config` and every budget up to the engine's, degree(p) +
+/// solo_margin, the protocol's hook answers what Protocol's scalar
+/// default answers, and neither changes the configuration. Every budget,
+/// not only the engine's, so a kernel that runs one activation too few
+/// or too many fails wherever a first attempt lands on the boundary.
+void expect_solo_matches_scalar(const Graph& g, const Protocol& protocol,
+                                Configuration config,
+                                const std::string& where) {
+  const Configuration before = config;
+  const int margin = solo_margin(protocol);
+  for (ProcessId p = 0; p < g.num_vertices(); ++p) {
+    for (int budget = 1; budget <= g.degree(p) + margin; ++budget) {
+      const bool scalar =
+          protocol.Protocol::solo_writes_comm(g, config, p, budget);
+      ASSERT_EQ(config, before) << where << ": the scalar default left "
+                                << "process " << p << "'s row changed";
+      const bool hook = protocol.solo_writes_comm(g, config, p, budget);
+      ASSERT_EQ(config, before) << where << ": the hook changed process "
+                                << p << "'s row";
+      ASSERT_EQ(hook, scalar) << where << ": process " << p << ", budget "
+                              << budget;
+    }
+  }
+}
+
+TEST(BulkSweep, SoloHookMatchesScalarDefaultAcrossRegistryAndMenagerie) {
+  // Random configurations surface attempts at varied depths; silent ones,
+  // reached by running, make every process run its whole budget.
+  int silent_checked = 0;
+  for (const ProtocolSelection& selection : testing::kernel_selections()) {
+    for (const auto& named : testing::sweep_graphs()) {
+      const std::unique_ptr<Protocol> protocol =
+          ProtocolRegistry::instance().make(selection, named.graph);
+      for (std::uint64_t seed : {301u, 302u, 303u}) {
+        const std::string where = protocol->name() + " on " +
+                                  named.graph.name() + " seed " +
+                                  std::to_string(seed);
+        Configuration config(named.graph, protocol->spec());
+        Rng rng(seed);
+        randomize_configuration(named.graph, protocol->spec(), config, rng);
+        protocol->install_constants(named.graph, config);
+        expect_solo_matches_scalar(named.graph, *protocol, config,
+                                   where + " (random)");
+        if (::testing::Test::HasFatalFailure()) return;
+
+        Engine engine(named.graph, *protocol,
+                      make_distributed_random_daemon(), seed);
+        engine.randomize_state();
+        if (!engine.run({}).silent) continue;
+        ASSERT_TRUE(
+            is_comm_quiescent(named.graph, *protocol, engine.config()))
+            << where;
+        expect_solo_matches_scalar(named.graph, *protocol, engine.config(),
+                                   where + " (silent)");
+        if (::testing::Test::HasFatalFailure()) return;
+        ++silent_checked;
+      }
+    }
+  }
+  EXPECT_GT(silent_checked, 0);
+}
+
+/// Writes its internal counter, then reads it back, and attempts a
+/// communication write only if the read saw the new value. An action
+/// reads its pre-state on every path (runtime/context.hpp), so a correct
+/// solo run never attempts one. No registry rule reads a slot it has
+/// written, so this holds the solo kernel's row buffers to that contract.
+class ReadsBackItsWrite final : public RuleProtocol<ReadsBackItsWrite> {
+ public:
+  ReadsBackItsWrite() {
+    spec_.comm.emplace_back("X", VarDomain{0, 1});
+    spec_.internal.emplace_back("K", VarDomain{0, 3});
+  }
+  const std::string& name() const override {
+    static const std::string kName = "READS-BACK-ITS-WRITE";
+    return kName;
+  }
+  const ProtocolSpec& spec() const override { return spec_; }
+  int num_actions() const override { return 1; }
+
+ private:
+  friend RuleProtocol<ReadsBackItsWrite>;
+  template <class Ctx>
+  int guard(Ctx&) const {
+    return 0;
+  }
+  template <class Ctx>
+  void act(int, Ctx& ctx) const {
+    const Value k = ctx.self_internal(0);
+    ctx.set_internal(0, (k + 1) % 4);
+    if (ctx.self_internal(0) != k) ctx.set_comm(0, 1 - ctx.self_comm(0));
+  }
+
+  ProtocolSpec spec_;
+};
+
+TEST(BulkSweep, SoloKernelActsOnThePreActivationRow) {
+  const Graph g = cycle(6);
+  const ReadsBackItsWrite protocol;
+  Configuration config(g, protocol.spec());
+  Rng rng(17);
+  randomize_configuration(g, protocol.spec(), config, rng);
+  expect_solo_matches_scalar(g, protocol, config, protocol.name());
+  Engine engine(g, protocol, make_synchronous_daemon(), 17);
+  engine.set_config(config);
+  EXPECT_TRUE(engine.quiescent());
+  EXPECT_TRUE(engine.certified_silent());
+}
+
 /// kAuto (bulk) vs kForceScalar engines from the same seed must produce
 /// identical computations and metrics: the two refresh strategies are two
 /// implementations of the same semantics.
@@ -205,6 +317,16 @@ void expect_mode_lockstep(const Graph& g, const Protocol& protocol,
               scalar.read_counter().total_bits());
     ASSERT_EQ(bulk.read_counter().max_reads_per_process_step(),
               scalar.read_counter().max_reads_per_process_step());
+    // Silence certification: the kernel hook against the scalar default,
+    // through the cache and through the full check.
+    const bool certified = bulk.certified_silent();
+    ASSERT_EQ(certified, scalar.certified_silent())
+        << protocol.name() << "/" << g.name() << "/" << daemon_name
+        << " step " << s;
+    ASSERT_EQ(bulk.quiescent(), certified)
+        << protocol.name() << "/" << g.name() << "/" << daemon_name
+        << " step " << s;
+    ASSERT_EQ(scalar.quiescent(), certified);
   }
 }
 

@@ -1,6 +1,7 @@
 /// Tests for the ♦-(x,1)-stability bounds: Theorem 6 (MIS, with the
 /// Figure 9 tight example) and Theorem 8 (MATCHING, with the Figure 11
-/// tight example).
+/// tight example), on small graphs and at the scale of the paper's E4 and
+/// E6 tables.
 
 #include <gtest/gtest.h>
 
@@ -59,29 +60,52 @@ TEST(MisStability, MeetsTheorem6LowerBound) {
   }
 }
 
+// Theorem 6 at the scale of the E4 table: Figure 9's paths up to n = 21
+// and five other families, five seeds each, with the exact Lmax.
+TEST(MisStability, MeetsTheorem6LowerBoundAtTableScale) {
+  for (const Graph& g :
+       {fig9_path(9), fig9_path(15), fig9_path(21), cycle(12), grid(4, 5),
+        star(8), caterpillar(5, 2), petersen()}) {
+    const std::int64_t bound =
+        mis_one_stable_lower_bound(longest_path_exact(g, 32));
+    const MisProtocol protocol(g, identity_coloring(g));
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      Engine engine(g, protocol, make_distributed_random_daemon(), seed);
+      engine.randomize_state();
+      const StabilityReport report = analyze_stability(engine, {}, 6);
+      ASSERT_TRUE(report.silent) << g.name() << " seed " << seed;
+      EXPECT_GE(report.one_stable_count, bound)
+          << g.name() << " seed " << seed;
+    }
+  }
+}
+
 // Figure 9: on a path the bound is tight — the alternating-Dominator
 // silent configuration has exactly floor(n/2) 1-stable (dominated)
 // processes, and it is a genuine silent configuration of the protocol.
 TEST(MisStability, Fig9AlternatingConfigurationIsTight) {
-  const int n = 9;
-  const Graph g = fig9_path(n);
-  const MisProtocol protocol(g, identity_coloring(g));
-  Configuration config(g, protocol.spec());
-  protocol.install_constants(g, config);
-  int dominated_count = 0;
-  for (ProcessId p = 0; p < n; ++p) {
-    const bool dominator = p % 2 == 0;  // black nodes of Figure 9
-    config.set_comm(p, MisProtocol::kStateVar,
-                    dominator ? MisProtocol::kDominator
-                              : MisProtocol::kDominated);
-    // Dominated processes rest their pointer on a Dominator neighbor.
-    config.set_internal(p, MisProtocol::kCurVar, 1);
-    if (!dominator) ++dominated_count;
+  for (const int n : {7, 9, 13}) {
+    const Graph g = fig9_path(n);
+    const MisProtocol protocol(g, identity_coloring(g));
+    Configuration config(g, protocol.spec());
+    protocol.install_constants(g, config);
+    int dominated_count = 0;
+    for (ProcessId p = 0; p < n; ++p) {
+      const bool dominator = p % 2 == 0;  // black nodes of Figure 9
+      config.set_comm(p, MisProtocol::kStateVar,
+                      dominator ? MisProtocol::kDominator
+                                : MisProtocol::kDominated);
+      // Dominated processes rest their pointer on a Dominator neighbor.
+      config.set_internal(p, MisProtocol::kCurVar, 1);
+      if (!dominator) ++dominated_count;
+    }
+    EXPECT_TRUE(is_comm_quiescent(g, protocol, config)) << "n = " << n;
+    EXPECT_TRUE(MisProblem().holds(g, config)) << "n = " << n;
+    // Lmax = n-1; the dominated (= 1-stable) count matches the bound
+    // exactly.
+    EXPECT_EQ(dominated_count, mis_one_stable_lower_bound(n - 1))
+        << "n = " << n;
   }
-  EXPECT_TRUE(is_comm_quiescent(g, protocol, config));
-  EXPECT_TRUE(MisProblem().holds(g, config));
-  // Lmax = n-1; the dominated (= 1-stable) count matches the bound exactly.
-  EXPECT_EQ(dominated_count, mis_one_stable_lower_bound(n - 1));
 }
 
 // Theorem 8: at least 2*ceil(m/(2Delta-1)) processes are eventually
@@ -97,6 +121,25 @@ TEST(MatchingStability, MeetsTheorem8LowerBound) {
       EXPECT_GE(
           report.one_stable_count,
           matching_one_stable_lower_bound(g.num_edges(), g.max_degree()))
+          << g.name() << " seed " << seed;
+    }
+  }
+}
+
+// Theorem 8 at the scale of the E6 table: seven graphs, Figure 11's
+// included, five seeds each.
+TEST(MatchingStability, MeetsTheorem8LowerBoundAtTableScale) {
+  for (const Graph& g : {cycle(12), path(15), grid(4, 5), star(8), petersen(),
+                         complete(7), fig11_tight_matching()}) {
+    const std::int64_t bound =
+        matching_one_stable_lower_bound(g.num_edges(), g.max_degree());
+    const MatchingProtocol protocol(g, identity_coloring(g));
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+      Engine engine(g, protocol, make_distributed_random_daemon(), seed);
+      engine.randomize_state();
+      const StabilityReport report = analyze_stability(engine, {}, 6);
+      ASSERT_TRUE(report.silent) << g.name() << " seed " << seed;
+      EXPECT_GE(report.one_stable_count, bound)
           << g.name() << " seed " << seed;
     }
   }
